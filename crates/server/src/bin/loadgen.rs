@@ -6,13 +6,15 @@
 //! ```text
 //! loadgen [--sessions M] [--events N] [--program NAME] [--shards N]
 //!         [--queue N] [--policy P] [--seed S] [--out BENCH_server.json]
-//!         [--chaos] [--snapshot-interval N] [--crash-prob P]
-//!         [--panic-prob P] [--journal-fail-prob P] [--stall-prob P]
+//!         [--chaos] [--overload] [--fleet] [--cluster] [--partition]
+//!         [--no-fencing] [--fleet-programs N] [--snapshot-interval N]
 //! ```
 //!
 //! `--events` is per session; the default workload is 64 sessions ×
 //! 10000 events of mixed mouse/keyboard/timer traffic, each session on
-//! its own deterministic seed.
+//! its own deterministic seed. The report carries both the offered
+//! `events_per_sec` and `applied_events_per_sec`, which counts only the
+//! events the program declares an input for (the rest are `ignored`).
 //!
 //! Sessions are opened with `observe: true`, so every run also exercises
 //! the observability surface: it dumps the Prometheus scrape
@@ -24,10 +26,10 @@
 //! `--chaos` turns on the deterministic fault-injection harness: traces
 //! are laced with poison-pill events and queue bursts, sessions suffer
 //! seeded runtime crashes and journal append failures, and shard workers
-//! stall — all derived from `--seed`. The run fails (nonzero exit) if
-//! any session's recovery fails, any recovery replays more than the
-//! snapshot interval, any recovered session's final output diverges from
-//! an uninterrupted synchronous replay, or (with panics enabled) fewer
+//! stall — all derived from `--seed` at the fixed rates below. The run
+//! fails (nonzero exit) if any session's recovery fails, any recovery
+//! replays more than the snapshot interval, any recovered session's final
+//! output diverges from an uninterrupted synchronous replay, or fewer
 //! than a quarter of the sessions were actually hit by a panic.
 //!
 //! `--fleet` hosts a *scenario fleet*: hundreds of distinct seeded FElm
@@ -70,24 +72,60 @@
 //! disables the epoch fences in the children — run it to watch the
 //! verdict catch the divergence that fencing prevents (the run exits
 //! nonzero by design).
+//!
+//! Every mode is one `run_*` function over the same plain pieces:
+//! [`replay`] is the one synchronous oracle, [`PeerGroup`] owns the
+//! `elm-server` children of the peer-group modes (and kills them on every
+//! exit path), [`open_keyed`] and [`drive_session`] open and drive keyed
+//! sessions with exactly-once resume, and [`finish`] writes the report
+//! and turns the failure list into the exit code that `main` applies
+//! once.
 
-use std::process::exit;
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::process::{exit, Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use elm_environment::{FaultPlan, Simulator};
 use elm_runtime::{
-    assemble, dot, reachable_from, NodeId, PlainSpanTree, PlainValue, Trace, Tracer,
+    assemble, dot, reachable_from, EventLimits, NodeId, PlainSpanTree, PlainValue, SignalGraph,
+    Trace, TraceEvent, Tracer,
 };
 use elm_server::{
-    AdmissionConfig, BackpressurePolicy, ProgramSpec, RestartPolicy, Server, ServerConfig,
-    SessionConfig, Update,
+    place, AdmissionConfig, BackpressurePolicy, Client, ClusterClient, ProgramSpec, Registry,
+    RestartPolicy, Server, ServerConfig, SessionConfig, Update,
 };
 use elm_signals::{Engine, Program};
+use elm_synth::{GenConfig, Generator, Scenario};
 use serde_json::Value as Json;
 
 const BATCH: usize = 64;
+
+/// The default `--out`; each non-default mode writes its own report
+/// name instead unless `--out` is given.
+const DEFAULT_OUT: &str = "BENCH_server.json";
+
+/// Size of the `--cluster` / `--partition` peer group.
+const PEERS: usize = 3;
+
+/// `--chaos` per-event fault rates: node-panic poison pills, runtime
+/// crashes, journal append failures, and shard-worker stalls.
+const PANIC_PROB: f64 = 0.005;
+const CRASH_PROB: f64 = 0.0005;
+const JOURNAL_FAIL_PROB: f64 = 0.001;
+const STALL_PROB: f64 = 0.01;
+
+/// The per-event budget the `--fleet` and `--overload` sessions run
+/// under, paired with no wall-clock deadline: deadline traps would not
+/// replay deterministically, fuel/alloc/depth traps do.
+const GOVERNED: EventLimits = EventLimits {
+    fuel: 200_000,
+    max_alloc_cells: 500_000,
+    max_depth: 10_000,
+};
 
 struct Args {
     sessions: usize,
@@ -106,10 +144,6 @@ struct Args {
     no_fencing: bool,
     fleet_programs: usize,
     snapshot_interval: u64,
-    crash_prob: f64,
-    panic_prob: f64,
-    journal_fail_prob: f64,
-    stall_prob: f64,
 }
 
 impl Default for Args {
@@ -122,7 +156,7 @@ impl Default for Args {
             queue: 1024,
             policy: BackpressurePolicy::Block,
             seed: 42,
-            out: "BENCH_server.json".to_string(),
+            out: DEFAULT_OUT.to_string(),
             chaos: false,
             overload: false,
             fleet: false,
@@ -131,10 +165,6 @@ impl Default for Args {
             no_fencing: false,
             fleet_programs: 224,
             snapshot_interval: 256,
-            crash_prob: 0.0005,
-            panic_prob: 0.005,
-            journal_fail_prob: 0.001,
-            stall_prob: 0.01,
         }
     }
 }
@@ -144,8 +174,7 @@ fn usage() -> ! {
         "usage: loadgen [--sessions M] [--events N] [--program NAME] [--shards N] \
          [--queue N] [--policy block|drop-oldest|coalesce] [--seed S] [--out FILE] \
          [--chaos] [--overload] [--fleet] [--cluster] [--partition] [--no-fencing] \
-         [--fleet-programs N] [--snapshot-interval N] \
-         [--crash-prob P] [--panic-prob P] [--journal-fail-prob P] [--stall-prob P]"
+         [--fleet-programs N] [--snapshot-interval N]"
     );
     exit(2)
 }
@@ -174,37 +203,43 @@ fn parse_args() -> Args {
             "--snapshot-interval" => {
                 a.snapshot_interval = value().parse().unwrap_or_else(|_| usage())
             }
-            "--crash-prob" => a.crash_prob = value().parse().unwrap_or_else(|_| usage()),
-            "--panic-prob" => a.panic_prob = value().parse().unwrap_or_else(|_| usage()),
-            "--journal-fail-prob" => {
-                a.journal_fail_prob = value().parse().unwrap_or_else(|_| usage())
-            }
-            "--stall-prob" => a.stall_prob = value().parse().unwrap_or_else(|_| usage()),
-            "--help" | "-h" => usage(),
             _ => usage(),
         }
     }
     a
 }
 
-/// Replays `trace` through a fresh single-session synchronous runtime,
-/// skipping inputs the program does not declare — exactly the events the
-/// server admits — and returns the final output value. In chaos mode
-/// this is the uninterrupted oracle every recovered session must match.
-fn sync_replay(server: &Server, program: &str, trace: &Trace) -> PlainValue {
-    let (_, graph) = server
-        .registry()
-        .resolve(ProgramSpec::Builtin(program))
-        .expect("program resolved once already");
-    let mut running = Program::from_dynamic_graph(graph.clone()).start(Engine::Synchronous);
-    for e in &trace.events {
-        if graph.input_named(&e.input).is_some() {
-            running
-                .send_named(&e.input, e.value.to_value())
-                .expect("replay event");
-        }
+/// Numeric accessor over the vendored JSON value (small integers parse
+/// back as `I64`).
+fn jnum(v: &Json) -> Option<u64> {
+    match v {
+        Json::U64(n) => Some(*n),
+        Json::I64(n) if *n >= 0 => Some(*n as u64),
+        _ => None,
     }
-    running.drain_raw().expect("replay drain");
+}
+
+/// The synchronous replay oracle every verdict compares against. Feeds
+/// `events` through a fresh single-session synchronous runtime, skipping
+/// inputs the program does not declare (exactly the events the server
+/// admits), and drains after *each* event — the server's own schedule
+/// (`Session::pump`), so `async` follow-ups land where they land live.
+/// `limits` installs the fuel/alloc/depth governor the live sessions ran
+/// with, deliberately without a wall-clock deadline: fuel traps replay
+/// deterministically, so the oracle traps (and rolls back) exactly the
+/// events the live session trapped.
+fn replay(graph: &SignalGraph, events: &[TraceEvent], limits: Option<EventLimits>) -> PlainValue {
+    let mut running = Program::from_dynamic_graph(graph.clone()).start(Engine::Synchronous);
+    running.set_governor(limits, None);
+    for e in events
+        .iter()
+        .filter(|e| graph.input_named(&e.input).is_some())
+    {
+        running
+            .send_named(&e.input, e.value.to_value())
+            .expect("replay event");
+        running.drain_raw().expect("replay drain");
+    }
     PlainValue::from_value(running.current()).expect("replay value is plain")
 }
 
@@ -215,17 +250,12 @@ fn sync_replay(server: &Server, program: &str, trace: &Trace) -> PlainValue {
 /// that subgraph exactly. Returns the plain span trees plus the tracer's
 /// per-node timing snapshots on success.
 fn trace_check(
-    server: &Server,
-    program: &str,
+    graph: &SignalGraph,
     seed: u64,
     engine: Engine,
 ) -> Result<(Vec<PlainSpanTree>, Vec<elm_runtime::NodeTimingSnapshot>), String> {
     const TRACE_EVENTS: usize = 200;
-    let (_, graph) = server
-        .registry()
-        .resolve(ProgramSpec::Builtin(program))
-        .map_err(|e| format!("resolve: {e}"))?;
-    let tracer = Tracer::for_graph(&graph);
+    let tracer = Tracer::for_graph(graph);
     tracer.set_enabled(true);
     let mut running =
         Program::from_dynamic_graph(graph.clone()).start_observed(engine, Some(tracer.clone()));
@@ -241,7 +271,7 @@ fn trace_check(
     running.stop();
 
     let spans = tracer.drain_spans();
-    let trees = assemble(&spans, &graph);
+    let trees = assemble(&spans, graph);
     if trees.is_empty() {
         return Err("no span trees reconstructed".to_string());
     }
@@ -251,9 +281,9 @@ fn trace_check(
         if roots.is_empty() {
             return Err(format!("trace {} has no root span", tree.trace.0));
         }
-        let mut reachable = std::collections::BTreeSet::new();
+        let mut reachable = BTreeSet::new();
         for &r in &roots {
-            reachable.extend(reachable_from(&graph, NodeId(tree.spans[r].node)));
+            reachable.extend(reachable_from(graph, NodeId(tree.spans[r].node)));
         }
         let nodes = tree.node_set();
         if !nodes.is_subset(&reachable) {
@@ -272,8 +302,18 @@ fn trace_check(
             trees.len()
         ));
     }
-    let plain = trees.iter().map(|t| t.to_plain(&graph)).collect();
+    let plain = trees.iter().map(|t| t.to_plain(graph)).collect();
     Ok((plain, tracer.node_timings()))
+}
+
+/// A JSON object from `(key, value)` fields, in order.
+fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    Json::Map(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 /// Writes a benchmark artifact; a failed write is recorded as a check
@@ -285,15 +325,45 @@ fn write_artifact(path: &str, contents: String, failures: &mut Vec<String>) {
     }
 }
 
-/// Sums every `elm_restarts_total{...}` sample in Prometheus exposition
-/// text — the scrape-side view of supervised restarts.
-fn scraped_restarts_total(metrics_text: &str) -> u64 {
-    metrics_text
-        .lines()
-        .filter(|l| l.starts_with("elm_restarts_total"))
-        .filter_map(|l| l.rsplit_once(' '))
-        .filter_map(|(_, v)| v.parse::<f64>().ok())
-        .sum::<f64>() as u64
+/// Ends a run: reports every failure, prints and stamps the verdict into
+/// `report`, and writes it to `--out` (or to `default_out` when `--out`
+/// was left at its default). Returns the process exit code — nonzero on
+/// any failure, including a report that could not be written.
+fn finish(
+    args: &Args,
+    mode: &str,
+    failures: &[String],
+    mut report: Vec<(&str, Json)>,
+    default_out: &str,
+) -> i32 {
+    let prefix = if mode.is_empty() {
+        String::new()
+    } else {
+        format!("{mode} ")
+    };
+    let tag = prefix.to_uppercase();
+    for f in failures {
+        eprintln!("loadgen: {tag}FAILURE: {f}");
+    }
+    let verdict = if failures.is_empty() { "OK" } else { "FAILED" };
+    println!("{prefix}verdict = {verdict}");
+    report.push(("verdict", Json::Str(verdict.to_string())));
+    let pretty = serde_json::to_string_pretty(&obj(report)).expect("report serialize");
+    let out = if args.out == DEFAULT_OUT {
+        default_out
+    } else {
+        &args.out
+    };
+    match std::fs::write(out, pretty + "\n") {
+        Ok(()) => {
+            eprintln!("loadgen: wrote {out}");
+            i32::from(!failures.is_empty())
+        }
+        Err(e) => {
+            eprintln!("loadgen: {tag}FAILURE: cannot write {out}: {e}");
+            1
+        }
+    }
 }
 
 /// Sums every sample of one exactly-named Prometheus family (bare or
@@ -311,13 +381,13 @@ fn scraped_family_sum(metrics_text: &str, family: &str) -> u64 {
 /// Duplicates events in bursts according to the plan's flood stream —
 /// the overload traffic shape. The laced trace is what both the server
 /// and the oracle replay see, so isolation checks stay exact.
-fn lace_with_floods(trace: &elm_runtime::Trace, plan: &FaultPlan, id: u64) -> elm_runtime::Trace {
+fn lace_with_floods(trace: &Trace, plan: &FaultPlan, id: u64) -> Trace {
     use rand::Rng;
     if plan.flood <= 0.0 || plan.flood_len == 0 {
         return trace.clone();
     }
     let mut rng = plan.rng(elm_environment::fault::STREAM_FLOOD, id);
-    let mut out = elm_runtime::Trace::new();
+    let mut out = Trace::new();
     for e in &trace.events {
         out.events.push(e.clone());
         if rng.gen_bool(plan.flood) {
@@ -329,31 +399,528 @@ fn lace_with_floods(trace: &elm_runtime::Trace, plan: &FaultPlan, id: u64) -> el
     out
 }
 
-/// [`sync_replay`] under the same fuel/alloc/depth governor the live
-/// sessions ran with — and deliberately *no* deadline, since wall-clock
-/// traps would not replay deterministically. Fuel traps do: the oracle
-/// traps (and rolls back) exactly the events the live session trapped.
-fn governed_sync_replay(
-    server: &Server,
-    program: &str,
-    trace: &elm_runtime::Trace,
-    limits: elm_runtime::EventLimits,
-) -> PlainValue {
-    let (_, graph) = server
-        .registry()
-        .resolve(ProgramSpec::Builtin(program))
-        .expect("program resolved once already");
-    let mut running = Program::from_dynamic_graph(graph.clone()).start(Engine::Synchronous);
-    running.set_governor(Some(limits), None);
-    for e in &trace.events {
-        if graph.input_named(&e.input).is_some() {
-            running
-                .send_named(&e.input, e.value.to_value())
-                .expect("replay event");
+/// `count` scenarios with pairwise distinct sources, drawn from
+/// consecutive seeds starting at `seed` (consecutive seeds occasionally
+/// collide on tiny shapes).
+fn distinct_scenarios(
+    generator: &Generator,
+    seed: u64,
+    count: usize,
+    events: usize,
+) -> Vec<Scenario> {
+    let mut seen = BTreeSet::new();
+    (seed..)
+        .map(|s| generator.scenario(s, events))
+        .filter(|s| seen.insert(s.source.clone()))
+        .take(count)
+        .collect()
+}
+
+/// Polls until `session`'s ingress queue is empty.
+fn wait_drained(server: &Server, session: u64) -> Result<(), String> {
+    loop {
+        match server.query(session) {
+            Ok(q) if q.queue_len == 0 => return Ok(()),
+            Ok(_) => thread::sleep(Duration::from_millis(1)),
+            Err(e) => return Err(format!("session {session}: drain query failed: {e}")),
         }
     }
-    running.drain_raw().expect("replay drain");
-    PlainValue::from_value(running.current()).expect("replay value is plain")
+}
+
+/// Batches `trace` into an in-process session and waits for it to drain.
+fn feed_and_drain(server: &Server, session: u64, trace: &Trace) -> Result<(), String> {
+    let events: Vec<(String, PlainValue)> = trace
+        .events
+        .iter()
+        .map(|e| (e.input.clone(), e.value.clone()))
+        .collect();
+    for chunk in events.chunks(BATCH) {
+        server
+            .batch(session, chunk)
+            .map_err(|e| format!("session {session}: batch failed: {e}"))?;
+    }
+    wait_drained(server, session)
+}
+
+/// A real `elm-server` peer group for the `--cluster` / `--partition`
+/// harnesses: reserved loopback ports and one child process per peer,
+/// all killed when the group drops — on every exit path, so an early
+/// error never orphans children that hold their ports.
+struct PeerGroup {
+    addrs: Vec<String>,
+    socks: Vec<SocketAddr>,
+    children: Vec<Option<Child>>,
+    /// When the children were spawned: the clock their fault windows
+    /// run on.
+    spawned: Instant,
+}
+
+impl PeerGroup {
+    /// Spawns [`PEERS`] `elm-server` children from this executable's
+    /// directory with the common cluster flags plus `extra`, and waits
+    /// until each accepts connections.
+    fn spawn(snapshot_interval: u64, extra: &[String]) -> Result<PeerGroup, String> {
+        let bin = std::env::current_exe()
+            .map_err(|e| format!("cannot locate own executable: {e}"))?
+            .with_file_name("elm-server");
+        if !bin.exists() {
+            return Err(format!(
+                "elm-server binary not found at {} (build the workspace first)",
+                bin.display()
+            ));
+        }
+        let addrs: Vec<String> = (0..PEERS)
+            .map(|_| {
+                let l = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
+                l.local_addr().expect("reserved addr").to_string()
+            })
+            .collect();
+        let peer_list = addrs.join(",");
+        let mut group = PeerGroup {
+            socks: addrs
+                .iter()
+                .map(|a| a.parse().expect("addr parses"))
+                .collect(),
+            addrs,
+            children: Vec::with_capacity(PEERS),
+            spawned: Instant::now(),
+        };
+        for id in 0..PEERS {
+            let child = Command::new(&bin)
+                .args(["--peer-id", &id.to_string(), "--peers", &peer_list])
+                .args(["--heartbeat-ms", "50", "--takeover-ms", "500"])
+                .args(["--snapshot-interval", &snapshot_interval.to_string()])
+                .args(extra)
+                .stdout(Stdio::null())
+                .stderr(Stdio::inherit())
+                .spawn()
+                .map_err(|e| format!("cannot spawn peer {id}: {e}"))?;
+            group.children.push(Some(child));
+        }
+        let deadline = Instant::now() + Duration::from_secs(15);
+        for (i, addr) in group.socks.iter().enumerate() {
+            while let Err(e) = TcpStream::connect(addr) {
+                if Instant::now() > deadline {
+                    return Err(format!("peer {i} never came up on {addr}: {e}"));
+                }
+                thread::sleep(Duration::from_millis(25));
+            }
+        }
+        Ok(group)
+    }
+
+    /// Connection order for a session placed on `primary`: the primary
+    /// first, the rest in index order as fallbacks.
+    fn route(&self, primary: usize) -> Vec<SocketAddr> {
+        let mut peers = vec![self.socks[primary]];
+        peers.extend((0..PEERS).filter(|&p| p != primary).map(|p| self.socks[p]));
+        peers
+    }
+
+    /// One plain client per peer in `which`; an unreachable peer is a
+    /// failure.
+    fn clients(
+        &self,
+        which: impl Iterator<Item = usize>,
+        seed: u64,
+        failures: &mut Vec<String>,
+    ) -> Vec<(usize, Client)> {
+        which
+            .filter_map(|p| match Client::connect(self.socks[p], seed ^ p as u64) {
+                Ok(c) => Some((p, c)),
+                Err(e) => {
+                    failures.push(format!("peer {p} unreachable: {e}"));
+                    None
+                }
+            })
+            .collect()
+    }
+}
+
+impl Drop for PeerGroup {
+    fn drop(&mut self) {
+        for mut child in self.children.iter_mut().filter_map(Option::take) {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// One keyed session of a peer-group run.
+struct Keyed {
+    /// Ad-hoc program source; `None` hosts the `dashboard` builtin.
+    source: Option<String>,
+    /// The trace pre-filtered to declared inputs, so event index `i`
+    /// carries sequence number `i + 1`.
+    events: Vec<TraceEvent>,
+    /// The governed synchronous replay's final value.
+    want: PlainValue,
+}
+
+/// The sessions of a peer-group run: `dashboard` over simulator traces,
+/// or with `synthesized` distinct benign `elm-synth` programs (a hostile
+/// fuel bomb's wall-clock traps would not replay deterministically
+/// across a failover). The oracle runs under the budgets the children
+/// apply (`SessionConfig::default()`): deterministic fuel/alloc/depth, no
+/// wall-clock deadline.
+fn keyed_sessions(
+    seed: u64,
+    sessions: usize,
+    events: usize,
+    synthesized: bool,
+) -> Result<Vec<Keyed>, String> {
+    let registry = Registry::standard();
+    let keyed = |source: Option<String>, trace: &Trace| -> Result<Keyed, String> {
+        let spec = match &source {
+            Some(src) => ProgramSpec::Source(src),
+            None => ProgramSpec::Builtin("dashboard"),
+        };
+        let (_, graph) = registry
+            .resolve(spec)
+            .map_err(|e| format!("program rejected: {e}\n{}", source.as_deref().unwrap_or("")))?;
+        let events: Vec<TraceEvent> = trace
+            .events
+            .iter()
+            .filter(|e| graph.input_named(&e.input).is_some())
+            .cloned()
+            .collect();
+        let want = replay(&graph, &events, Some(EventLimits::default()));
+        Ok(Keyed {
+            source,
+            events,
+            want,
+        })
+    };
+    if !synthesized {
+        return Simulator::fan_out(seed, sessions, events)
+            .iter()
+            .map(|t| keyed(None, t))
+            .collect();
+    }
+    let generator = Generator::new(GenConfig {
+        hostile: 0.0,
+        ..GenConfig::default()
+    });
+    distinct_scenarios(&generator, seed, sessions, events)
+        .into_iter()
+        .map(|s| keyed(Some(s.source), &s.trace))
+        .collect()
+}
+
+/// Rendezvous placement of sessions `0..sessions` over the group, plus
+/// the busiest primary (the run's victim) and its session count.
+fn placement(sessions: usize) -> (Vec<usize>, usize, usize) {
+    let placement: Vec<usize> = (0..sessions as u64).map(|k| place(k, PEERS).0).collect();
+    let mut counts = [0usize; PEERS];
+    for &p in &placement {
+        counts[p] += 1;
+    }
+    let victim = (0..PEERS).max_by_key(|&p| counts[p]).expect("peers");
+    (placement, victim, counts[victim])
+}
+
+/// Opens every session, keyed by its index, at its placement primary.
+fn open_keyed(
+    group: &PeerGroup,
+    placement: &[usize],
+    keyed: &[Keyed],
+    seed: u64,
+) -> Result<(), String> {
+    let mut openers = Vec::with_capacity(PEERS);
+    for (p, sock) in group.socks.iter().enumerate() {
+        let c = Client::connect(*sock, seed ^ p as u64)
+            .map_err(|e| format!("cannot connect to peer {p}: {e}"))?;
+        openers.push(c);
+    }
+    for (k, s) in keyed.iter().enumerate() {
+        let (field, program) = match &s.source {
+            Some(src) => ("source", src.as_str()),
+            None => ("program", "dashboard"),
+        };
+        let line = serde_json::to_string(&obj([
+            ("cmd", Json::Str("open".to_string())),
+            ("session", Json::U64(k as u64)),
+            (field, Json::Str(program.to_string())),
+        ]))
+        .expect("open line renders");
+        let reply = openers[placement[k]]
+            .request(&line)
+            .map_err(|e| format!("open of session {k} failed: {e}"))?;
+        if !matches!(reply.get("ok"), Some(Json::Bool(true)))
+            || reply.get("session").and_then(jnum) != Some(k as u64)
+        {
+            return Err(format!("keyed open of session {k} refused: {reply:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// What one session driver saw while riding a failover.
+struct SessionOut {
+    value: PlainValue,
+    last_seq: u64,
+    moves: u64,
+    reconnects: u64,
+    resyncs: u64,
+    stale_epochs: u64,
+}
+
+/// Drives one keyed session's `events` through a [`ClusterClient`] over
+/// `peers` with exactly-once resume. Every event goes out through
+/// `request_exact`; any error — an ambiguous transport failure in a kill
+/// window, or a typed `epoch_advanced` handoff from a demoted zombie —
+/// resynchronizes from the owner's applied `last_seq` and resends from
+/// there. Each accepted event bumps `progress`, then waits `pace`.
+fn drive_session(
+    sid: u64,
+    events: &[TraceEvent],
+    peers: Vec<SocketAddr>,
+    seed: u64,
+    pace: Duration,
+    progress: &AtomicU64,
+) -> Result<SessionOut, String> {
+    let mut client = ClusterClient::new(peers, seed);
+    let query_line = format!("{{\"cmd\":\"query\",\"session\":{sid}}}");
+    // Queries are idempotent; poll until the ingress queue is drained and
+    // the reply carries the applied high-water mark.
+    let drained = |client: &mut ClusterClient| -> Result<(u64, Json), String> {
+        loop {
+            let r = client
+                .request_routed(&query_line, Duration::from_secs(30))
+                .map_err(|e| format!("session {sid}: query: {e}"))?;
+            if !matches!(r.get("ok"), Some(Json::Bool(true))) {
+                return Err(format!("session {sid}: query refused: {r:?}"));
+            }
+            if r.get("queue_len").and_then(jnum) == Some(0) {
+                let last = r.get("last_seq").and_then(jnum);
+                let last = last.ok_or_else(|| format!("session {sid}: reply lacks last_seq"))?;
+                return Ok((last, r));
+            }
+            thread::sleep(Duration::from_millis(5));
+        }
+    };
+    // Witness the owner's epoch up front: a demotion's higher-epoch
+    // redirect is only detectable against it.
+    drained(&mut client)?;
+    let mut resyncs = 0u64;
+    let mut i = 0usize;
+    while i < events.len() {
+        let e = &events[i];
+        // The trace id encodes (session, event index) recoverably: a
+        // resend after a resync reuses the SAME id, so the event keeps one
+        // identity across the failover.
+        let trace_id = ((sid + 1) << 20) | (i as u64 + 1);
+        let line = serde_json::to_string(&obj([
+            ("cmd", Json::Str("event".to_string())),
+            ("session", Json::U64(sid)),
+            ("input", Json::Str(e.input.clone())),
+            (
+                "value",
+                serde_json::to_value(&e.value).expect("plain value serializes"),
+            ),
+            ("trace", Json::U64(trace_id)),
+        ]))
+        .expect("event line renders");
+        match client.request_exact(&line, Duration::from_secs(20)) {
+            Ok(reply) if matches!(reply.get("ok"), Some(Json::Bool(true))) => {
+                i += 1;
+                progress.fetch_add(1, Ordering::Relaxed);
+                if !pace.is_zero() {
+                    thread::sleep(pace);
+                }
+            }
+            Ok(reply) => return Err(format!("session {sid}: event {i} refused: {reply:?}")),
+            Err(_) => {
+                // Either the in-flight event may or may not have landed,
+                // or ownership moved under the stream and the adopter's
+                // history is shorter than what the old owner was fed.
+                // Resume exactly once from the owner's high-water mark; a
+                // zombie-applied suffix replays into the surviving
+                // lineage.
+                i = drained(&mut client)?.0 as usize;
+                resyncs += 1;
+            }
+        }
+    }
+    let (last_seq, r) = drained(&mut client)?;
+    let value = r
+        .get("value")
+        .cloned()
+        .ok_or_else(|| format!("session {sid}: reply lacks value"))?;
+    let value = serde_json::from_value::<PlainValue>(value)
+        .map_err(|e| format!("session {sid}: unparseable final value: {e}"))?;
+    Ok(SessionOut {
+        value,
+        last_seq,
+        moves: client.moves(),
+        reconnects: client.reconnects(),
+        resyncs,
+        stale_epochs: client.stale_epochs(),
+    })
+}
+
+/// Runs one [`drive_session`] thread per keyed session; a driver that
+/// errs or panics leaves `None` and a failure.
+fn drive_all(
+    group: &PeerGroup,
+    placement: &[usize],
+    keyed: &[Keyed],
+    seed: u64,
+    pace: Duration,
+    progress: &AtomicU64,
+    failures: &mut Vec<String>,
+) -> Vec<Option<SessionOut>> {
+    thread::scope(|s| {
+        let drivers: Vec<_> = keyed
+            .iter()
+            .enumerate()
+            .map(|(k, session)| {
+                let peers = group.route(placement[k]);
+                let seed = seed ^ (k as u64).wrapping_mul(0x9e37_79b9);
+                s.spawn(move || {
+                    drive_session(k as u64, &session.events, peers, seed, pace, progress)
+                })
+            })
+            .collect();
+        drivers
+            .into_iter()
+            .enumerate()
+            .map(|(k, d)| match d.join() {
+                Ok(Ok(o)) => Some(o),
+                Ok(Err(e)) => {
+                    failures.push(e);
+                    None
+                }
+                Err(_) => {
+                    failures.push(format!("session {k}: driver panicked"));
+                    None
+                }
+            })
+            .collect()
+    })
+}
+
+/// Every driven session applied its whole trace, and its final value is
+/// byte-identical to the governed replay. `lost` names what happened to
+/// the victim's sessions in the failure text.
+fn check_finals(
+    keyed: &[Keyed],
+    outs: &[Option<SessionOut>],
+    placement: &[usize],
+    victim: usize,
+    lost: &str,
+    failures: &mut Vec<String>,
+) {
+    let render = |v: &PlainValue| {
+        serde_json::to_string(&serde_json::to_value(v).expect("plain value")).expect("renders")
+    };
+    for (k, (s, o)) in keyed.iter().zip(outs).enumerate() {
+        let Some(o) = o else { continue };
+        if o.last_seq != s.events.len() as u64 {
+            failures.push(format!(
+                "session {k}: applied {} of {} events",
+                o.last_seq,
+                s.events.len()
+            ));
+        }
+        let (live, want) = (render(&o.value), render(&s.want));
+        if live != want {
+            let tag = if placement[k] == victim {
+                format!(" ({lost})")
+            } else {
+                String::new()
+            };
+            failures.push(format!(
+                "session {k}{tag}: final output diverged from the governed replay: \
+                 live {live} != replay {want}"
+            ));
+        }
+    }
+}
+
+/// Fetches one text verb from every client; a failed fetch is a failure.
+fn fetch_texts(
+    clients: &mut [(usize, Client)],
+    verb: fn(&mut Client) -> std::io::Result<String>,
+    what: &str,
+    failures: &mut Vec<String>,
+) -> Vec<(usize, String)> {
+    clients
+        .iter_mut()
+        .filter_map(|(p, c)| match verb(c) {
+            Ok(text) => Some((*p, text)),
+            Err(e) => {
+                failures.push(format!("{what} fetch on peer {p}: {e}"));
+                None
+            }
+        })
+        .collect()
+}
+
+/// The cluster-federated scrape through the first client: it must carry
+/// every `needles` sample prefix, and lands in `path`. Empty when no
+/// scrape came back.
+fn federated_scrape(
+    clients: &mut [(usize, Client)],
+    needles: &[&str],
+    path: &str,
+    failures: &mut Vec<String>,
+) -> String {
+    let text = match clients.first_mut().map(|(_, c)| c.metrics_text_cluster()) {
+        Some(Ok(text)) => text,
+        Some(Err(e)) => {
+            failures.push(format!("federated metrics scrape: {e}"));
+            return String::new();
+        }
+        None => {
+            failures.push("no peer available for the federated scrape".to_string());
+            return String::new();
+        }
+    };
+    for needle in needles.iter().filter(|n| !text.contains(*n)) {
+        failures.push(format!("federated scrape lacks {needle}...}} samples"));
+    }
+    write_artifact(path, text.clone(), failures);
+    text
+}
+
+/// Asks every client about session `k`: returns the peers serving it and
+/// the `(peer, target)` of each typed `moved` redirect. Anything else is
+/// a failure.
+fn who_serves(
+    clients: &mut [(usize, Client)],
+    k: usize,
+    failures: &mut Vec<String>,
+) -> (Vec<usize>, Vec<(usize, String)>) {
+    let (mut served, mut moved) = (Vec::new(), Vec::new());
+    for (p, c) in clients.iter_mut() {
+        match c.query(k as u64) {
+            Ok(reply) if matches!(reply.get("ok"), Some(Json::Bool(true))) => served.push(*p),
+            Ok(reply) if reply.get("error").and_then(Json::as_str) == Some("moved") => {
+                let to = reply.get("peer").and_then(Json::as_str).unwrap_or("");
+                moved.push((*p, to.to_string()));
+            }
+            Ok(reply) => failures.push(format!(
+                "session {k}: peer {p} gave neither value nor redirect: {reply:?}"
+            )),
+            Err(e) => failures.push(format!("session {k}: query on peer {p}: {e}")),
+        }
+    }
+    (served, moved)
+}
+
+/// On any verdict failure, preserves every fetched flight recorder for
+/// the post-mortem.
+fn preserve_blackboxes(mode: &str, texts: &[(usize, String)], failures: &[String]) {
+    if failures.is_empty() {
+        return;
+    }
+    for (p, text) in texts {
+        let path = format!("BLACKBOX_{mode}_failure_peer{p}.ndjson");
+        if std::fs::write(&path, text).is_ok() {
+            eprintln!("loadgen: preserved flight recorder in {path}");
+        }
+    }
 }
 
 /// The `--fleet` harness: a scenario fleet of distinct synthesized FElm
@@ -368,23 +935,15 @@ fn governed_sync_replay(
 /// all succeeded, flood lacing to have been active, and — as a mutation
 /// test of the oracle itself — a planted `CountUp -> +2` miscompilation
 /// to be caught and shrunk to a minimal program + trace repro.
-fn run_fleet(args: &Args) -> ! {
-    use elm_runtime::EventLimits;
+fn run_fleet(args: &Args) -> Result<i32, String> {
     use elm_synth::{
-        check_property, run_local, shrink, FleetMetrics, GenConfig, Generator, ProgramIr, Property,
-        Scenario, HOSTILE_TRIGGER,
+        check_property, run_local, shrink, FleetMetrics, ProgramIr, Property, HOSTILE_TRIGGER,
     };
-    use std::collections::{BTreeMap, BTreeSet};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     let programs = args.fleet_programs.max(1);
     let events = args.events.min(200);
     let plan = FaultPlan::chaos(args.seed).merge(&FaultPlan::flood(args.seed));
-    let limits = EventLimits {
-        fuel: 200_000,
-        max_alloc_cells: 500_000,
-        max_depth: 10_000,
-    };
+    let limits = GOVERNED;
     eprintln!(
         "loadgen: FLEET {} distinct synthesized programs x {} events each, chaos+flood, seed {}",
         programs, events, args.seed
@@ -395,25 +954,12 @@ fn run_fleet(args: &Args) -> ! {
         counter_shape: 0.25,
         ..GenConfig::default()
     });
-    // Consecutive seeds occasionally collide on tiny shapes; keep drawing
-    // until the fleet holds `programs` *distinct* sources.
-    let mut scenarios: Vec<Scenario> = Vec::with_capacity(programs);
-    let mut seen_sources = BTreeSet::new();
-    let mut next_seed = args.seed;
-    while scenarios.len() < programs {
-        let s = generator.scenario(next_seed, events);
-        next_seed += 1;
-        if seen_sources.insert(s.source.clone()) {
-            scenarios.push(s);
-        }
-    }
-    let laced: Arc<Vec<elm_runtime::Trace>> = Arc::new(
-        scenarios
-            .iter()
-            .enumerate()
-            .map(|(i, s)| lace_with_floods(&s.trace, &plan, i as u64))
-            .collect(),
-    );
+    let scenarios = distinct_scenarios(&generator, args.seed, programs, events);
+    let laced: Vec<Trace> = scenarios
+        .iter()
+        .enumerate()
+        .map(|(i, s)| lace_with_floods(&s.trace, &plan, i as u64))
+        .collect();
     let base_events: u64 = scenarios.iter().map(|s| s.trace.events.len() as u64).sum();
     let driven_events: u64 = laced.iter().map(|t| t.events.len() as u64).sum();
     let hostile_programs = scenarios.iter().filter(|s| s.ir.is_hostile()).count();
@@ -436,7 +982,7 @@ fn run_fleet(args: &Args) -> ! {
         failures.push("flood lacing never fired (overload inactive)".to_string());
     }
 
-    let server = Arc::new(Server::start(ServerConfig {
+    let server = Server::start(ServerConfig {
         shards: args.shards,
         session: SessionConfig {
             queue_capacity: args.queue,
@@ -456,7 +1002,7 @@ fn run_fleet(args: &Args) -> ! {
         },
         idle_timeout: None,
         admission: AdmissionConfig::default(),
-    }));
+    });
 
     let mut session_ids = Vec::with_capacity(programs);
     let mut subs = Vec::with_capacity(programs);
@@ -464,20 +1010,15 @@ fn run_fleet(args: &Args) -> ! {
         metrics.host(&s.shape);
         let info = server
             .open(ProgramSpec::Source(&s.source), None, None, false)
-            .unwrap_or_else(|e| {
-                eprintln!(
-                    "loadgen: FLEET open failed for scenario {i} (seed {}): {e}\n{}",
+            .map_err(|e| {
+                format!(
+                    "open failed for scenario {i} (seed {}): {e}\n{}",
                     s.seed, s.source
-                );
-                exit(1);
-            });
-        let rx = server.subscribe(info.session).unwrap_or_else(|e| {
-            eprintln!(
-                "loadgen: FLEET subscribe failed for session {}: {e}",
-                info.session
-            );
-            exit(1);
-        });
+                )
+            })?;
+        let rx = server
+            .subscribe(info.session)
+            .map_err(|e| format!("subscribe failed for session {}: {e}", info.session))?;
         session_ids.push(info.session);
         subs.push(rx);
     }
@@ -486,53 +1027,28 @@ fn run_fleet(args: &Args) -> ! {
     // the next un-driven scenario, batches its laced trace in, and waits
     // for the session's queue to drain.
     let started = Instant::now();
-    let sessions = Arc::new(session_ids.clone());
-    let next = Arc::new(AtomicUsize::new(0));
-    let workers = programs.min(32);
-    let mut drivers = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let server = Arc::clone(&server);
-        let sessions = Arc::clone(&sessions);
-        let traces = Arc::clone(&laced);
-        let next = Arc::clone(&next);
-        drivers.push(thread::spawn(move || -> Vec<String> {
-            let mut errs = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= sessions.len() {
-                    break;
-                }
-                let session = sessions[i];
-                let events: Vec<(String, PlainValue)> = traces[i]
-                    .events
-                    .iter()
-                    .map(|e| (e.input.clone(), e.value.clone()))
-                    .collect();
-                let mut dead = false;
-                for chunk in events.chunks(BATCH) {
-                    if let Err(e) = server.batch(session, chunk) {
-                        errs.push(format!("session {session}: batch failed: {e}"));
-                        dead = true;
-                        break;
-                    }
-                }
-                while !dead {
-                    match server.query(session) {
-                        Ok(q) if q.queue_len == 0 => break,
-                        Ok(_) => thread::sleep(Duration::from_millis(1)),
-                        Err(e) => {
-                            errs.push(format!("session {session}: drain query failed: {e}"));
-                            dead = true;
+    let next = AtomicUsize::new(0);
+    thread::scope(|scope| {
+        let workers: Vec<_> = (0..programs.min(32))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut errs = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&session) = session_ids.get(i) else {
+                            break errs;
+                        };
+                        if let Err(e) = feed_and_drain(&server, session, &laced[i]) {
+                            errs.push(e);
                         }
                     }
-                }
-            }
-            errs
-        }));
-    }
-    for d in drivers {
-        failures.extend(d.join().expect("fleet driver thread"));
-    }
+                })
+            })
+            .collect();
+        for w in workers {
+            failures.extend(w.join().expect("fleet driver thread"));
+        }
+    });
     let elapsed = started.elapsed();
 
     // Pass 1 — judge every live session: governed replay oracle, property
@@ -546,6 +1062,18 @@ fn run_fleet(args: &Args) -> ! {
         latency_p99_max_us: u64,
         latency_samples: u64,
     }
+    // A property check, counted in the fleet metrics; `Some(why)` on a
+    // violation. The liveness rider for counting shapes: the output
+    // stream must track the applied count within the failover deadline.
+    let judge = |property: Property, outputs: &[i64], final_value: i64, trace: &Trace| {
+        let verdict = check_property(property, outputs, final_value, trace);
+        match verdict {
+            Ok(()) => metrics.checks_passed.inc(),
+            Err(_) => metrics.checks_failed.inc(),
+        }
+        verdict.err()
+    };
+    const LIVENESS: Property = Property::BoundedResponse { deadline_events: 8 };
     let mut shapes: BTreeMap<String, ShapeAgg> = BTreeMap::new();
     let mut finals: Vec<Option<i64>> = vec![None; programs];
     for (i, s) in scenarios.iter().enumerate() {
@@ -581,54 +1109,37 @@ fn run_fleet(args: &Args) -> ! {
             Err(e) => failures.push(format!("scenario {i}: final query failed: {e}")),
         }
 
-        match check_property(s.property, &local.outputs, local.final_value, trace) {
-            Ok(()) => metrics.checks_passed.inc(),
-            Err(why) => {
-                metrics.checks_failed.inc();
-                // A real violation: shrink it so the verdict carries a
-                // minimal repro, not a 200-event haystack.
-                let fails = |ir: &ProgramIr, t: &Trace| {
-                    run_local(&ir.render(), t, limits)
-                        .map(|r| {
-                            check_property(ir.property(), &r.outputs, r.final_value, t).is_err()
-                        })
-                        .unwrap_or(false)
-                };
-                let small = shrink(&s.ir, trace, fails, 2_000);
-                metrics.shrink_attempts.add(small.attempts);
-                failures.push(format!(
-                    "scenario {i} (seed {}, shape {}, property {}): VIOLATED: {why}; \
+        if let Some(why) = judge(s.property, &local.outputs, local.final_value, trace) {
+            // A real violation: shrink it so the verdict carries a
+            // minimal repro, not a 200-event haystack.
+            let fails = |ir: &ProgramIr, t: &Trace| {
+                run_local(&ir.render(), t, limits)
+                    .map(|r| check_property(ir.property(), &r.outputs, r.final_value, t).is_err())
+                    .unwrap_or(false)
+            };
+            let small = shrink(&s.ir, trace, fails, 2_000);
+            metrics.shrink_attempts.add(small.attempts);
+            failures.push(format!(
+                "scenario {i} (seed {}, shape {}, property {}): VIOLATED: {why}; \
                      shrunk to {} node(s) / {} event(s):\n{}",
-                    s.seed,
-                    s.shape,
-                    s.property.name(),
-                    small.ir.nodes.len(),
-                    small.trace.events.len(),
-                    small.ir.render()
-                ));
-            }
+                s.seed,
+                s.shape,
+                s.property.name(),
+                small.ir.nodes.len(),
+                small.trace.events.len(),
+                small.ir.render()
+            ));
         }
 
-        // Liveness rider for counting shapes: the governed replay's own
-        // output stream must never lag the applied count by more than
-        // the failover deadline (trivially true here, so it guards the
-        // checker itself against regressions; the observed-stream check
-        // in pass 2 is the one that bites).
+        // Liveness on the governed replay's own stream is trivially true,
+        // so it guards the checker itself against regressions; the
+        // observed-stream check in pass 2 is the one that bites.
         if matches!(s.property, Property::ExactCount) {
-            match check_property(
-                Property::BoundedResponse { deadline_events: 8 },
-                &local.outputs,
-                local.final_value,
-                trace,
-            ) {
-                Ok(()) => metrics.checks_passed.inc(),
-                Err(why) => {
-                    metrics.checks_failed.inc();
-                    failures.push(format!(
-                        "scenario {i} (seed {}): bounded_response on replay stream: {why}",
-                        s.seed
-                    ));
-                }
+            if let Some(why) = judge(LIVENESS, &local.outputs, local.final_value, trace) {
+                failures.push(format!(
+                    "scenario {i} (seed {}): bounded_response on replay stream: {why}",
+                    s.seed
+                ));
             }
         }
 
@@ -762,23 +1273,12 @@ fn run_fleet(args: &Args) -> ! {
         // a counting shape must track the applied count within the
         // bounded-response deadline — the stream may coalesce but must
         // not silently fall ever further behind.
-        if matches!(s.property, Property::ExactCount) {
-            if let Some(final_value) = finals[i] {
-                match check_property(
-                    Property::BoundedResponse { deadline_events: 8 },
-                    &observed,
-                    final_value,
-                    &laced[i],
-                ) {
-                    Ok(()) => metrics.checks_passed.inc(),
-                    Err(why) => {
-                        metrics.checks_failed.inc();
-                        failures.push(format!(
-                            "scenario {i} (seed {}): bounded_response on observed stream: {why}",
-                            s.seed
-                        ));
-                    }
-                }
+        if let (Property::ExactCount, Some(final_value)) = (s.property, finals[i]) {
+            if let Some(why) = judge(LIVENESS, &observed, final_value, &laced[i]) {
+                failures.push(format!(
+                    "scenario {i} (seed {}): bounded_response on observed stream: {why}",
+                    s.seed
+                ));
             }
         }
         if let Some(agg) = shapes.get_mut(&s.shape) {
@@ -794,7 +1294,7 @@ fn run_fleet(args: &Args) -> ! {
         ..GenConfig::default()
     });
     let planted = mutation_generator.scenario(args.seed ^ 0x6d75_7461, 48);
-    let mut mutation = Json::Map(vec![("caught".to_string(), Json::Bool(false))]);
+    let mut mutation = obj([("caught", Json::Bool(false))]);
     let mutated = planted
         .ir
         .render_mutated()
@@ -840,18 +1340,12 @@ fn run_fleet(args: &Args) -> ! {
                         small.trace.events.len()
                     ));
                 }
-                mutation = Json::Map(vec![
-                    ("caught".to_string(), Json::Bool(true)),
-                    (
-                        "repro_nodes".to_string(),
-                        Json::U64(small.ir.nodes.len() as u64),
-                    ),
-                    (
-                        "repro_events".to_string(),
-                        Json::U64(small.trace.events.len() as u64),
-                    ),
-                    ("shrink_attempts".to_string(), Json::U64(small.attempts)),
-                    ("repro_source".to_string(), Json::Str(repro)),
+                mutation = obj([
+                    ("caught", Json::Bool(true)),
+                    ("repro_nodes", Json::U64(small.ir.nodes.len() as u64)),
+                    ("repro_events", Json::U64(small.trace.events.len() as u64)),
+                    ("shrink_attempts", Json::U64(small.attempts)),
+                    ("repro_source", Json::Str(repro)),
                 ]);
             }
         }
@@ -877,10 +1371,6 @@ fn run_fleet(args: &Args) -> ! {
     }
     write_artifact("BENCH_fleet_metrics.prom", scrape, &mut failures);
 
-    for f in &failures {
-        eprintln!("loadgen: FLEET FAILURE: {f}");
-    }
-    let verdict = if failures.is_empty() { "OK" } else { "FAILED" };
     println!(
         "fleet: {} programs ({} shapes, {} hostile) x {} base events ({} after flood lacing), \
          {:.2}s, {:.0} events/sec",
@@ -902,119 +1392,71 @@ fn run_fleet(args: &Args) -> ! {
         global.recovery.restarts,
         global.recovery_failed
     );
-    println!("fleet verdict = {verdict}");
 
-    let shapes_json = Json::Map(
-        shapes
-            .iter()
-            .map(|(shape, a)| {
+    let shapes_json = obj(shapes.iter().map(|(shape, a)| {
+        (
+            shape.as_str(),
+            obj([
+                ("programs", Json::U64(a.programs)),
+                ("driven_events", Json::U64(a.driven_events)),
                 (
-                    shape.clone(),
-                    Json::Map(vec![
-                        ("programs".to_string(), Json::U64(a.programs)),
-                        ("driven_events".to_string(), Json::U64(a.driven_events)),
-                        (
-                            "events_per_sec".to_string(),
-                            Json::F64(a.driven_events as f64 / elapsed.as_secs_f64()),
-                        ),
-                        ("output_changes".to_string(), Json::U64(a.output_changes)),
-                        ("traps".to_string(), Json::U64(a.traps)),
-                        (
-                            "latency_p99_max_us".to_string(),
-                            Json::U64(a.latency_p99_max_us),
-                        ),
-                        ("latency_samples".to_string(), Json::U64(a.latency_samples)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let report = Json::Map(vec![
+                    "events_per_sec",
+                    Json::F64(a.driven_events as f64 / elapsed.as_secs_f64()),
+                ),
+                ("output_changes", Json::U64(a.output_changes)),
+                ("traps", Json::U64(a.traps)),
+                ("latency_p99_max_us", Json::U64(a.latency_p99_max_us)),
+                ("latency_samples", Json::U64(a.latency_samples)),
+            ]),
+        )
+    }));
+    let report = vec![
+        ("benchmark", Json::Str("server-fleet".to_string())),
+        ("programs", Json::U64(programs as u64)),
+        ("events_per_program", Json::U64(events as u64)),
+        ("base_events", Json::U64(base_events)),
+        ("driven_events", Json::U64(driven_events)),
+        ("seed", Json::U64(args.seed)),
+        ("shards", Json::U64(args.shards as u64)),
+        ("elapsed_s", Json::F64(elapsed.as_secs_f64())),
         (
-            "benchmark".to_string(),
-            Json::Str("server-fleet".to_string()),
-        ),
-        ("programs".to_string(), Json::U64(programs as u64)),
-        ("events_per_program".to_string(), Json::U64(events as u64)),
-        ("base_events".to_string(), Json::U64(base_events)),
-        ("driven_events".to_string(), Json::U64(driven_events)),
-        ("seed".to_string(), Json::U64(args.seed)),
-        ("shards".to_string(), Json::U64(args.shards as u64)),
-        ("elapsed_s".to_string(), Json::F64(elapsed.as_secs_f64())),
-        (
-            "events_per_sec".to_string(),
+            "events_per_sec",
             Json::F64(driven_events as f64 / elapsed.as_secs_f64()),
         ),
+        ("hostile_programs", Json::U64(hostile_programs as u64)),
+        ("hostile_triggers", Json::U64(hostile_triggers)),
+        ("checks_passed", Json::U64(metrics.checks_passed.get())),
+        ("checks_failed", Json::U64(metrics.checks_failed.get())),
+        ("divergences", Json::U64(metrics.divergences.get())),
+        ("traps", Json::U64(metrics.traps.get())),
+        ("restarts", Json::U64(global.recovery.restarts)),
+        ("recovery_failed", Json::U64(global.recovery_failed)),
+        ("mutation", mutation),
+        ("shapes", shapes_json),
         (
-            "hostile_programs".to_string(),
-            Json::U64(hostile_programs as u64),
-        ),
-        ("hostile_triggers".to_string(), Json::U64(hostile_triggers)),
-        (
-            "checks_passed".to_string(),
-            Json::U64(metrics.checks_passed.get()),
-        ),
-        (
-            "checks_failed".to_string(),
-            Json::U64(metrics.checks_failed.get()),
-        ),
-        (
-            "divergences".to_string(),
-            Json::U64(metrics.divergences.get()),
-        ),
-        ("traps".to_string(), Json::U64(metrics.traps.get())),
-        ("restarts".to_string(), Json::U64(global.recovery.restarts)),
-        (
-            "recovery_failed".to_string(),
-            Json::U64(global.recovery_failed),
-        ),
-        ("mutation".to_string(), mutation),
-        ("shapes".to_string(), shapes_json),
-        (
-            "failures".to_string(),
+            "failures",
             Json::Seq(failures.iter().map(|f| Json::Str(f.clone())).collect()),
         ),
-        ("verdict".to_string(), Json::Str(verdict.to_string())),
-    ]);
-    let pretty = serde_json::to_string_pretty(&report).expect("report serialize");
-    let out = if args.out == "BENCH_server.json" {
-        "BENCH_fleet.json".to_string()
-    } else {
-        args.out.clone()
-    };
-    let mut code = i32::from(!failures.is_empty());
-    if let Err(e) = std::fs::write(&out, pretty + "\n") {
-        eprintln!("loadgen: FLEET FAILURE: cannot write {out}: {e}");
-        code = 1;
-    } else {
-        eprintln!("loadgen: wrote {out}");
-    }
-    exit(code)
+    ];
+    Ok(finish(args, "fleet", &failures, report, "BENCH_fleet.json"))
 }
 
 /// The `--overload` harness: a deliberately over-driven server with
 /// admission control, fueled sessions, hostile builtin programs, a
 /// control-plane liveness probe, and a slow-subscriber segment — all
 /// checked against deterministic oracles and the scraped metrics.
-fn run_overload(args: &Args) -> ! {
+fn run_overload(args: &Args) -> Result<i32, String> {
     use elm_environment::fault::STREAM_RUNAWAY;
-    use elm_runtime::{EventLimits, TrapKind};
-    use elm_server::client::{Client, RetryStats};
+    use elm_runtime::TrapKind;
+    use elm_server::client::RetryStats;
     use elm_server::net::{self, serve_with, NetConfig};
     use elm_server::EnqueueOutcome;
     use rand::Rng;
-    use std::net::TcpListener;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     let sessions = args.sessions.clamp(1, 6);
     let events = args.events.min(1_200);
     let governed_events = 300usize;
     let plan = FaultPlan::flood(args.seed);
-    let limits = EventLimits {
-        fuel: 200_000,
-        max_alloc_cells: 500_000,
-        max_depth: 10_000,
-    };
     eprintln!(
         "loadgen: OVERLOAD {} counter sessions x {} laced events + runaway/membomb x {}, seed {}",
         sessions, events, governed_events, args.seed
@@ -1025,7 +1467,7 @@ fn run_overload(args: &Args) -> ! {
         session: SessionConfig {
             queue_capacity: args.queue,
             policy: BackpressurePolicy::Block,
-            limits: Some(limits),
+            limits: Some(GOVERNED),
             // Wall-clock deadlines would trap nondeterministically and
             // break the replay oracles; the overload run relies on the
             // deterministic fuel/alloc/depth budget alone.
@@ -1042,49 +1484,37 @@ fn run_overload(args: &Args) -> ! {
             ..AdmissionConfig::default()
         },
     }));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    {
+    let front_end = |config: NetConfig| -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
         let server = Arc::clone(&server);
-        thread::spawn(move || serve_with(server, listener, NetConfig::default()));
-    }
+        thread::spawn(move || serve_with(server, listener, config));
+        addr
+    };
+    let addr = front_end(NetConfig::default());
     // A second front end with a tiny outbound queue and a short write
     // deadline, so the slow-subscriber segment converges quickly.
-    let slow_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let slow_addr = slow_listener.local_addr().expect("addr");
-    {
-        let server = Arc::clone(&server);
-        let config = NetConfig {
-            outbound_queue: 8,
-            write_deadline: Duration::from_millis(100),
-            ..NetConfig::default()
-        };
-        thread::spawn(move || serve_with(server, slow_listener, config));
-    }
+    let slow_addr = front_end(NetConfig {
+        outbound_queue: 8,
+        write_deadline: Duration::from_millis(100),
+        ..NetConfig::default()
+    });
 
     let mut failures: Vec<String> = Vec::new();
 
     // --- data-plane flood through retrying TCP clients ---
-    let traces: Vec<elm_runtime::Trace> = Simulator::fan_out(args.seed, sessions, events)
+    let traces: Vec<Trace> = Simulator::fan_out(args.seed, sessions, events)
         .iter()
         .enumerate()
         .map(|(i, t)| lace_with_floods(t, &plan, i as u64))
         .collect();
-    let mut counter_ids = Vec::with_capacity(sessions);
-    for _ in 0..sessions {
-        let info = server
-            .open(ProgramSpec::Builtin("counter"), None, None, false)
-            .expect("open counter");
-        counter_ids.push(info.session);
-    }
-    let runaway_sid = server
-        .open(ProgramSpec::Builtin("runaway"), None, None, false)
-        .expect("open runaway")
-        .session;
-    let membomb_sid = server
-        .open(ProgramSpec::Builtin("membomb"), None, None, false)
-        .expect("open membomb")
-        .session;
+    let open = |program: &str| {
+        let info = server.open(ProgramSpec::Builtin(program), None, None, false);
+        info.unwrap_or_else(|e| panic!("open {program}: {e}"))
+            .session
+    };
+    let counter_ids: Vec<u64> = (0..sessions).map(|_| open("counter")).collect();
+    let (runaway_sid, membomb_sid) = (open("runaway"), open("membomb"));
 
     // Control-plane probe: while the flood runs, stats/query/metrics on
     // a dedicated connection must be answered 100% of the time.
@@ -1118,60 +1548,54 @@ fn run_overload(args: &Args) -> ! {
         })
     };
 
-    let started = Instant::now();
-    let mut drivers = Vec::new();
-    for (i, &session) in counter_ids.iter().enumerate() {
-        let trace = traces[i].clone();
-        let seed = args.seed + 1 + i as u64;
-        drivers.push(thread::spawn(move || -> Result<RetryStats, String> {
-            let mut client = Client::connect(addr, seed).map_err(|e| format!("connect: {e}"))?;
-            for e in &trace.events {
-                let value = serde_json::to_string(
-                    &serde_json::to_value(&e.value).expect("value serializes"),
-                )
-                .expect("value serializes");
-                let reply = client
-                    .event(session, &e.input, &value)
-                    .map_err(|e| format!("event: {e}"))?;
-                if reply.get("error").is_some() {
-                    return Err(format!("event gave up after retries: {reply:?}"));
-                }
-            }
-            Ok(client.stats())
-        }));
+    // Every driver sends its session's events through a retrying client:
+    // the laced counter traces, and for the hostile sessions seeded
+    // triggers that flip them into the runaway / allocator-bomb branch
+    // (benign events just count).
+    let mut streams = Vec::new();
+    for (i, (&sid, trace)) in counter_ids.iter().zip(&traces).enumerate() {
+        let events = trace.events.iter().map(|e| {
+            let value = serde_json::to_value(&e.value).expect("value serializes");
+            (
+                e.input.clone(),
+                serde_json::to_string(&value).expect("value renders"),
+            )
+        });
+        streams.push((sid, args.seed + 1 + i as u64, events.collect::<Vec<_>>()));
     }
-    // The hostile sessions: seeded triggers flip them into the runaway /
-    // allocator-bomb branch; benign events just count.
-    let mut governed = Vec::new();
+    let mut hostile: Vec<(u64, u64)> = Vec::new();
     for (j, sid) in [runaway_sid, membomb_sid].into_iter().enumerate() {
-        let seed = args.seed + 1000 + j as u64;
         let mut rng = plan.rng(STREAM_RUNAWAY, j as u64);
-        let trigger_prob = plan.runaway.max(0.05);
-        governed.push(thread::spawn(
-            move || -> Result<(u64, u64, RetryStats), String> {
+        let hot: Vec<bool> = (0..governed_events)
+            .map(|_| rng.gen_bool(plan.runaway.max(0.05)))
+            .collect();
+        let triggers = hot.iter().filter(|&&h| h).count() as u64;
+        hostile.push((triggers, governed_events as u64 - triggers));
+        let events = hot.iter().map(|&h| {
+            let value = if h { "{\"Int\":1}" } else { "{\"Int\":0}" };
+            ("Keyboard.lastPressed".to_string(), value.to_string())
+        });
+        streams.push((sid, args.seed + 1000 + j as u64, events.collect::<Vec<_>>()));
+    }
+    let started = Instant::now();
+    let drivers: Vec<_> = streams
+        .into_iter()
+        .map(|(sid, seed, events)| {
+            thread::spawn(move || -> Result<RetryStats, String> {
                 let mut client =
                     Client::connect(addr, seed).map_err(|e| format!("connect: {e}"))?;
-                let (mut triggers, mut benign) = (0u64, 0u64);
-                for _ in 0..governed_events {
-                    let hot = rng.gen_bool(trigger_prob);
-                    let value = if hot { "{\"Int\":1}" } else { "{\"Int\":0}" };
+                for (input, value) in &events {
                     let reply = client
-                        .event(sid, "Keyboard.lastPressed", value)
+                        .event(sid, input, value)
                         .map_err(|e| format!("event: {e}"))?;
                     if reply.get("error").is_some() {
                         return Err(format!("event gave up after retries: {reply:?}"));
                     }
-                    if hot {
-                        triggers += 1;
-                    } else {
-                        benign += 1;
-                    }
                 }
-                Ok((triggers, benign, client.stats()))
-            },
-        ));
-    }
-
+                Ok(client.stats())
+            })
+        })
+        .collect();
     let mut retry = RetryStats::default();
     for d in drivers {
         match d.join().expect("driver thread") {
@@ -1181,27 +1605,12 @@ fn run_overload(args: &Args) -> ! {
                 retry.retries += s.retries;
                 retry.gave_up += s.gave_up;
             }
-            Err(e) => failures.push(format!("counter driver: {e}")),
-        }
-    }
-    let mut hostile: Vec<(u64, u64)> = Vec::new();
-    for g in governed {
-        match g.join().expect("governed driver") {
-            Ok((triggers, benign, s)) => {
-                hostile.push((triggers, benign));
-                retry.requests += s.requests;
-                retry.sheds += s.sheds;
-                retry.retries += s.retries;
-                retry.gave_up += s.gave_up;
-            }
-            Err(e) => failures.push(format!("hostile driver: {e}")),
+            Err(e) => failures.push(format!("driver: {e}")),
         }
     }
     // Drain every queue before judging.
-    for &sid in counter_ids.iter().chain([runaway_sid, membomb_sid].iter()) {
-        while server.query(sid).expect("query").queue_len > 0 {
-            thread::sleep(Duration::from_millis(1));
-        }
+    for &sid in counter_ids.iter().chain(&[runaway_sid, membomb_sid]) {
+        wait_drained(&server, sid).expect("drain");
     }
     let elapsed = started.elapsed();
     stop_probe.store(true, Ordering::Relaxed);
@@ -1218,10 +1627,14 @@ fn run_overload(args: &Args) -> ! {
     }
 
     // --- verdict 2: admitted traffic was applied exactly (isolation) ---
+    let (_, counter) = server
+        .registry()
+        .resolve(ProgramSpec::Builtin("counter"))
+        .expect("counter builtin");
     let mut mismatches = 0usize;
     for (i, &sid) in counter_ids.iter().enumerate() {
         let served = server.query(sid).expect("final query").value;
-        let replayed = governed_sync_replay(&server, "counter", &traces[i], limits);
+        let replayed = replay(&counter, &traces[i].events, Some(GOVERNED));
         if served != replayed {
             mismatches += 1;
             eprintln!(
@@ -1254,18 +1667,8 @@ fn run_overload(args: &Args) -> ! {
 
     // --- verdict 3: every hostile event trapped; the sessions live on ---
     for (label, sid, (triggers, benign), kind) in [
-        (
-            "runaway",
-            runaway_sid,
-            hostile.first().copied().unwrap_or((0, 0)),
-            TrapKind::OutOfFuel,
-        ),
-        (
-            "membomb",
-            membomb_sid,
-            hostile.get(1).copied().unwrap_or((0, 0)),
-            TrapKind::OutOfMemory,
-        ),
+        ("runaway", runaway_sid, hostile[0], TrapKind::OutOfFuel),
+        ("membomb", membomb_sid, hostile[1], TrapKind::OutOfMemory),
     ] {
         let stats = server.session_stats(sid).expect("hostile session stats");
         let value = server.query(sid).expect("hostile session query").value;
@@ -1310,22 +1713,15 @@ fn run_overload(args: &Args) -> ! {
         (w, r)
     };
     let (_slow_stream, _slow_reader) = subscribe();
-    let (_healthy_stream, mut healthy_reader) = subscribe();
+    let (_healthy_stream, healthy_reader) = subscribe();
     let healthy_seen = Arc::new(AtomicU64::new(0));
     {
         use std::io::BufRead;
         let seen = Arc::clone(&healthy_seen);
         thread::spawn(move || {
-            let mut line = String::new();
-            loop {
-                line.clear();
-                match healthy_reader.read_line(&mut line) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {
-                        if line.contains("\"update\":\"changed\"") {
-                            seen.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+            for line in healthy_reader.lines().map_while(Result::ok) {
+                if line.contains("\"update\":\"changed\"") {
+                    seen.fetch_add(1, Ordering::Relaxed);
                 }
             }
         });
@@ -1393,557 +1789,166 @@ fn run_overload(args: &Args) -> ! {
         failures.push("metrics report zero subscriber disconnects".to_string());
     }
 
-    for f in &failures {
-        eprintln!("loadgen: OVERLOAD FAILURE: {f}");
-    }
-    let verdict = if failures.is_empty() { "OK" } else { "FAILED" };
-    println!("overload verdict = {verdict}");
-
-    let report = Json::Map(vec![
+    let report = vec![
+        ("benchmark", Json::Str("server-overload".to_string())),
+        ("sessions", Json::U64(sessions as u64)),
+        ("events_per_session", Json::U64(events as u64)),
+        ("seed", Json::U64(args.seed)),
+        ("elapsed_s", Json::F64(elapsed.as_secs_f64())),
+        ("requests", Json::U64(retry.requests)),
+        ("sheds", Json::U64(retry.sheds)),
+        ("retries", Json::U64(retry.retries)),
+        ("gave_up", Json::U64(retry.gave_up)),
+        ("offered", Json::U64(offered)),
+        ("admitted", Json::U64(admitted)),
+        ("shed", Json::U64(shed)),
+        ("traps_total", Json::U64(global.traps.total())),
+        ("control_probes_attempted", Json::U64(attempted)),
+        ("control_probes_answered", Json::U64(answered)),
         (
-            "benchmark".to_string(),
-            Json::Str("server-overload".to_string()),
-        ),
-        ("sessions".to_string(), Json::U64(sessions as u64)),
-        ("events_per_session".to_string(), Json::U64(events as u64)),
-        ("seed".to_string(), Json::U64(args.seed)),
-        ("elapsed_s".to_string(), Json::F64(elapsed.as_secs_f64())),
-        ("requests".to_string(), Json::U64(retry.requests)),
-        ("sheds".to_string(), Json::U64(retry.sheds)),
-        ("retries".to_string(), Json::U64(retry.retries)),
-        ("gave_up".to_string(), Json::U64(retry.gave_up)),
-        ("offered".to_string(), Json::U64(offered)),
-        ("admitted".to_string(), Json::U64(admitted)),
-        ("shed".to_string(), Json::U64(shed)),
-        ("traps_total".to_string(), Json::U64(global.traps.total())),
-        ("control_probes_attempted".to_string(), Json::U64(attempted)),
-        ("control_probes_answered".to_string(), Json::U64(answered)),
-        (
-            "slow_subscriber_disconnects".to_string(),
+            "slow_subscriber_disconnects",
             Json::U64(net_after.slow_disconnects - net_before.slow_disconnects),
         ),
-        (
-            "isolation_mismatches".to_string(),
-            Json::U64(mismatches as u64),
-        ),
-        ("verdict".to_string(), Json::Str(verdict.to_string())),
-    ]);
-    let pretty = serde_json::to_string_pretty(&report).expect("report serialize");
-    let out = if args.out == "BENCH_server.json" {
-        "BENCH_overload.json".to_string()
-    } else {
-        args.out.clone()
-    };
-    let mut code = i32::from(!failures.is_empty());
-    if let Err(e) = std::fs::write(&out, pretty + "\n") {
-        eprintln!("loadgen: OVERLOAD FAILURE: cannot write {out}: {e}");
-        code = 1;
-    } else {
-        eprintln!("loadgen: wrote {out}");
-    }
-    exit(code)
+        ("isolation_mismatches", Json::U64(mismatches as u64)),
+    ];
+    Ok(finish(
+        args,
+        "overload",
+        &failures,
+        report,
+        "BENCH_overload.json",
+    ))
 }
 
 /// The `--cluster` kill-chaos harness: spawns a 3-process `elm-server`
 /// peer group, opens keyed sessions at their rendezvous-placement
 /// primaries, kills the busiest peer at a `FaultPlan`-scheduled point
 /// mid-stream, and rides the failover through the retrying
-/// [`elm_server::ClusterClient`]. The verdict fails unless every killed
-/// session resumes on a surviving peer with outputs byte-identical to an
+/// [`ClusterClient`]. The verdict fails unless every killed session
+/// resumes on a surviving peer with outputs byte-identical to an
 /// uninterrupted governed replay, the survivors' `elm_cluster_*` metric
 /// families account for every takeover, and replication recorded no
 /// gaps. With `--fleet` the sessions host distinct synthesized FElm
 /// programs instead of the dashboard builtin.
-fn run_cluster(args: &Args) -> ! {
-    use elm_server::{place, Client, ClusterClient};
+fn run_cluster(args: &Args) -> Result<i32, String> {
+    use elm_runtime::{assemble_cluster, ClusterPhase, ClusterSpan};
     use rand::Rng;
-    use std::net::{SocketAddr, TcpListener, TcpStream};
-    use std::process::{Child, Command, Stdio};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    const PEERS: usize = 3;
-
-    /// Numeric accessor over the vendored JSON value (small integers
-    /// parse back as `I64`).
-    fn jnum(v: &Json) -> Option<u64> {
-        match v {
-            Json::U64(n) => Some(*n),
-            Json::I64(n) if *n >= 0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    fn kill_all(children: &mut [Option<Child>]) {
-        for slot in children.iter_mut() {
-            if let Some(mut c) = slot.take() {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
-        }
-    }
 
     let sessions = args.sessions.clamp(PEERS, 64);
     let events = args.events.clamp(50, 2_000);
-    let snapshot_interval = args.snapshot_interval.clamp(1, 32);
     let mut failures: Vec<String> = Vec::new();
     eprintln!(
         "loadgen: CLUSTER {PEERS} peers, {sessions} sessions x {events} events, {} programs, seed {}",
         if args.fleet { "synthesized" } else { "dashboard" },
         args.seed
     );
-
-    // --- programs, traces (pre-filtered to declared inputs, so event
-    // index i carries sequence number i+1), and the replay oracle ---
-    let registry = elm_server::Registry::standard();
-    let mut sources: Vec<Option<String>> = Vec::with_capacity(sessions);
-    let mut graphs: Vec<elm_runtime::SignalGraph> = Vec::with_capacity(sessions);
-    let mut traces: Vec<Vec<elm_runtime::TraceEvent>> = Vec::with_capacity(sessions);
-    if args.fleet {
-        use elm_synth::{GenConfig, Generator};
-        // Benign programs only: a hostile fuel bomb's wall-clock traps
-        // would not replay deterministically across the kill.
-        let generator = Generator::new(GenConfig {
-            hostile: 0.0,
-            ..GenConfig::default()
-        });
-        let mut seen = std::collections::BTreeSet::new();
-        let mut next_seed = args.seed;
-        while sources.len() < sessions {
-            let s = generator.scenario(next_seed, events);
-            next_seed += 1;
-            if !seen.insert(s.source.clone()) {
-                continue;
-            }
-            let (_, graph) = registry
-                .resolve(ProgramSpec::Source(&s.source))
-                .unwrap_or_else(|e| {
-                    eprintln!(
-                        "loadgen: CLUSTER synthesized program rejected: {e}\n{}",
-                        s.source
-                    );
-                    exit(1);
-                });
-            traces.push(
-                s.trace
-                    .events
-                    .iter()
-                    .filter(|e| graph.input_named(&e.input).is_some())
-                    .cloned()
-                    .collect(),
-            );
-            sources.push(Some(s.source.clone()));
-            graphs.push(graph);
-        }
-    } else {
-        let (_, graph) = registry
-            .resolve(ProgramSpec::Builtin("dashboard"))
-            .expect("dashboard builtin");
-        for trace in Simulator::fan_out(args.seed, sessions, events) {
-            traces.push(
-                trace
-                    .events
-                    .iter()
-                    .filter(|e| graph.input_named(&e.input).is_some())
-                    .cloned()
-                    .collect(),
-            );
-            sources.push(None);
-            graphs.push(graph.clone());
-        }
-    }
-    // The oracle runs under the same budgets the children apply
-    // (`SessionConfig::default()`): deterministic fuel/alloc/depth, no
-    // wall-clock deadline.
-    let limits = elm_runtime::EventLimits::default();
-    let finals: Vec<PlainValue> = (0..sessions)
-        .map(|k| {
-            let mut running =
-                Program::from_dynamic_graph(graphs[k].clone()).start(Engine::Synchronous);
-            running.set_governor(Some(limits), None);
-            for e in &traces[k] {
-                running
-                    .send_named(&e.input, e.value.to_value())
-                    .expect("oracle event");
-            }
-            running.drain_raw().expect("oracle drain");
-            PlainValue::from_value(running.current()).expect("oracle value is plain")
-        })
-        .collect();
+    let keyed = keyed_sessions(args.seed, sessions, events, args.fleet)?;
 
     // --- placement, victim, and the scheduled kill point ---
-    let placement: Vec<usize> = (0..sessions as u64).map(|k| place(k, PEERS).0).collect();
-    let mut counts = [0usize; PEERS];
-    for &p in &placement {
-        counts[p] += 1;
-    }
-    let victim = (0..PEERS).max_by_key(|&p| counts[p]).expect("three peers");
+    let (placement, victim, victim_sessions) = placement(sessions);
     let plan = FaultPlan {
         seed: args.seed,
         ..FaultPlan::disabled()
     };
     let mut krng = plan.rng(elm_environment::fault::STREAM_KILL, victim as u64);
     let kill_frac: f64 = krng.gen_range(0.30..0.60);
-    let total_events: u64 = traces.iter().map(|t| t.len() as u64).sum();
+    let total_events: u64 = keyed.iter().map(|s| s.events.len() as u64).sum();
     let kill_after = ((total_events as f64) * kill_frac) as u64;
     eprintln!(
-        "loadgen: CLUSTER victim is peer {victim} ({} sessions), kill after {kill_after}/{total_events} events",
-        counts[victim]
+        "loadgen: CLUSTER victim is peer {victim} ({victim_sessions} sessions), kill after {kill_after}/{total_events} events"
     );
 
-    // --- spawn the peer group ---
-    let bin = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join("elm-server")))
-        .unwrap_or_else(|| {
-            eprintln!("loadgen: CLUSTER cannot locate own executable directory");
-            exit(1);
-        });
-    if !bin.exists() {
-        eprintln!(
-            "loadgen: CLUSTER elm-server binary not found at {} (build the workspace first)",
-            bin.display()
-        );
-        exit(2);
-    }
-    let peer_addrs: Vec<String> = (0..PEERS)
-        .map(|_| {
-            let l = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
-            l.local_addr().expect("reserved addr").to_string()
-        })
-        .collect();
-    let peer_socks: Vec<SocketAddr> = peer_addrs
-        .iter()
-        .map(|a| a.parse().expect("reserved addr parses"))
-        .collect();
-    let peer_list = peer_addrs.join(",");
-    let mut children: Vec<Option<Child>> = Vec::with_capacity(PEERS);
-    for id in 0..PEERS {
-        match Command::new(&bin)
-            .args([
-                "--peer-id",
-                &id.to_string(),
-                "--peers",
-                &peer_list,
-                "--heartbeat-ms",
-                "50",
-                "--takeover-ms",
-                "500",
-                "--snapshot-interval",
-                &snapshot_interval.to_string(),
-            ])
-            .stdout(Stdio::null())
-            .stderr(Stdio::inherit())
-            .spawn()
-        {
-            Ok(c) => children.push(Some(c)),
-            Err(e) => {
-                kill_all(&mut children);
-                eprintln!("loadgen: CLUSTER cannot spawn peer {id}: {e}");
-                exit(1);
-            }
-        }
-    }
-    let ready_deadline = Instant::now() + Duration::from_secs(15);
-    for (i, addr) in peer_socks.iter().enumerate() {
-        loop {
-            match TcpStream::connect(addr) {
-                Ok(_) => break,
-                Err(e) => {
-                    if Instant::now() > ready_deadline {
-                        kill_all(&mut children);
-                        eprintln!("loadgen: CLUSTER peer {i} never came up on {addr}: {e}");
-                        exit(1);
-                    }
-                    thread::sleep(Duration::from_millis(25));
-                }
-            }
-        }
-    }
-
-    // --- open every session, keyed, at its placement primary ---
-    let mut openers: Vec<Client> = Vec::with_capacity(PEERS);
-    for (p, sock) in peer_socks.iter().enumerate() {
-        match Client::connect(*sock, args.seed ^ p as u64) {
-            Ok(c) => openers.push(c),
-            Err(e) => {
-                kill_all(&mut children);
-                eprintln!("loadgen: CLUSTER cannot connect to peer {p}: {e}");
-                exit(1);
-            }
-        }
-    }
-    for k in 0..sessions {
-        let mut fields = vec![
-            ("cmd".to_string(), Json::Str("open".to_string())),
-            ("session".to_string(), Json::U64(k as u64)),
-        ];
-        match &sources[k] {
-            Some(src) => fields.push(("source".to_string(), Json::Str(src.clone()))),
-            None => fields.push(("program".to_string(), Json::Str("dashboard".to_string()))),
-        }
-        let line = serde_json::to_string(&Json::Map(fields)).expect("open line renders");
-        let reply = openers[placement[k]].request(&line).unwrap_or_else(|e| {
-            eprintln!("loadgen: CLUSTER open of session {k} failed: {e}");
-            exit(1);
-        });
-        if !matches!(reply.get("ok"), Some(Json::Bool(true)))
-            || jnum(reply.get("session").unwrap_or(&Json::Null)) != Some(k as u64)
-        {
-            kill_all(&mut children);
-            eprintln!("loadgen: CLUSTER keyed open of session {k} refused: {reply:?}");
-            exit(1);
-        }
-    }
-    drop(openers);
+    let mut group = PeerGroup::spawn(args.snapshot_interval.clamp(1, 32), &[])?;
+    open_keyed(&group, &placement, &keyed, args.seed)?;
 
     // --- the killer: SIGKILL the victim once the fleet-wide event count
     // crosses the scheduled point ---
     let progress = Arc::new(AtomicU64::new(0));
     let started = Instant::now();
-    let victim_child = children[victim].take().expect("victim was spawned");
-    let killed_at: Arc<std::sync::Mutex<Option<Duration>>> = Arc::new(std::sync::Mutex::new(None));
+    let mut victim_child = group.children[victim].take().expect("victim was spawned");
     let killer = {
         let progress = Arc::clone(&progress);
-        let killed_at = Arc::clone(&killed_at);
         thread::spawn(move || {
-            let mut child = victim_child;
             while progress.load(Ordering::Relaxed) < kill_after {
                 thread::sleep(Duration::from_millis(2));
             }
-            let _ = child.kill();
-            let _ = child.wait();
-            *killed_at.lock().expect("kill clock") = Some(started.elapsed());
+            let _ = victim_child.kill();
+            let _ = victim_child.wait();
             eprintln!(
                 "loadgen: CLUSTER killed peer {victim} after {} events",
                 progress.load(Ordering::Relaxed)
             );
+            started.elapsed()
         })
     };
-
-    // --- drivers: one per session, riding the failover ---
-    struct DriverOut {
-        value: PlainValue,
-        last_seq: u64,
-        moves: u64,
-        reconnects: u64,
-        resyncs: u64,
-    }
-    let mut drivers = Vec::with_capacity(sessions);
-    for k in 0..sessions {
-        let evs = traces[k].clone();
-        // Primary first; the rest in index order as fallbacks.
-        let mut peers = vec![peer_socks[placement[k]]];
-        peers.extend(
-            (0..PEERS)
-                .filter(|&p| p != placement[k])
-                .map(|p| peer_socks[p]),
-        );
-        let progress = Arc::clone(&progress);
-        let seed = args.seed ^ (k as u64).wrapping_mul(0x9e37_79b9);
-        drivers.push(thread::spawn(move || -> Result<DriverOut, String> {
-            let sid = k as u64;
-            let mut client = ClusterClient::new(peers, seed);
-            let mut resyncs = 0u64;
-            let deadline = Duration::from_secs(20);
-            let query_line = format!("{{\"cmd\":\"query\",\"session\":{sid}}}");
-            // Queries are idempotent; poll until the ingress queue is
-            // drained and the reply carries the applied high-water mark.
-            let drained_query = |client: &mut ClusterClient| -> Result<Json, String> {
-                loop {
-                    let r = client
-                        .request_routed(&query_line, Duration::from_secs(30))
-                        .map_err(|e| format!("session {sid}: query: {e}"))?;
-                    if !matches!(r.get("ok"), Some(Json::Bool(true))) {
-                        return Err(format!("session {sid}: query refused: {r:?}"));
-                    }
-                    if jnum(r.get("queue_len").unwrap_or(&Json::Null)) == Some(0) {
-                        return Ok(r);
-                    }
-                    thread::sleep(Duration::from_millis(5));
-                }
-            };
-            let mut i = 0usize;
-            while i < evs.len() {
-                let e = &evs[i];
-                // Trace id encodes (session, event index) recoverably:
-                // a retry after resync re-sends the SAME id, so the
-                // event keeps one identity across the failover.
-                let trace_id = ((sid + 1) << 20) | (i as u64 + 1);
-                let line = serde_json::to_string(&Json::Map(vec![
-                    ("cmd".to_string(), Json::Str("event".to_string())),
-                    ("session".to_string(), Json::U64(sid)),
-                    ("input".to_string(), Json::Str(e.input.clone())),
-                    (
-                        "value".to_string(),
-                        serde_json::to_value(&e.value).expect("plain value serializes"),
-                    ),
-                    ("trace".to_string(), Json::U64(trace_id)),
-                ]))
-                .expect("event line renders");
-                match client.request_exact(&line, deadline) {
-                    Ok(reply) if matches!(reply.get("ok"), Some(Json::Bool(true))) => {
-                        i += 1;
-                        progress.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(reply) => {
-                        return Err(format!("session {sid}: event {i} refused: {reply:?}"))
-                    }
-                    Err(_) => {
-                        // The kill window: whether the in-flight event
-                        // landed is ambiguous. Resynchronize from the
-                        // adopted session's `last_seq` and resume exactly
-                        // once from there.
-                        let r = drained_query(&mut client)?;
-                        let last = jnum(r.get("last_seq").unwrap_or(&Json::Null))
-                            .ok_or_else(|| format!("session {sid}: reply lacks last_seq"))?;
-                        resyncs += 1;
-                        i = last as usize;
-                    }
-                }
-            }
-            let r = drained_query(&mut client)?;
-            let last_seq = jnum(r.get("last_seq").unwrap_or(&Json::Null))
-                .ok_or_else(|| format!("session {sid}: reply lacks last_seq"))?;
-            let value_json = r
-                .get("value")
-                .cloned()
-                .ok_or_else(|| format!("session {sid}: reply lacks value"))?;
-            let value = serde_json::from_value::<PlainValue>(value_json)
-                .map_err(|e| format!("session {sid}: unparseable final value: {e}"))?;
-            Ok(DriverOut {
-                value,
-                last_seq,
-                moves: client.moves(),
-                reconnects: client.reconnects(),
-                resyncs,
-            })
-        }));
-    }
-    let mut outs: Vec<Option<DriverOut>> = Vec::with_capacity(sessions);
-    for (k, d) in drivers.into_iter().enumerate() {
-        match d.join() {
-            Ok(Ok(o)) => outs.push(Some(o)),
-            Ok(Err(e)) => {
-                failures.push(e);
-                outs.push(None);
-            }
-            Err(_) => {
-                failures.push(format!("session {k}: driver panicked"));
-                outs.push(None);
-            }
-        }
-    }
+    let outs = drive_all(
+        &group,
+        &placement,
+        &keyed,
+        args.seed,
+        Duration::ZERO,
+        &progress,
+        &mut failures,
+    );
     let elapsed = started.elapsed();
     // Release the killer if the run died before the scheduled point.
     progress.store(u64::MAX, Ordering::Relaxed);
-    let _ = killer.join();
-    let kill_elapsed = *killed_at.lock().expect("kill clock");
+    let kill_elapsed = killer.join().ok();
     if kill_elapsed.is_none() {
         failures.push("the scheduled kill never fired".to_string());
     }
 
     // --- verdict 1: every session resumed with byte-identical output ---
-    for k in 0..sessions {
-        let Some(o) = &outs[k] else { continue };
-        if o.last_seq != traces[k].len() as u64 {
-            failures.push(format!(
-                "session {k}: applied {} of {} events",
-                o.last_seq,
-                traces[k].len()
-            ));
-        }
-        let live = serde_json::to_string(&serde_json::to_value(&o.value).expect("plain value"))
-            .expect("value renders");
-        let want = serde_json::to_string(&serde_json::to_value(&finals[k]).expect("plain value"))
-            .expect("value renders");
-        if live != want {
-            failures.push(format!(
-                "session {k}{}: final output diverged after failover: live {live} != replay {want}",
-                if placement[k] == victim {
-                    " (killed)"
-                } else {
-                    ""
-                }
-            ));
-        }
-    }
+    check_finals(&keyed, &outs, &placement, victim, "killed", &mut failures);
 
     // --- verdict 2: killed sessions live on exactly one survivor; the
     // other answers with a typed moved redirect at the adopter ---
-    let survivors: Vec<usize> = (0..PEERS).filter(|&p| p != victim).collect();
-    let mut survivor_clients: Vec<(usize, Client)> = Vec::new();
-    for &p in &survivors {
-        match Client::connect(peer_socks[p], args.seed ^ 0xdead ^ p as u64) {
-            Ok(c) => survivor_clients.push((p, c)),
-            Err(e) => failures.push(format!("survivor peer {p} unreachable after the kill: {e}")),
-        }
-    }
+    let survivors = (0..PEERS).filter(|&p| p != victim);
+    let mut clients = group.clients(survivors, args.seed ^ 0xdead, &mut failures);
     let mut adopted_on = [0u64; PEERS];
     for k in (0..sessions).filter(|&k| placement[k] == victim) {
-        let mut host: Option<usize> = None;
-        let mut moved_to: Option<String> = None;
-        for (p, c) in &mut survivor_clients {
-            match c.query(k as u64) {
-                Ok(reply) if matches!(reply.get("ok"), Some(Json::Bool(true))) => host = Some(*p),
-                Ok(reply) if reply.get("error").and_then(Json::as_str) == Some("moved") => {
-                    moved_to = reply.get("peer").and_then(Json::as_str).map(str::to_string)
-                }
-                Ok(reply) => failures.push(format!(
-                    "killed session {k}: peer {p} gave neither value nor redirect: {reply:?}"
-                )),
-                Err(e) => failures.push(format!("killed session {k}: query on peer {p}: {e}")),
-            }
-        }
-        match (host, moved_to) {
-            (Some(h), Some(addr)) => {
-                adopted_on[h] += 1;
-                if addr != peer_addrs[h] {
-                    failures.push(format!(
-                        "killed session {k}: redirect points at {addr} but the session lives on {}",
-                        peer_addrs[h]
-                    ));
-                }
-            }
-            (Some(h), None) => {
-                adopted_on[h] += 1;
-                failures.push(format!(
-                    "killed session {k}: no survivor issued a moved redirect"
-                ));
-            }
-            (None, _) => failures.push(format!("killed session {k}: no surviving peer hosts it")),
+        let (served, moved) = who_serves(&mut clients, k, &mut failures);
+        let Some(&host) = served.last() else {
+            failures.push(format!("killed session {k}: no surviving peer hosts it"));
+            continue;
+        };
+        adopted_on[host] += 1;
+        match moved.last() {
+            Some((_, to)) if *to != group.addrs[host] => failures.push(format!(
+                "killed session {k}: redirect points at {to} but the session lives on {}",
+                group.addrs[host]
+            )),
+            Some(_) => {}
+            None => failures.push(format!(
+                "killed session {k}: no survivor issued a moved redirect"
+            )),
         }
     }
 
     // --- verdict 3: the survivors' metric families account for the
     // takeover, and replication stayed gap-free ---
-    let mut takeovers_sum = 0u64;
-    let mut gaps_sum = 0u64;
-    let mut snaps_sum = 0u64;
-    let mut journal_sum = 0u64;
-    let mut lag_sum = 0u64;
-    let mut takeover_ms_max = 0u64;
-    let mut sessions_primary: Vec<(usize, u64)> = Vec::new();
-    let mut peer_texts: Vec<(usize, String)> = Vec::new();
-    for (p, c) in &mut survivor_clients {
-        let text = match c.metrics_text() {
-            Ok(t) => t,
-            Err(e) => {
-                failures.push(format!("metrics scrape on survivor {p}: {e}"));
-                continue;
-            }
-        };
-        peer_texts.push((*p, text.clone()));
-        takeovers_sum += scraped_family_sum(&text, "elm_cluster_takeovers_total");
-        gaps_sum += scraped_family_sum(&text, "elm_cluster_replication_gaps_total");
-        snaps_sum += scraped_family_sum(&text, "elm_cluster_snapshots_shipped_total");
-        journal_sum += scraped_family_sum(&text, "elm_cluster_journal_replicated_total");
-        lag_sum += scraped_family_sum(&text, "elm_cluster_replication_lag_entries");
-        takeover_ms_max =
-            takeover_ms_max.max(scraped_family_sum(&text, "elm_cluster_takeover_last_ms"));
-        sessions_primary.push((
-            *p,
-            scraped_family_sum(&text, "elm_cluster_sessions_primary"),
-        ));
+    let peer_texts = fetch_texts(&mut clients, Client::metrics_text, "metrics", &mut failures);
+    let family = |name: &str| -> u64 {
+        peer_texts
+            .iter()
+            .map(|(_, t)| scraped_family_sum(t, name))
+            .sum()
+    };
+    let takeovers_sum = family("elm_cluster_takeovers_total");
+    let gaps_sum = family("elm_cluster_replication_gaps_total");
+    let snaps_sum = family("elm_cluster_snapshots_shipped_total");
+    let journal_sum = family("elm_cluster_journal_replicated_total");
+    let lag_sum = family("elm_cluster_replication_lag_entries");
+    let takeover_ms_max = peer_texts
+        .iter()
+        .map(|(_, t)| scraped_family_sum(t, "elm_cluster_takeover_last_ms"))
+        .max()
+        .unwrap_or(0);
+    let sessions_primary: Vec<(usize, u64)> = peer_texts
+        .iter()
+        .map(|(p, t)| (*p, scraped_family_sum(t, "elm_cluster_sessions_primary")))
+        .collect();
+    for (p, text) in &peer_texts {
         let needle = format!("elm_cluster_peer_up{{peer=\"{victim}\"}}");
         let up = text
             .lines()
@@ -1956,10 +1961,9 @@ fn run_cluster(args: &Args) -> ! {
             ));
         }
     }
-    if takeovers_sum != counts[victim] as u64 {
+    if takeovers_sum != victim_sessions as u64 {
         failures.push(format!(
-            "{} sessions died with peer {victim} but survivors count {takeovers_sum} takeovers",
-            counts[victim]
+            "{victim_sessions} sessions died with peer {victim} but survivors count {takeovers_sum} takeovers"
         ));
     }
     let hosted: u64 = sessions_primary.iter().map(|&(_, n)| n).sum();
@@ -1977,53 +1981,42 @@ fn run_cluster(args: &Args) -> ! {
     if journal_sum == 0 {
         failures.push("no journal entries were ever replicated".to_string());
     }
-    let moves_total: u64 = outs.iter().flatten().map(|o| o.moves).sum();
-    let reconnects_total: u64 = outs.iter().flatten().map(|o| o.reconnects).sum();
-    let resyncs_total: u64 = outs.iter().flatten().map(|o| o.resyncs).sum();
+    let total = |f: fn(&SessionOut) -> u64| -> u64 { outs.iter().flatten().map(f).sum() };
+    let (moves_total, reconnects_total) = (total(|o| o.moves), total(|o| o.reconnects));
+    let resyncs_total = total(|o| o.resyncs);
     if resyncs_total == 0 {
         failures.push("no driver ever resynchronized; the kill was not mid-stream".to_string());
     }
 
     // --- verdict 4: the federated scrape agrees with the per-peer
     // scrapes, carries peer labels, and exposes the SLO families ---
-    let mut federated_text = String::new();
-    match survivor_clients.first_mut() {
-        Some((_, c)) => match c.metrics_text_cluster() {
-            Ok(text) => federated_text = text,
-            Err(e) => failures.push(format!("federated metrics scrape: {e}")),
-        },
-        None => failures.push("no survivor available for the federated scrape".to_string()),
-    }
+    let federated_text = federated_scrape(
+        &mut clients,
+        &[
+            "elm_cluster_takeovers_total{peer=\"",
+            "elm_slo_burn_rate{peer=\"",
+            "elm_ingest_latency_hist_seconds_bucket{peer=\"",
+            "elm_blackbox_records_total{peer=\"",
+        ],
+        "BENCH_cluster_federated.prom",
+        &mut failures,
+    );
     if !federated_text.is_empty() {
         // Every driver has quiesced and the scrapes themselves move none
         // of these families, so the federated value must equal the sum
         // of the per-peer scrapes exactly.
-        for family in [
+        for name in [
             "elm_events_total",
             "elm_journal_appends_total",
             "elm_snapshots_total",
             "elm_cluster_takeovers_total",
             "elm_cluster_journal_replicated_total",
         ] {
-            let fed = scraped_family_sum(&federated_text, family);
-            let per_peer: u64 = peer_texts
-                .iter()
-                .map(|(_, t)| scraped_family_sum(t, family))
-                .sum();
+            let (fed, per_peer) = (scraped_family_sum(&federated_text, name), family(name));
             if fed != per_peer {
                 failures.push(format!(
-                    "federated {family} = {fed} but the per-peer scrapes sum to {per_peer}"
+                    "federated {name} = {fed} but the per-peer scrapes sum to {per_peer}"
                 ));
-            }
-        }
-        for needle in [
-            "elm_cluster_takeovers_total{peer=\"",
-            "elm_slo_burn_rate{peer=\"",
-            "elm_ingest_latency_hist_seconds_bucket{peer=\"",
-            "elm_blackbox_records_total{peer=\"",
-        ] {
-            if !federated_text.contains(needle) {
-                failures.push(format!("federated scrape lacks {needle}...}} samples"));
             }
         }
         let dead = format!("elm_cluster_federation_peer_up{{peer=\"{victim}\"}} 0");
@@ -2032,53 +2025,46 @@ fn run_cluster(args: &Args) -> ! {
                 "federated scrape does not report the killed peer down ({dead})"
             ));
         }
-        write_artifact(
-            "BENCH_cluster_federated.prom",
-            federated_text.clone(),
-            &mut failures,
-        );
     }
 
     // --- verdict 5: the survivors' flight recorders assemble into span
     // trees that cross the killed peer into its adopter, and the
     // takeover's trace matches the last entry the victim replicated ---
-    use elm_runtime::{assemble_cluster, ClusterPhase, ClusterSpan};
+    let blackbox_texts = fetch_texts(
+        &mut clients,
+        Client::blackbox_text,
+        "blackbox",
+        &mut failures,
+    );
     let mut all_spans: Vec<ClusterSpan> = Vec::new();
-    let mut blackbox_texts: Vec<(usize, String)> = Vec::new();
-    for (p, c) in &mut survivor_clients {
-        match c.blackbox_text() {
-            Ok(text) => {
-                for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                    let Ok(r) = serde_json::from_str::<Json>(line) else {
-                        continue;
-                    };
-                    let phase = match r.get("kind").and_then(Json::as_str) {
-                        Some("applied") => ClusterPhase::Ingest,
-                        Some("replicated") => ClusterPhase::Replicate,
-                        Some("takeover") => ClusterPhase::Takeover,
-                        Some("resume") => ClusterPhase::Resume,
-                        _ => continue,
-                    };
-                    let num = |k: &str| r.get(k).and_then(jnum).unwrap_or(0);
-                    let from = match r.get("from") {
-                        Some(Json::I64(n)) => *n,
-                        Some(Json::U64(n)) => *n as i64,
-                        _ => -1,
-                    };
-                    all_spans.push(ClusterSpan {
-                        trace: num("trace"),
-                        session: num("session"),
-                        seq: num("seq"),
-                        phase,
-                        peer: num("peer") as u32,
-                        from_peer: from,
-                        start_us: num("us"),
-                        end_us: num("us"),
-                    });
-                }
-                blackbox_texts.push((*p, text));
-            }
-            Err(e) => failures.push(format!("blackbox fetch on survivor {p}: {e}")),
+    for (_, text) in &blackbox_texts {
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            let Ok(r) = serde_json::from_str::<Json>(line) else {
+                continue;
+            };
+            let phase = match r.get("kind").and_then(Json::as_str) {
+                Some("applied") => ClusterPhase::Ingest,
+                Some("replicated") => ClusterPhase::Replicate,
+                Some("takeover") => ClusterPhase::Takeover,
+                Some("resume") => ClusterPhase::Resume,
+                _ => continue,
+            };
+            let num = |k: &str| r.get(k).and_then(jnum).unwrap_or(0);
+            let from = match r.get("from") {
+                Some(Json::I64(n)) => *n,
+                Some(Json::U64(n)) => *n as i64,
+                _ => -1,
+            };
+            all_spans.push(ClusterSpan {
+                trace: num("trace"),
+                session: num("session"),
+                seq: num("seq"),
+                phase,
+                peer: num("peer") as u32,
+                from_peer: from,
+                start_us: num("us"),
+                end_us: num("us"),
+            });
         }
     }
     let trees = assemble_cluster(&all_spans);
@@ -2158,19 +2144,8 @@ fn run_cluster(args: &Args) -> ! {
             Err(e) => failures.push(format!("adopter dump {path} unreadable: {e}")),
         }
     }
-
-    // Any verdict failure: preserve every survivor's flight recorder for
-    // the post-mortem.
-    if !failures.is_empty() {
-        for (p, text) in &blackbox_texts {
-            let path = format!("BLACKBOX_cluster_failure_peer{p}.ndjson");
-            if std::fs::write(&path, text).is_ok() {
-                eprintln!("loadgen: preserved flight recorder in {path}");
-            }
-        }
-    }
-
-    kill_all(&mut children);
+    preserve_blackboxes("cluster", &blackbox_texts, &failures);
+    drop(group);
 
     let throughput = total_events as f64 / elapsed.as_secs_f64();
     println!(
@@ -2181,94 +2156,66 @@ fn run_cluster(args: &Args) -> ! {
         elapsed.as_secs_f64(),
         trees.len()
     );
-    for f in &failures {
-        eprintln!("loadgen: CLUSTER FAILURE: {f}");
-    }
-    let verdict = if failures.is_empty() { "OK" } else { "FAILED" };
-    println!("cluster verdict = {verdict}");
-
-    let report = Json::Map(vec![
+    let benchmark = if args.fleet {
+        "server-cluster-fleet"
+    } else {
+        "server-cluster"
+    };
+    let report = vec![
+        ("benchmark", Json::Str(benchmark.to_string())),
+        ("peers", Json::U64(PEERS as u64)),
+        ("sessions", Json::U64(sessions as u64)),
+        ("events_per_session", Json::U64(events as u64)),
+        ("driven_events", Json::U64(total_events)),
+        ("seed", Json::U64(args.seed)),
+        ("victim", Json::U64(victim as u64)),
+        ("victim_sessions", Json::U64(victim_sessions as u64)),
+        ("kill_after_events", Json::U64(kill_after)),
         (
-            "benchmark".to_string(),
-            Json::Str(
-                if args.fleet {
-                    "server-cluster-fleet"
-                } else {
-                    "server-cluster"
-                }
-                .to_string(),
-            ),
+            "kill_elapsed_s",
+            Json::F64(kill_elapsed.map_or(-1.0, |d| d.as_secs_f64())),
         ),
-        ("peers".to_string(), Json::U64(PEERS as u64)),
-        ("sessions".to_string(), Json::U64(sessions as u64)),
-        ("events_per_session".to_string(), Json::U64(events as u64)),
-        ("driven_events".to_string(), Json::U64(total_events)),
-        ("seed".to_string(), Json::U64(args.seed)),
-        ("victim".to_string(), Json::U64(victim as u64)),
+        ("elapsed_s", Json::F64(elapsed.as_secs_f64())),
+        ("events_per_sec", Json::F64(throughput)),
+        ("takeovers_total", Json::U64(takeovers_sum)),
+        ("takeover_last_ms", Json::U64(takeover_ms_max)),
+        ("replication_lag_entries", Json::U64(lag_sum)),
+        ("journal_replicated_total", Json::U64(journal_sum)),
+        ("snapshots_shipped_total", Json::U64(snaps_sum)),
+        ("replication_gaps_total", Json::U64(gaps_sum)),
+        ("moves_total", Json::U64(moves_total)),
+        ("reconnects_total", Json::U64(reconnects_total)),
+        ("resyncs_total", Json::U64(resyncs_total)),
+        ("span_trees_total", Json::U64(trees.len() as u64)),
+        ("cross_peer_trees", Json::U64(cross_peer_trees)),
+        ("span_tree_check", Json::Bool(span_tree_check)),
         (
-            "victim_sessions".to_string(),
-            Json::U64(counts[victim] as u64),
-        ),
-        ("kill_after_events".to_string(), Json::U64(kill_after)),
-        (
-            "kill_elapsed_s".to_string(),
-            Json::F64(kill_elapsed.map(|d| d.as_secs_f64()).unwrap_or(-1.0)),
-        ),
-        ("elapsed_s".to_string(), Json::F64(elapsed.as_secs_f64())),
-        ("events_per_sec".to_string(), Json::F64(throughput)),
-        ("takeovers_total".to_string(), Json::U64(takeovers_sum)),
-        ("takeover_last_ms".to_string(), Json::U64(takeover_ms_max)),
-        ("replication_lag_entries".to_string(), Json::U64(lag_sum)),
-        (
-            "journal_replicated_total".to_string(),
-            Json::U64(journal_sum),
-        ),
-        ("snapshots_shipped_total".to_string(), Json::U64(snaps_sum)),
-        ("replication_gaps_total".to_string(), Json::U64(gaps_sum)),
-        ("moves_total".to_string(), Json::U64(moves_total)),
-        ("reconnects_total".to_string(), Json::U64(reconnects_total)),
-        ("resyncs_total".to_string(), Json::U64(resyncs_total)),
-        (
-            "span_trees_total".to_string(),
-            Json::U64(trees.len() as u64),
-        ),
-        ("cross_peer_trees".to_string(), Json::U64(cross_peer_trees)),
-        ("span_tree_check".to_string(), Json::Bool(span_tree_check)),
-        (
-            "federated_scrape_bytes".to_string(),
+            "federated_scrape_bytes",
             Json::U64(federated_text.len() as u64),
         ),
         (
-            "sessions_per_survivor".to_string(),
+            "sessions_per_survivor",
             Json::Seq(
                 sessions_primary
                     .iter()
                     .map(|&(p, n)| {
-                        Json::Map(vec![
-                            ("peer".to_string(), Json::U64(p as u64)),
-                            ("sessions".to_string(), Json::U64(n)),
-                            ("adopted".to_string(), Json::U64(adopted_on[p])),
+                        obj([
+                            ("peer", Json::U64(p as u64)),
+                            ("sessions", Json::U64(n)),
+                            ("adopted", Json::U64(adopted_on[p])),
                         ])
                     })
                     .collect(),
             ),
         ),
-        ("verdict".to_string(), Json::Str(verdict.to_string())),
-    ]);
-    let pretty = serde_json::to_string_pretty(&report).expect("report serialize");
-    let out = if args.out == "BENCH_server.json" {
-        "BENCH_cluster.json".to_string()
-    } else {
-        args.out.clone()
-    };
-    let mut code = i32::from(!failures.is_empty());
-    if let Err(e) = std::fs::write(&out, pretty + "\n") {
-        eprintln!("loadgen: CLUSTER FAILURE: cannot write {out}: {e}");
-        code = 1;
-    } else {
-        eprintln!("loadgen: wrote {out}");
-    }
-    exit(code)
+    ];
+    Ok(finish(
+        args,
+        "cluster",
+        &failures,
+        report,
+        "BENCH_cluster.json",
+    ))
 }
 
 /// The split-brain chaos harness: a 3-peer group, a scheduled network
@@ -2276,15 +2223,7 @@ fn run_cluster(args: &Args) -> ! {
 /// side to take its sessions over at a higher epoch, then a heal that
 /// flushes the zombie's stale backlog into the fences. See the module
 /// docs for the verdict list.
-fn run_partition(args: &Args) -> ! {
-    use elm_server::{place, Client, ClusterClient};
-    use std::collections::{BTreeMap, BTreeSet};
-    use std::net::{SocketAddr, TcpListener, TcpStream};
-    use std::process::{Child, Command, Stdio};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Mutex;
-
-    const PEERS: usize = 3;
+fn run_partition(args: &Args) -> Result<i32, String> {
     /// When the partition opens, relative to child-process start. Setup
     /// (spawn + readiness + keyed opens) must finish inside this window.
     const PART_START_MS: u64 = 3_000;
@@ -2296,48 +2235,18 @@ fn run_partition(args: &Args) -> ! {
     /// paced so the stream straddles the whole partition *and* the heal.
     const DRIVE_MS: u64 = 8_000;
 
-    fn jnum(v: &Json) -> Option<u64> {
-        match v {
-            Json::U64(n) => Some(*n),
-            Json::I64(n) if *n >= 0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    fn kill_all(children: &mut [Option<Child>]) {
-        for slot in children.iter_mut() {
-            if let Some(mut c) = slot.take() {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
-        }
-    }
-
     let sessions = args.sessions.clamp(PEERS, 64);
     let events = args.events.clamp(50, 300);
-    let snapshot_interval = args.snapshot_interval.clamp(1, 32);
     let mut failures: Vec<String> = Vec::new();
-
-    // --- traces (pre-filtered to declared inputs) and the governed
-    // synchronous replay oracle, exactly as the kill-chaos harness ---
-    let registry = elm_server::Registry::standard();
-    let (_, graph) = registry
-        .resolve(ProgramSpec::Builtin("dashboard"))
-        .expect("dashboard builtin");
-    let mut traces: Vec<Vec<elm_runtime::TraceEvent>> = Vec::with_capacity(sessions);
-    for trace in Simulator::fan_out(args.seed, sessions, events) {
-        traces.push(
-            trace
-                .events
-                .iter()
-                .filter(|e| graph.input_named(&e.input).is_some())
-                .cloned()
-                .collect(),
-        );
-    }
+    let keyed = keyed_sessions(args.seed, sessions, events, false)?;
     // Pace the drivers off the *filtered* trace length so every stream
     // straddles the whole partition window and the heal.
-    let longest = traces.iter().map(Vec::len).max().unwrap_or(1).max(1);
+    let longest = keyed
+        .iter()
+        .map(|s| s.events.len())
+        .max()
+        .unwrap_or(1)
+        .max(1);
     let pace_ms = (DRIVE_MS / longest as u64).max(1);
     eprintln!(
         "loadgen: PARTITION {PEERS} peers, {sessions} sessions x {events} events \
@@ -2346,151 +2255,28 @@ fn run_partition(args: &Args) -> ! {
         if args.no_fencing { "OFF" } else { "on" },
         args.seed
     );
-    let limits = elm_runtime::EventLimits::default();
-    let finals: Vec<PlainValue> = (0..sessions)
-        .map(|k| {
-            let mut running = Program::from_dynamic_graph(graph.clone()).start(Engine::Synchronous);
-            running.set_governor(Some(limits), None);
-            for e in &traces[k] {
-                running
-                    .send_named(&e.input, e.value.to_value())
-                    .expect("oracle event");
-            }
-            running.drain_raw().expect("oracle drain");
-            PlainValue::from_value(running.current()).expect("oracle value is plain")
-        })
-        .collect();
 
     // --- placement and the victim: the busiest primary gets isolated
     // from *both* other peers ---
-    let placement: Vec<usize> = (0..sessions as u64).map(|k| place(k, PEERS).0).collect();
-    let mut counts = [0usize; PEERS];
-    for &p in &placement {
-        counts[p] += 1;
-    }
-    let victim = (0..PEERS).max_by_key(|&p| counts[p]).expect("three peers");
+    let (placement, victim, victim_sessions) = placement(sessions);
     let others: Vec<usize> = (0..PEERS).filter(|&p| p != victim).collect();
     eprintln!(
-        "loadgen: PARTITION victim is peer {victim} ({} sessions), isolated from peers {others:?}",
-        counts[victim]
+        "loadgen: PARTITION victim is peer {victim} ({victim_sessions} sessions), isolated from peers {others:?}"
     );
 
     // --- spawn the peer group with the partition scheduled on every
     // victim link; the same seed drives every child's netfault proxy ---
-    let bin = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join("elm-server")))
-        .unwrap_or_else(|| {
-            eprintln!("loadgen: PARTITION cannot locate own executable directory");
-            exit(1);
-        });
-    if !bin.exists() {
-        eprintln!(
-            "loadgen: PARTITION elm-server binary not found at {} (build the workspace first)",
-            bin.display()
-        );
-        exit(2);
-    }
-    let peer_addrs: Vec<String> = (0..PEERS)
-        .map(|_| {
-            let l = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
-            l.local_addr().expect("reserved addr").to_string()
-        })
-        .collect();
-    let peer_socks: Vec<SocketAddr> = peer_addrs
-        .iter()
-        .map(|a| a.parse().expect("reserved addr parses"))
-        .collect();
-    let peer_list = peer_addrs.join(",");
-    let mut child_args: Vec<String> = vec![
-        "--heartbeat-ms".into(),
-        "50".into(),
-        "--takeover-ms".into(),
-        "500".into(),
-        "--snapshot-interval".into(),
-        snapshot_interval.to_string(),
-        "--net-seed".into(),
-        args.seed.to_string(),
-    ];
+    let mut extra = vec!["--net-seed".to_string(), args.seed.to_string()];
     for &o in &others {
-        child_args.push("--partition-window".into());
-        child_args.push(format!("{victim}:{o}:{PART_START_MS}:{PART_DUR_MS}"));
+        extra.push("--partition-window".into());
+        extra.push(format!("{victim}:{o}:{PART_START_MS}:{PART_DUR_MS}"));
     }
     if args.no_fencing {
-        child_args.push("--no-fencing".into());
+        extra.push("--no-fencing".into());
     }
-    let spawn_clock = Instant::now();
-    let mut children: Vec<Option<Child>> = Vec::with_capacity(PEERS);
-    for id in 0..PEERS {
-        let mut full = vec![
-            "--peer-id".to_string(),
-            id.to_string(),
-            "--peers".to_string(),
-            peer_list.clone(),
-        ];
-        full.extend(child_args.iter().cloned());
-        match Command::new(&bin)
-            .args(&full)
-            .stdout(Stdio::null())
-            .stderr(Stdio::inherit())
-            .spawn()
-        {
-            Ok(c) => children.push(Some(c)),
-            Err(e) => {
-                kill_all(&mut children);
-                eprintln!("loadgen: PARTITION cannot spawn peer {id}: {e}");
-                exit(1);
-            }
-        }
-    }
-    let ready_deadline = Instant::now() + Duration::from_secs(15);
-    for (i, addr) in peer_socks.iter().enumerate() {
-        loop {
-            match TcpStream::connect(addr) {
-                Ok(_) => break,
-                Err(e) => {
-                    if Instant::now() > ready_deadline {
-                        kill_all(&mut children);
-                        eprintln!("loadgen: PARTITION peer {i} never came up on {addr}: {e}");
-                        exit(1);
-                    }
-                    thread::sleep(Duration::from_millis(25));
-                }
-            }
-        }
-    }
-
-    // --- keyed opens at the placement primaries ---
-    let mut openers: Vec<Client> = Vec::with_capacity(PEERS);
-    for (p, sock) in peer_socks.iter().enumerate() {
-        match Client::connect(*sock, args.seed ^ p as u64) {
-            Ok(c) => openers.push(c),
-            Err(e) => {
-                kill_all(&mut children);
-                eprintln!("loadgen: PARTITION cannot connect to peer {p}: {e}");
-                exit(1);
-            }
-        }
-    }
-    for k in 0..sessions {
-        let line = serde_json::to_string(&Json::Map(vec![
-            ("cmd".to_string(), Json::Str("open".to_string())),
-            ("session".to_string(), Json::U64(k as u64)),
-            ("program".to_string(), Json::Str("dashboard".to_string())),
-        ]))
-        .expect("open line renders");
-        let reply = openers[placement[k]].request(&line).unwrap_or_else(|e| {
-            eprintln!("loadgen: PARTITION open of session {k} failed: {e}");
-            exit(1);
-        });
-        if !matches!(reply.get("ok"), Some(Json::Bool(true))) {
-            kill_all(&mut children);
-            eprintln!("loadgen: PARTITION keyed open of session {k} refused: {reply:?}");
-            exit(1);
-        }
-    }
-    drop(openers);
-    let setup_ms = spawn_clock.elapsed().as_millis() as u64;
+    let group = PeerGroup::spawn(args.snapshot_interval.clamp(1, 32), &extra)?;
+    open_keyed(&group, &placement, &keyed, args.seed)?;
+    let setup_ms = group.spawned.elapsed().as_millis() as u64;
     if setup_ms >= PART_START_MS {
         failures.push(format!(
             "setup took {setup_ms} ms — the partition window opened before the drivers started"
@@ -2506,7 +2292,7 @@ fn run_partition(args: &Args) -> ! {
     let probe_map: Arc<Mutex<ProbeMap>> = Arc::new(Mutex::new(BTreeMap::new()));
     let probe_samples = Arc::new(AtomicU64::new(0));
     let mut probers = Vec::with_capacity(PEERS);
-    for (p, &addr) in peer_socks.iter().enumerate() {
+    for (p, &addr) in group.socks.iter().enumerate() {
         let stop = Arc::clone(&probe_stop);
         let map = Arc::clone(&probe_map);
         let samples = Arc::clone(&probe_samples);
@@ -2514,43 +2300,28 @@ fn run_partition(args: &Args) -> ! {
         probers.push(thread::spawn(move || {
             let mut client: Option<Client> = None;
             while !stop.load(Ordering::Relaxed) {
-                if client.is_none() {
+                let Some(c) = client.as_mut() else {
                     client = Client::connect(addr, seed).ok();
                     if client.is_none() {
                         thread::sleep(Duration::from_millis(25));
+                    }
+                    continue;
+                };
+                for sid in 0..sessions as u64 {
+                    let Ok(reply) = c.query(sid) else {
+                        client = None;
+                        break;
+                    };
+                    // moved / unknown replies are the redirect-only
+                    // answer — exactly what a non-owner should say.
+                    if !matches!(reply.get("ok"), Some(Json::Bool(true))) {
                         continue;
                     }
-                }
-                let mut broken = false;
-                if let Some(c) = client.as_mut() {
-                    for sid in 0..sessions as u64 {
-                        match c.query(sid) {
-                            Ok(reply) => {
-                                if matches!(reply.get("ok"), Some(Json::Bool(true))) {
-                                    if let Some(epoch) =
-                                        jnum(reply.get("epoch").unwrap_or(&Json::Null))
-                                    {
-                                        map.lock()
-                                            .expect("probe map")
-                                            .entry((sid, epoch))
-                                            .or_default()
-                                            .insert(p);
-                                        samples.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                                // moved / unknown replies are the
-                                // redirect-only answer — exactly what a
-                                // non-owner should say.
-                            }
-                            Err(_) => {
-                                broken = true;
-                                break;
-                            }
-                        }
+                    if let Some(epoch) = reply.get("epoch").and_then(jnum) {
+                        let mut map = map.lock().expect("probe map");
+                        map.entry((sid, epoch)).or_default().insert(p);
+                        samples.fetch_add(1, Ordering::Relaxed);
                     }
-                }
-                if broken {
-                    client = None;
                 }
                 thread::sleep(Duration::from_millis(20));
             }
@@ -2560,170 +2331,36 @@ fn run_partition(args: &Args) -> ! {
     // --- drivers: one per session, paced so the stream straddles the
     // partition and the heal, riding the demotion through the
     // epoch-aware client ---
-    struct DriverOut {
-        value: PlainValue,
-        last_seq: u64,
-        moves: u64,
-        reconnects: u64,
-        resyncs: u64,
-        stale_epochs: u64,
-    }
-    let driven = Arc::new(AtomicU64::new(0));
+    let driven = AtomicU64::new(0);
     let started = Instant::now();
-    let mut drivers = Vec::with_capacity(sessions);
-    for k in 0..sessions {
-        let evs = traces[k].clone();
-        let mut peers = vec![peer_socks[placement[k]]];
-        peers.extend(
-            (0..PEERS)
-                .filter(|&p| p != placement[k])
-                .map(|p| peer_socks[p]),
-        );
-        let driven = Arc::clone(&driven);
-        let seed = args.seed ^ (k as u64).wrapping_mul(0x9e37_79b9);
-        drivers.push(thread::spawn(move || -> Result<DriverOut, String> {
-            let sid = k as u64;
-            let mut client = ClusterClient::new(peers, seed);
-            let mut resyncs = 0u64;
-            let deadline = Duration::from_secs(20);
-            let query_line = format!("{{\"cmd\":\"query\",\"session\":{sid}}}");
-            let drained_query = |client: &mut ClusterClient| -> Result<Json, String> {
-                loop {
-                    let r = client
-                        .request_routed(&query_line, Duration::from_secs(30))
-                        .map_err(|e| format!("session {sid}: query: {e}"))?;
-                    if !matches!(r.get("ok"), Some(Json::Bool(true))) {
-                        return Err(format!("session {sid}: query refused: {r:?}"));
-                    }
-                    if jnum(r.get("queue_len").unwrap_or(&Json::Null)) == Some(0) {
-                        return Ok(r);
-                    }
-                    thread::sleep(Duration::from_millis(5));
-                }
-            };
-            // Witness the pre-partition epoch up front: the demotion's
-            // higher-epoch redirect is only detectable against it.
-            drained_query(&mut client)?;
-            let mut i = 0usize;
-            while i < evs.len() {
-                let e = &evs[i];
-                let trace_id = ((sid + 1) << 20) | (i as u64 + 1);
-                let line = serde_json::to_string(&Json::Map(vec![
-                    ("cmd".to_string(), Json::Str("event".to_string())),
-                    ("session".to_string(), Json::U64(sid)),
-                    ("input".to_string(), Json::Str(e.input.clone())),
-                    (
-                        "value".to_string(),
-                        serde_json::to_value(&e.value).expect("plain value serializes"),
-                    ),
-                    ("trace".to_string(), Json::U64(trace_id)),
-                ]))
-                .expect("event line renders");
-                match client.request_exact(&line, deadline) {
-                    Ok(reply) if matches!(reply.get("ok"), Some(Json::Bool(true))) => {
-                        i += 1;
-                        driven.fetch_add(1, Ordering::Relaxed);
-                        thread::sleep(Duration::from_millis(pace_ms));
-                    }
-                    Ok(reply) => {
-                        return Err(format!("session {sid}: event {i} refused: {reply:?}"))
-                    }
-                    Err(_) => {
-                        // Either a transport ambiguity or the typed
-                        // `epoch_advanced` handoff: the zombie demoted
-                        // and the adopter's history is shorter than what
-                        // this driver fed the old owner. Resynchronize
-                        // from the owner's applied high-water mark and
-                        // resend from there — the zombie-applied suffix
-                        // replays into the surviving lineage.
-                        let r = drained_query(&mut client)?;
-                        let last = jnum(r.get("last_seq").unwrap_or(&Json::Null))
-                            .ok_or_else(|| format!("session {sid}: reply lacks last_seq"))?;
-                        resyncs += 1;
-                        i = last as usize;
-                    }
-                }
-            }
-            let r = drained_query(&mut client)?;
-            let last_seq = jnum(r.get("last_seq").unwrap_or(&Json::Null))
-                .ok_or_else(|| format!("session {sid}: reply lacks last_seq"))?;
-            let value_json = r
-                .get("value")
-                .cloned()
-                .ok_or_else(|| format!("session {sid}: reply lacks value"))?;
-            let value = serde_json::from_value::<PlainValue>(value_json)
-                .map_err(|e| format!("session {sid}: unparseable final value: {e}"))?;
-            Ok(DriverOut {
-                value,
-                last_seq,
-                moves: client.moves(),
-                reconnects: client.reconnects(),
-                resyncs,
-                stale_epochs: client.stale_epochs(),
-            })
-        }));
-    }
-    let mut outs: Vec<Option<DriverOut>> = Vec::with_capacity(sessions);
-    for (k, d) in drivers.into_iter().enumerate() {
-        match d.join() {
-            Ok(Ok(o)) => outs.push(Some(o)),
-            Ok(Err(e)) => {
-                failures.push(e);
-                outs.push(None);
-            }
-            Err(_) => {
-                failures.push(format!("session {k}: driver panicked"));
-                outs.push(None);
-            }
-        }
-    }
+    let outs = drive_all(
+        &group,
+        &placement,
+        &keyed,
+        args.seed,
+        Duration::from_millis(pace_ms),
+        &driven,
+        &mut failures,
+    );
     let elapsed = started.elapsed();
     // Judge only the healed steady state: wait out the window plus slack
     // for the queued takeover broadcast and stale backlog to flush, and
     // let the probes observe it.
     let heal_at = Duration::from_millis(PART_START_MS + PART_DUR_MS + 1_500);
-    if spawn_clock.elapsed() < heal_at {
-        thread::sleep(heal_at - spawn_clock.elapsed());
-    }
+    thread::sleep(heal_at.saturating_sub(group.spawned.elapsed()));
     probe_stop.store(true, Ordering::Relaxed);
     for p in probers {
         let _ = p.join();
     }
 
     // --- verdict 1: byte-identical finals against the governed oracle ---
-    for k in 0..sessions {
-        let Some(o) = &outs[k] else { continue };
-        if o.last_seq != traces[k].len() as u64 {
-            failures.push(format!(
-                "session {k}: applied {} of {} events",
-                o.last_seq,
-                traces[k].len()
-            ));
-        }
-        let live = serde_json::to_string(&serde_json::to_value(&o.value).expect("plain value"))
-            .expect("value renders");
-        let want = serde_json::to_string(&serde_json::to_value(&finals[k]).expect("plain value"))
-            .expect("value renders");
-        if live != want {
-            failures.push(format!(
-                "session {k}{}: final output diverged across the partition: \
-                 live {live} != replay {want}",
-                if placement[k] == victim {
-                    " (isolated)"
-                } else {
-                    ""
-                }
-            ));
-        }
-    }
+    check_finals(&keyed, &outs, &placement, victim, "isolated", &mut failures);
 
     // --- verdict 2: the probes saw no forked history — at most one peer
     // served each (session, epoch) — and the dual-epoch window itself
     // was observable (zombie at the old epoch, adopter at the new) ---
     let probe_samples = probe_samples.load(Ordering::Relaxed);
-    let probe_map = Arc::try_unwrap(probe_map)
-        .map(|m| m.into_inner().expect("probe map"))
-        .unwrap_or_else(|arc| arc.lock().expect("probe map").clone());
+    let probe_map = probe_map.lock().expect("probe map").clone();
     if probe_samples == 0 {
         failures.push("the split-brain probes never completed a sample".to_string());
     }
@@ -2755,40 +2392,33 @@ fn run_partition(args: &Args) -> ! {
     // --- verdict 3: fences did their job (nonzero fenced rejections, no
     // replication gaps), the takeover fired on the majority side only,
     // and the epoch/heartbeat families are in the scrapes ---
-    let mut peer_clients: Vec<(usize, Client)> = Vec::new();
-    for (p, &addr) in peer_socks.iter().enumerate() {
-        match Client::connect(addr, args.seed ^ 0xfe9c ^ p as u64) {
-            Ok(c) => peer_clients.push((p, c)),
-            Err(e) => failures.push(format!("peer {p} unreachable after the heal: {e}")),
-        }
-    }
-    let mut fenced_sum = 0u64;
-    let mut gaps_sum = 0u64;
-    let mut takeovers_sum = 0u64;
-    let mut fenced_per_peer: Vec<(usize, u64)> = Vec::new();
+    let mut clients = group.clients(0..PEERS, args.seed ^ 0xfe9c, &mut failures);
+    let peer_texts = fetch_texts(&mut clients, Client::metrics_text, "metrics", &mut failures);
+    let fenced_per_peer: Vec<(usize, u64)> = peer_texts
+        .iter()
+        .map(|(p, t)| (*p, scraped_family_sum(t, "elm_cluster_fenced_total")))
+        .collect();
+    let fenced_sum: u64 = fenced_per_peer.iter().map(|&(_, n)| n).sum();
+    let family = |name: &str| -> u64 {
+        peer_texts
+            .iter()
+            .map(|(_, t)| scraped_family_sum(t, name))
+            .sum()
+    };
+    let gaps_sum = family("elm_cluster_replication_gaps_total");
+    let takeovers_sum = family("elm_cluster_takeovers_total");
     let mut epoch_gauge_max: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut peer_texts: Vec<(usize, String)> = Vec::new();
-    for (p, c) in &mut peer_clients {
-        let text = match c.metrics_text() {
-            Ok(t) => t,
-            Err(e) => {
-                failures.push(format!("metrics scrape on peer {p}: {e}"));
-                continue;
-            }
-        };
-        let fenced = scraped_family_sum(&text, "elm_cluster_fenced_total");
-        fenced_sum += fenced;
-        fenced_per_peer.push((*p, fenced));
-        gaps_sum += scraped_family_sum(&text, "elm_cluster_replication_gaps_total");
-        takeovers_sum += scraped_family_sum(&text, "elm_cluster_takeovers_total");
+    for (p, text) in &peer_texts {
         for line in text.lines().filter(|l| !l.starts_with('#')) {
-            if let Some(rest) = line.strip_prefix("elm_cluster_epoch{session=\"") {
-                if let Some((sid, val)) = rest.split_once("\"}") {
-                    if let (Ok(sid), Ok(v)) = (sid.parse::<u64>(), val.trim().parse::<f64>()) {
-                        let e = epoch_gauge_max.entry(sid).or_insert(0);
-                        *e = (*e).max(v as u64);
-                    }
-                }
+            let Some((sid, val)) = line
+                .strip_prefix("elm_cluster_epoch{session=\"")
+                .and_then(|rest| rest.split_once("\"}"))
+            else {
+                continue;
+            };
+            if let (Ok(sid), Ok(v)) = (sid.parse::<u64>(), val.trim().parse::<f64>()) {
+                let e = epoch_gauge_max.entry(sid).or_insert(0);
+                *e = (*e).max(v as u64);
             }
         }
         if !text.contains("elm_cluster_heartbeat_age_ms{peer=\"") {
@@ -2796,7 +2426,6 @@ fn run_partition(args: &Args) -> ! {
                 "peer {p} scrape lacks elm_cluster_heartbeat_age_ms"
             ));
         }
-        peer_texts.push((*p, text));
     }
     if args.no_fencing {
         if fenced_sum != 0 {
@@ -2813,16 +2442,16 @@ fn run_partition(args: &Args) -> ! {
     if gaps_sum != 0 {
         failures.push(format!("replication recorded {gaps_sum} gap(s)"));
     }
-    if takeovers_sum != counts[victim] as u64 {
+    if takeovers_sum != victim_sessions as u64 {
         failures.push(format!(
-            "{} sessions were isolated with peer {victim} but the group counts \
-             {takeovers_sum} takeovers (minority-side adoptions would double this)",
-            counts[victim]
+            "{victim_sessions} sessions were isolated with peer {victim} but the group counts \
+             {takeovers_sum} takeovers (minority-side adoptions would double this)"
         ));
     }
+    let isolated = || (0..sessions).filter(|&k| placement[k] == victim);
     if !args.no_fencing {
-        for k in (0..sessions as u64).filter(|&k| placement[k as usize] == victim) {
-            if epoch_gauge_max.get(&k).copied().unwrap_or(0) < 2 {
+        for k in isolated() {
+            if epoch_gauge_max.get(&(k as u64)).copied().unwrap_or(0) < 2 {
                 failures.push(format!(
                     "isolated session {k} never shows epoch >= 2 in any elm_cluster_epoch gauge"
                 ));
@@ -2833,23 +2462,8 @@ fn run_partition(args: &Args) -> ! {
     // --- verdict 4: the healed zombie is redirect-only — exactly one
     // peer serves each isolated session, and the victim answers with a
     // typed moved redirect at the adopter ---
-    for k in (0..sessions).filter(|&k| placement[k] == victim) {
-        let mut served: Vec<usize> = Vec::new();
-        let mut victim_moved = false;
-        for (p, c) in &mut peer_clients {
-            match c.query(k as u64) {
-                Ok(reply) if matches!(reply.get("ok"), Some(Json::Bool(true))) => served.push(*p),
-                Ok(reply) if reply.get("error").and_then(Json::as_str) == Some("moved") => {
-                    if *p == victim {
-                        victim_moved = true;
-                    }
-                }
-                Ok(reply) => failures.push(format!(
-                    "isolated session {k}: peer {p} gave neither value nor redirect: {reply:?}"
-                )),
-                Err(e) => failures.push(format!("isolated session {k}: query on peer {p}: {e}")),
-            }
-        }
+    for k in isolated() {
+        let (served, moved) = who_serves(&mut clients, k, &mut failures);
         if served.len() != 1 {
             failures.push(format!(
                 "isolated session {k}: served by peers {served:?} after the heal, expected \
@@ -2860,7 +2474,7 @@ fn run_partition(args: &Args) -> ! {
                 "isolated session {k}: still served by the demoted zombie after the heal"
             ));
         }
-        if !victim_moved && !args.no_fencing {
+        if !args.no_fencing && !moved.iter().any(|(p, _)| *p == victim) {
             failures.push(format!(
                 "isolated session {k}: the healed zombie did not answer redirect-only"
             ));
@@ -2870,25 +2484,24 @@ fn run_partition(args: &Args) -> ! {
     // --- verdict 5: the flight recorders hold the fencing story — a
     // `fenced` rejection on the majority side and a `demote` on the
     // zombie — and the federated scrape carries the new families ---
+    let blackbox_texts = fetch_texts(
+        &mut clients,
+        Client::blackbox_text,
+        "blackbox",
+        &mut failures,
+    );
     let mut saw_fenced = false;
     let mut saw_demote = false;
-    let mut blackbox_texts: Vec<(usize, String)> = Vec::new();
-    for (p, c) in &mut peer_clients {
-        match c.blackbox_text() {
-            Ok(text) => {
-                for line in text.lines() {
-                    let Ok(r) = serde_json::from_str::<Json>(line) else {
-                        continue;
-                    };
-                    match r.get("kind").and_then(Json::as_str) {
-                        Some("fenced") => saw_fenced = true,
-                        Some("demote") if *p == victim => saw_demote = true,
-                        _ => {}
-                    }
-                }
-                blackbox_texts.push((*p, text));
+    for (p, text) in &blackbox_texts {
+        for line in text.lines() {
+            let Ok(r) = serde_json::from_str::<Json>(line) else {
+                continue;
+            };
+            match r.get("kind").and_then(Json::as_str) {
+                Some("fenced") => saw_fenced = true,
+                Some("demote") if *p == victim => saw_demote = true,
+                _ => {}
             }
-            Err(e) => failures.push(format!("blackbox fetch on peer {p}: {e}")),
         }
     }
     if !args.no_fencing {
@@ -2899,45 +2512,21 @@ fn run_partition(args: &Args) -> ! {
             failures.push("the zombie's flight recorder holds no `demote` record".to_string());
         }
     }
-    let mut federated_text = String::new();
-    match peer_clients.first_mut() {
-        Some((_, c)) => match c.metrics_text_cluster() {
-            Ok(text) => federated_text = text,
-            Err(e) => failures.push(format!("federated metrics scrape: {e}")),
-        },
-        None => failures.push("no peer available for the federated scrape".to_string()),
-    }
-    if !federated_text.is_empty() {
-        for needle in [
+    federated_scrape(
+        &mut clients,
+        &[
             "elm_cluster_fenced_total{peer=\"",
             "elm_cluster_heartbeat_age_ms{peer=\"",
-        ] {
-            if !federated_text.contains(needle) {
-                failures.push(format!("federated scrape lacks {needle}...}} samples"));
-            }
-        }
-        write_artifact(
-            "BENCH_partition_federated.prom",
-            federated_text.clone(),
-            &mut failures,
-        );
-    }
+        ],
+        "BENCH_partition_federated.prom",
+        &mut failures,
+    );
+    preserve_blackboxes("partition", &blackbox_texts, &failures);
+    drop(group);
 
-    if !failures.is_empty() {
-        for (p, text) in &blackbox_texts {
-            let path = format!("BLACKBOX_partition_failure_peer{p}.ndjson");
-            if std::fs::write(&path, text).is_ok() {
-                eprintln!("loadgen: preserved flight recorder in {path}");
-            }
-        }
-    }
-
-    kill_all(&mut children);
-
-    let moves_total: u64 = outs.iter().flatten().map(|o| o.moves).sum();
-    let reconnects_total: u64 = outs.iter().flatten().map(|o| o.reconnects).sum();
-    let resyncs_total: u64 = outs.iter().flatten().map(|o| o.resyncs).sum();
-    let stale_total: u64 = outs.iter().flatten().map(|o| o.stale_epochs).sum();
+    let total = |f: fn(&SessionOut) -> u64| -> u64 { outs.iter().flatten().map(f).sum() };
+    let (moves_total, reconnects_total) = (total(|o| o.moves), total(|o| o.reconnects));
+    let (resyncs_total, stale_total) = (total(|o| o.resyncs), total(|o| o.stale_epochs));
     let driven_total = driven.load(Ordering::Relaxed);
     println!(
         "partition: {driven_total} events across {sessions} sessions in {:.2}s, \
@@ -2946,91 +2535,53 @@ fn run_partition(args: &Args) -> ! {
          {resyncs_total} resyncs, {moves_total} moved redirects, {stale_total} stale-epoch reads",
         elapsed.as_secs_f64()
     );
-    for f in &failures {
-        eprintln!("loadgen: PARTITION FAILURE: {f}");
-    }
-    let verdict = if failures.is_empty() { "OK" } else { "FAILED" };
-    println!("partition verdict = {verdict}");
-
-    let report = Json::Map(vec![
+    let report = vec![
+        ("benchmark", Json::Str("server-partition".to_string())),
+        ("peers", Json::U64(PEERS as u64)),
+        ("sessions", Json::U64(sessions as u64)),
+        ("events_per_session", Json::U64(events as u64)),
+        ("seed", Json::U64(args.seed)),
+        ("fencing", Json::Bool(!args.no_fencing)),
+        ("victim", Json::U64(victim as u64)),
+        ("victim_sessions", Json::U64(victim_sessions as u64)),
+        ("partition_start_ms", Json::U64(PART_START_MS)),
+        ("partition_dur_ms", Json::U64(PART_DUR_MS)),
+        ("setup_ms", Json::U64(setup_ms)),
+        ("elapsed_s", Json::F64(elapsed.as_secs_f64())),
+        ("driven_events", Json::U64(driven_total)),
+        ("takeovers_total", Json::U64(takeovers_sum)),
+        ("fenced_total", Json::U64(fenced_sum)),
         (
-            "benchmark".to_string(),
-            Json::Str("server-partition".to_string()),
-        ),
-        ("peers".to_string(), Json::U64(PEERS as u64)),
-        ("sessions".to_string(), Json::U64(sessions as u64)),
-        ("events_per_session".to_string(), Json::U64(events as u64)),
-        ("seed".to_string(), Json::U64(args.seed)),
-        ("fencing".to_string(), Json::Bool(!args.no_fencing)),
-        ("victim".to_string(), Json::U64(victim as u64)),
-        (
-            "victim_sessions".to_string(),
-            Json::U64(counts[victim] as u64),
-        ),
-        ("partition_start_ms".to_string(), Json::U64(PART_START_MS)),
-        ("partition_dur_ms".to_string(), Json::U64(PART_DUR_MS)),
-        ("setup_ms".to_string(), Json::U64(setup_ms)),
-        ("elapsed_s".to_string(), Json::F64(elapsed.as_secs_f64())),
-        ("driven_events".to_string(), Json::U64(driven_total)),
-        ("takeovers_total".to_string(), Json::U64(takeovers_sum)),
-        ("fenced_total".to_string(), Json::U64(fenced_sum)),
-        (
-            "fenced_per_peer".to_string(),
+            "fenced_per_peer",
             Json::Seq(
                 fenced_per_peer
                     .iter()
-                    .map(|&(p, n)| {
-                        Json::Map(vec![
-                            ("peer".to_string(), Json::U64(p as u64)),
-                            ("fenced".to_string(), Json::U64(n)),
-                        ])
-                    })
+                    .map(|&(p, n)| obj([("peer", Json::U64(p as u64)), ("fenced", Json::U64(n))]))
                     .collect(),
             ),
         ),
-        ("replication_gaps_total".to_string(), Json::U64(gaps_sum)),
-        ("probe_samples".to_string(), Json::U64(probe_samples)),
-        ("split_brain_hits".to_string(), Json::U64(split_brain)),
-        (
-            "dual_epoch_sessions".to_string(),
-            Json::U64(dual_epoch_sessions),
-        ),
-        ("moves_total".to_string(), Json::U64(moves_total)),
-        ("reconnects_total".to_string(), Json::U64(reconnects_total)),
-        ("resyncs_total".to_string(), Json::U64(resyncs_total)),
-        ("stale_epoch_reads".to_string(), Json::U64(stale_total)),
-        ("verdict".to_string(), Json::Str(verdict.to_string())),
-    ]);
-    let pretty = serde_json::to_string_pretty(&report).expect("report serialize");
-    let out = if args.out == "BENCH_server.json" {
-        "BENCH_partition.json".to_string()
-    } else {
-        args.out.clone()
-    };
-    let mut code = i32::from(!failures.is_empty());
-    if let Err(e) = std::fs::write(&out, pretty + "\n") {
-        eprintln!("loadgen: PARTITION FAILURE: cannot write {out}: {e}");
-        code = 1;
-    } else {
-        eprintln!("loadgen: wrote {out}");
-    }
-    exit(code)
+        ("replication_gaps_total", Json::U64(gaps_sum)),
+        ("probe_samples", Json::U64(probe_samples)),
+        ("split_brain_hits", Json::U64(split_brain)),
+        ("dual_epoch_sessions", Json::U64(dual_epoch_sessions)),
+        ("moves_total", Json::U64(moves_total)),
+        ("reconnects_total", Json::U64(reconnects_total)),
+        ("resyncs_total", Json::U64(resyncs_total)),
+        ("stale_epoch_reads", Json::U64(stale_total)),
+    ];
+    Ok(finish(
+        args,
+        "partition",
+        &failures,
+        report,
+        "BENCH_partition.json",
+    ))
 }
 
-fn main() {
-    let args = parse_args();
-    if args.partition {
-        run_partition(&args);
-    }
-    if args.cluster {
-        run_cluster(&args);
-    }
-    if args.fleet {
-        run_fleet(&args);
-    }
-    if args.overload {
-        run_overload(&args);
-    }
+/// The default mode: throughput, latency, per-session isolation against
+/// [`replay`], span-tree reconstruction on both schedulers, and with
+/// `--chaos` the crash-recovery verdicts.
+fn run_default(args: &Args) -> Result<i32, String> {
     let program = args
         .program
         .clone()
@@ -3038,13 +2589,13 @@ fn main() {
     let faults = if args.chaos {
         FaultPlan {
             seed: args.seed,
-            node_panic: args.panic_prob,
-            crash: args.crash_prob,
-            stall: args.stall_prob,
+            node_panic: PANIC_PROB,
+            crash: CRASH_PROB,
+            stall: STALL_PROB,
             stall_ms: 2,
             queue_full_burst: 0.002,
             burst_len: 48,
-            journal_fail: args.journal_fail_prob,
+            journal_fail: JOURNAL_FAIL_PROB,
             ..FaultPlan::disabled()
         }
     } else {
@@ -3079,7 +2630,7 @@ fn main() {
     );
 
     let traces = Simulator::fan_out_with_faults(args.seed, args.sessions, args.events, &faults);
-    let server = Arc::new(Server::start(ServerConfig {
+    let server = Server::start(ServerConfig {
         shards: args.shards,
         session: SessionConfig {
             queue_capacity: args.queue,
@@ -3103,63 +2654,58 @@ fn main() {
         },
         idle_timeout: None,
         admission: AdmissionConfig::default(),
-    }));
-
+    });
+    let (_, graph) = server
+        .registry()
+        .resolve(ProgramSpec::Builtin(&program))
+        .map_err(|e| format!("resolve '{program}': {e}"))?;
     let mut session_ids = Vec::with_capacity(args.sessions);
     for _ in 0..args.sessions {
         let info = server
             .open(ProgramSpec::Builtin(&program), None, None, true)
-            .unwrap_or_else(|e| {
-                eprintln!("loadgen: open failed: {e}");
-                exit(1);
-            });
+            .map_err(|e| format!("open failed: {e}"))?;
         session_ids.push(info.session);
     }
 
     // Concurrent ingest: one driver thread per session, batching events
     // and then waiting for the session's queue to drain.
+    let mut failures: Vec<String> = Vec::new();
     let started = Instant::now();
-    let mut drivers = Vec::with_capacity(args.sessions);
-    for (i, &session) in session_ids.iter().enumerate() {
-        let server = Arc::clone(&server);
-        let trace = traces[i].clone();
-        drivers.push(thread::spawn(move || {
-            let events: Vec<(String, PlainValue)> = trace
-                .events
-                .into_iter()
-                .map(|e| (e.input, e.value))
-                .collect();
-            for chunk in events.chunks(BATCH) {
-                server.batch(session, chunk).expect("batch");
+    thread::scope(|s| {
+        let server = &server;
+        let drivers: Vec<_> = session_ids
+            .iter()
+            .zip(&traces)
+            .map(|(&session, trace)| s.spawn(move || feed_and_drain(server, session, trace)))
+            .collect();
+        for d in drivers {
+            if let Err(e) = d.join().expect("driver thread") {
+                failures.push(e);
             }
-            while server.query(session).expect("query").queue_len > 0 {
-                thread::sleep(Duration::from_millis(1));
-            }
-        }));
-    }
-    for d in drivers {
-        d.join().expect("driver thread");
-    }
+        }
+    });
     let elapsed = started.elapsed();
 
     let (global, per_session) = server.stats();
     let metrics_text = server.metrics_text();
     let total_events = (args.sessions * args.events) as f64;
     let events_per_sec = total_events / elapsed.as_secs_f64();
+    // Events the program declares an input for; the rest are `ignored`.
+    let applied_events_per_sec = global.ingress.enqueued as f64 / elapsed.as_secs_f64();
 
     // Isolation / recovery-correctness check: each session's final value
     // must equal a single-session synchronous replay of its own trace —
     // in chaos mode that replay is uninterrupted, so it also proves
     // crash recovery lost and duplicated nothing.
     let mut mismatches = 0usize;
-    for (i, &session) in session_ids.iter().enumerate() {
+    for (&session, trace) in session_ids.iter().zip(&traces) {
         let served = server.query(session).expect("final query").value;
-        let replayed = sync_replay(&server, &program, &traces[i]);
+        let replayed = replay(&graph, &trace.events, None);
         if served != replayed {
             mismatches += 1;
-            eprintln!(
-                "loadgen: ISOLATION MISMATCH session {session}: served {served:?} != replay {replayed:?}"
-            );
+            failures.push(format!(
+                "isolation: session {session} served {served:?} != replay {replayed:?}"
+            ));
         }
     }
     let isolation = if mismatches == 0 { "OK" } else { "FAILED" };
@@ -3169,9 +2715,10 @@ fn main() {
         args.sessions, args.events, total_events as u64
     );
     println!(
-        "elapsed={:.3}s throughput={:.0} events/sec",
+        "elapsed={:.3}s throughput={:.0} events/sec applied={:.0} events/sec",
         elapsed.as_secs_f64(),
-        events_per_sec
+        events_per_sec,
+        applied_events_per_sec
     );
     println!(
         "ingest-to-output latency: p50={}us p90={}us p99={}us max={}us ({} samples)",
@@ -3199,6 +2746,7 @@ fn main() {
         .iter()
         .filter(|s| s.runtime.node_panics > 0)
         .count();
+    let restarts_scraped = scraped_family_sum(&metrics_text, "elm_restarts_total");
     let mut chaos_failures: Vec<String> = Vec::new();
     if args.chaos {
         println!(
@@ -3227,7 +2775,7 @@ fn main() {
                 global.recovery.max_replay, args.snapshot_interval
             ));
         }
-        if args.panic_prob > 0.0 && affected * 4 < args.sessions {
+        if affected * 4 < args.sessions {
             chaos_failures.push(format!(
                 "only {affected}/{} sessions saw a node panic (< 25%)",
                 args.sessions
@@ -3236,47 +2784,47 @@ fn main() {
         // The metrics endpoint must agree with the supervisor about how
         // many restarts happened — a scrape is only useful if it tells
         // the same story as the recovery machinery itself.
-        let scraped = scraped_restarts_total(&metrics_text);
-        if scraped != global.recovery.restarts {
+        if restarts_scraped != global.recovery.restarts {
             chaos_failures.push(format!(
-                "metrics endpoint reports {scraped} restarts but the supervisor counted {}",
+                "metrics endpoint reports {restarts_scraped} restarts but the supervisor counted {}",
                 global.recovery.restarts
             ));
         } else {
             println!(
-                "metrics cross-check: elm_restarts_total sum {scraped} == supervisor restarts"
+                "metrics cross-check: elm_restarts_total sum {restarts_scraped} == supervisor restarts"
             );
         }
-        for f in &chaos_failures {
-            eprintln!("loadgen: CHAOS FAILURE: {f}");
-        }
-        if chaos_failures.is_empty() {
-            println!("chaos verdict = OK");
+        let verdict = if chaos_failures.is_empty() {
+            "OK"
         } else {
-            println!("chaos verdict = FAILED");
-        }
+            "FAILED"
+        };
+        println!("chaos verdict = {verdict}");
     }
+    let chaos_verdict = match (args.chaos, chaos_failures.is_empty()) {
+        (false, _) => "n/a",
+        (true, true) => "OK",
+        (true, false) => "FAILED",
+    };
+    failures.extend(chaos_failures.iter().map(|f| format!("chaos: {f}")));
 
     // Trace-reconstruction acceptance: the same seeded workload, traced on
     // BOTH schedulers, must yield span trees matching the graph's causal
     // structure. The synchronous run's artifacts are kept for inspection.
-    let mut trace_failures: Vec<String> = Vec::new();
+    let traced_before = failures.len();
     let mut sync_trees: Vec<PlainSpanTree> = Vec::new();
     let mut sync_timings = Vec::new();
-    match trace_check(&server, &program, args.seed, Engine::Synchronous) {
+    match trace_check(&graph, args.seed, Engine::Synchronous) {
         Ok((trees, timings)) => {
             sync_trees = trees;
             sync_timings = timings;
         }
-        Err(e) => trace_failures.push(format!("synchronous scheduler: {e}")),
+        Err(e) => failures.push(format!("trace: synchronous scheduler: {e}")),
     }
-    if let Err(e) = trace_check(&server, &program, args.seed, Engine::Concurrent) {
-        trace_failures.push(format!("concurrent scheduler: {e}"));
+    if let Err(e) = trace_check(&graph, args.seed, Engine::Concurrent) {
+        failures.push(format!("trace: concurrent scheduler: {e}"));
     }
-    for f in &trace_failures {
-        eprintln!("loadgen: TRACE FAILURE: {f}");
-    }
-    let trace_verdict = if trace_failures.is_empty() {
+    let trace_verdict = if failures.len() == traced_before {
         "OK"
     } else {
         "FAILED"
@@ -3287,134 +2835,105 @@ fn main() {
     );
 
     // Observability artifacts: span trees, the Prometheus scrape, and a
-    // heat-annotated DOT rendering of the traced graph. A bench run whose
-    // evidence cannot be written must not report OK.
-    let mut artifact_failures: Vec<String> = Vec::new();
+    // heat-annotated DOT rendering of the traced graph.
     let trace_json =
         serde_json::to_string_pretty(&serde_json::to_value(&sync_trees).expect("trees serialize"))
             .expect("trees serialize");
-    for (path, contents) in [
-        ("BENCH_trace.json", trace_json + "\n"),
-        ("BENCH_metrics.prom", metrics_text.clone()),
-        (
-            "BENCH_heat.dot",
-            server
-                .registry()
-                .resolve(ProgramSpec::Builtin(&program))
-                .map(|(_, graph)| {
-                    let heat: Vec<u64> = sync_timings.iter().map(|t| t.compute.sum).collect();
-                    dot::to_dot_with_heat(&graph, &heat)
-                })
-                .unwrap_or_default(),
-        ),
-    ] {
-        write_artifact(path, contents, &mut artifact_failures);
-    }
-    for f in &artifact_failures {
-        eprintln!("loadgen: ARTIFACT FAILURE: {f}");
-    }
-    let overall = if mismatches == 0
-        && chaos_failures.is_empty()
-        && trace_failures.is_empty()
-        && artifact_failures.is_empty()
-    {
-        "OK"
-    } else {
-        "FAILED"
-    };
-    println!("verdict = {overall}");
+    let heat: Vec<u64> = sync_timings.iter().map(|t| t.compute.sum).collect();
+    write_artifact("BENCH_trace.json", trace_json + "\n", &mut failures);
+    write_artifact("BENCH_metrics.prom", metrics_text, &mut failures);
+    let heat_dot = dot::to_dot_with_heat(&graph, &heat);
+    write_artifact("BENCH_heat.dot", heat_dot, &mut failures);
 
-    let report = Json::Map(vec![
+    let report = vec![
+        ("benchmark", Json::Str("server-loadgen".to_string())),
+        ("program", Json::Str(program.clone())),
+        ("sessions", Json::U64(args.sessions as u64)),
+        ("events_per_session", Json::U64(args.events as u64)),
+        ("shards", Json::U64(args.shards as u64)),
+        ("queue_capacity", Json::U64(args.queue as u64)),
+        ("policy", Json::Str(args.policy.label().to_string())),
+        ("seed", Json::U64(args.seed)),
+        ("chaos", Json::Bool(args.chaos)),
+        ("snapshot_interval", Json::U64(args.snapshot_interval)),
+        ("sessions_panicked", Json::U64(affected as u64)),
+        ("elapsed_s", Json::F64(elapsed.as_secs_f64())),
+        ("events_per_sec", Json::F64(events_per_sec)),
+        ("applied_events_per_sec", Json::F64(applied_events_per_sec)),
+        ("latency_p50_us", Json::U64(global.latency.p50_us)),
+        ("latency_p90_us", Json::U64(global.latency.p90_us)),
+        ("latency_p99_us", Json::U64(global.latency.p99_us)),
+        ("latency_max_us", Json::U64(global.latency.max_us)),
+        ("latency_samples", Json::U64(global.latency.count)),
         (
-            "benchmark".to_string(),
-            Json::Str("server-loadgen".to_string()),
-        ),
-        ("program".to_string(), Json::Str(program.clone())),
-        ("sessions".to_string(), Json::U64(args.sessions as u64)),
-        (
-            "events_per_session".to_string(),
-            Json::U64(args.events as u64),
-        ),
-        ("shards".to_string(), Json::U64(args.shards as u64)),
-        ("queue_capacity".to_string(), Json::U64(args.queue as u64)),
-        (
-            "policy".to_string(),
-            Json::Str(args.policy.label().to_string()),
-        ),
-        ("seed".to_string(), Json::U64(args.seed)),
-        ("chaos".to_string(), Json::Bool(args.chaos)),
-        (
-            "snapshot_interval".to_string(),
-            Json::U64(args.snapshot_interval),
-        ),
-        ("sessions_panicked".to_string(), Json::U64(affected as u64)),
-        ("elapsed_s".to_string(), Json::F64(elapsed.as_secs_f64())),
-        ("events_per_sec".to_string(), Json::F64(events_per_sec)),
-        (
-            "latency_p50_us".to_string(),
-            Json::U64(global.latency.p50_us),
-        ),
-        (
-            "latency_p90_us".to_string(),
-            Json::U64(global.latency.p90_us),
-        ),
-        (
-            "latency_p99_us".to_string(),
-            Json::U64(global.latency.p99_us),
-        ),
-        (
-            "latency_max_us".to_string(),
-            Json::U64(global.latency.max_us),
-        ),
-        (
-            "latency_samples".to_string(),
-            Json::U64(global.latency.count),
-        ),
-        (
-            "global".to_string(),
+            "global",
             serde_json::to_value(&global).expect("stats serialize"),
         ),
-        ("isolation".to_string(), Json::Str(isolation.to_string())),
-        (
-            "trace_check".to_string(),
-            Json::Str(trace_verdict.to_string()),
-        ),
-        (
-            "trace_trees".to_string(),
-            Json::U64(sync_trees.len() as u64),
-        ),
-        (
-            "restarts_total_scraped".to_string(),
-            Json::U64(scraped_restarts_total(&metrics_text)),
-        ),
-        (
-            "chaos_verdict".to_string(),
-            Json::Str(
-                if !args.chaos {
-                    "n/a"
-                } else if chaos_failures.is_empty() {
-                    "OK"
-                } else {
-                    "FAILED"
-                }
-                .to_string(),
-            ),
-        ),
-        ("verdict".to_string(), Json::Str(overall.to_string())),
-    ]);
-    let pretty = serde_json::to_string_pretty(&report).expect("report serialize");
-    let mut report_write_failed = false;
-    if let Err(e) = std::fs::write(&args.out, pretty + "\n") {
-        eprintln!("loadgen: ARTIFACT FAILURE: cannot write {}: {e}", args.out);
-        report_write_failed = true;
-    } else {
-        eprintln!("loadgen: wrote {}", args.out);
-    }
+        ("isolation", Json::Str(isolation.to_string())),
+        ("trace_check", Json::Str(trace_verdict.to_string())),
+        ("trace_trees", Json::U64(sync_trees.len() as u64)),
+        ("restarts_total_scraped", Json::U64(restarts_scraped)),
+        ("chaos_verdict", Json::Str(chaos_verdict.to_string())),
+    ];
+    let code = finish(args, "", &failures, report, DEFAULT_OUT);
+    server.shutdown();
+    Ok(code)
+}
 
-    if let Ok(s) = Arc::try_unwrap(server) {
-        s.shutdown();
-    }
-    if overall != "OK" || report_write_failed {
-        exit(1);
+fn main() {
+    let args = parse_args();
+    let outcome = if args.partition {
+        run_partition(&args)
+    } else if args.cluster {
+        run_cluster(&args)
+    } else if args.fleet {
+        run_fleet(&args)
+    } else if args.overload {
+        run_overload(&args)
+    } else {
+        run_default(&args)
+    };
+    // The one exit: every harness has returned, so its peer group and
+    // other owned resources are already torn down.
+    exit(outcome.unwrap_or_else(|e| {
+        eprintln!("loadgen: setup failed: {e}");
+        1
+    }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use elm_synth::run_local;
+
+    #[test]
+    fn replay_follows_the_servers_per_event_schedule_on_async_programs() {
+        let generator = Generator::new(GenConfig {
+            async_density: 0.5,
+            hostile: 0.0,
+            ..GenConfig::default()
+        });
+        let registry = Registry::standard();
+        let mut checked = 0;
+        for seed in 0..200 {
+            let s = generator.scenario(seed, 64);
+            if !s.shape.contains("async") {
+                continue;
+            }
+            let (_, graph) = registry.resolve(ProgramSpec::Source(&s.source)).unwrap();
+            let local = run_local(&s.source, &s.trace, EventLimits::default()).unwrap();
+            let replayed = replay(&graph, &s.trace.events, Some(EventLimits::default()));
+            assert_eq!(
+                replayed,
+                PlainValue::Int(local.final_value),
+                "seed {seed}:\n{}",
+                s.source
+            );
+            checked += 1;
+            if checked == 8 {
+                return;
+            }
+        }
+        panic!("only {checked} async-bearing scenarios in 200 seeds");
     }
 }

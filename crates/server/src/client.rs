@@ -222,12 +222,7 @@ impl Client {
     ///
     /// Fails on transport errors or a malformed reply.
     pub fn metrics_text(&mut self) -> io::Result<String> {
-        let reply = self.request("{\"cmd\":\"metrics\"}")?;
-        reply
-            .get("metrics")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "metrics reply lacks text"))
+        self.text_verb("{\"cmd\":\"metrics\"}", "metrics")
     }
 
     /// Fetches the cluster-federated exposition: the receiving peer fans
@@ -237,12 +232,7 @@ impl Client {
     ///
     /// Fails on transport errors or a malformed reply.
     pub fn metrics_text_cluster(&mut self) -> io::Result<String> {
-        let reply = self.request("{\"cmd\":\"metrics\",\"scope\":\"cluster\"}")?;
-        reply
-            .get("metrics")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "metrics reply lacks text"))
+        self.text_verb("{\"cmd\":\"metrics\",\"scope\":\"cluster\"}", "metrics")
     }
 
     /// Fetches the server's flight-recorder contents as NDJSON via the
@@ -252,12 +242,22 @@ impl Client {
     ///
     /// Fails on transport errors or a malformed reply.
     pub fn blackbox_text(&mut self) -> io::Result<String> {
-        let reply = self.request("{\"cmd\":\"blackbox\"}")?;
+        self.text_verb("{\"cmd\":\"blackbox\"}", "blackbox")
+    }
+
+    /// Sends a verb whose reply carries one text payload in `field`.
+    fn text_verb(&mut self, line: &str, field: &str) -> io::Result<String> {
+        let reply = self.request(line)?;
         reply
-            .get("blackbox")
+            .get(field)
             .and_then(Json::as_str)
             .map(str::to_string)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "blackbox reply lacks text"))
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{field} reply lacks text"),
+                )
+            })
     }
 
     /// Closes a session.
@@ -428,72 +428,7 @@ impl ClusterClient {
     /// with a typed `route_loop` error when [`MAX_REDIRECT_HOPS`]
     /// consecutive `moved` redirects never reach an owner.
     pub fn request_routed(&mut self, line: &str, deadline: Duration) -> io::Result<Json> {
-        let until = std::time::Instant::now() + deadline;
-        let mut attempt = 0u32;
-        let mut hops = 0usize;
-        let mut last: Option<String> = None;
-        loop {
-            match self.try_once(line) {
-                Ok(reply) => {
-                    let err = reply.get("error").and_then(Json::as_str);
-                    if err == Some("moved") {
-                        self.moves += 1;
-                        hops += 1;
-                        if hops >= MAX_REDIRECT_HOPS {
-                            return Err(io::Error::other(format!(
-                                "route_loop: {hops} consecutive moved redirects \
-                                 never reached an owner: {line}"
-                            )));
-                        }
-                        // Queries are idempotent: record any handoff the
-                        // redirect reveals, then follow it regardless.
-                        self.moved_epoch_advanced(&reply);
-                        if let Some(peer) = reply
-                            .get("peer")
-                            .and_then(Json::as_str)
-                            .and_then(|p| p.parse::<SocketAddr>().ok())
-                        {
-                            self.point_at(peer);
-                        } else {
-                            self.rotate();
-                        }
-                    } else if err.is_some_and(|e| e.starts_with("unknown session")) {
-                        // Failover in flight: the new primary has not
-                        // finished (or begun) the takeover replay yet.
-                        hops = 0;
-                        last = Some(format!("{reply:?}"));
-                        self.rotate();
-                    } else if let Some(stale) = self.observe_epoch(&reply) {
-                        // A zombie primary answered from pre-takeover
-                        // state; rotate toward the real owner.
-                        self.stale_epochs += 1;
-                        hops = 0;
-                        last = Some(stale);
-                        self.rotate();
-                    } else {
-                        return Ok(reply);
-                    }
-                }
-                Err(e) => {
-                    hops = 0;
-                    last = Some(e.to_string());
-                    self.rotate();
-                }
-            }
-            if std::time::Instant::now() >= until {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!(
-                        "no peer served the request within the deadline \
-                         (last: {}): {line}",
-                        last.unwrap_or_else(|| "no attempt completed".to_string())
-                    ),
-                ));
-            }
-            let delay = backoff_ms(self.policy, attempt.min(6), 0, &mut self.rng);
-            thread::sleep(Duration::from_millis(delay));
-            attempt += 1;
-        }
+        self.route(line, deadline, false)
     }
 
     /// [`ClusterClient::request_routed`] for non-idempotent verbs like
@@ -510,10 +445,18 @@ impl ClusterClient {
     /// # Errors
     ///
     /// Fails on the first ambiguous transport error, when no peer
-    /// serves the request within the deadline, or with a typed
-    /// `route_loop` error when [`MAX_REDIRECT_HOPS`] consecutive
-    /// `moved` redirects never reach an owner.
+    /// serves the request within the deadline, with a typed
+    /// `epoch_advanced` error when a redirect reveals an ownership
+    /// handoff, or with a typed `route_loop` error when
+    /// [`MAX_REDIRECT_HOPS`] consecutive `moved` redirects never reach
+    /// an owner.
     pub fn request_exact(&mut self, line: &str, deadline: Duration) -> io::Result<Json> {
+        self.route(line, deadline, true)
+    }
+
+    /// The routing loop behind both request flavours; `exact` marks a
+    /// non-idempotent request that must never be resent blindly.
+    fn route(&mut self, line: &str, deadline: Duration, exact: bool) -> io::Result<Json> {
         let until = std::time::Instant::now() + deadline;
         let mut attempt = 0u32;
         let mut hops = 0usize;
@@ -534,19 +477,17 @@ impl ClusterClient {
                             )));
                         }
                         let handoff = self.moved_epoch_advanced(&reply);
-                        // Point at the redirect target either way, so an
-                        // epoch-advance caller's resync query lands at
-                        // the new owner directly.
-                        if let Some(peer) = reply
+                        // Follow the redirect either way, so an exact
+                        // caller's resync query lands at the new owner.
+                        match reply
                             .get("peer")
                             .and_then(Json::as_str)
                             .and_then(|p| p.parse::<SocketAddr>().ok())
                         {
-                            self.point_at(peer);
-                        } else {
-                            self.rotate();
+                            Some(peer) => self.point_at(peer),
+                            None => self.rotate(),
                         }
-                        if let Some((witnessed, epoch)) = handoff {
+                        if let (true, Some((witnessed, epoch))) = (exact, handoff) {
                             // Ownership moved *under* this request stream
                             // (a demoted zombie redirected us to a
                             // higher-epoch adopter). The new owner's
@@ -556,31 +497,38 @@ impl ClusterClient {
                             // apply it out of order. Surface a typed
                             // error; the caller resynchronizes from the
                             // owner's `last_seq` and resumes from there.
+                            // Idempotent requests just follow along.
                             return Err(io::Error::other(format!(
                                 "epoch_advanced: ownership moved from epoch \
                                  {witnessed} to {epoch}; resynchronize \
                                  before resending: {line}"
                             )));
                         }
-                    } else if err.is_some_and(|e| e.starts_with("unknown session")) {
-                        hops = 0;
-                        last = Some(format!("{reply:?}"));
-                        self.rotate();
-                    } else if let Some(stale) = self.observe_epoch(&reply) {
-                        self.stale_epochs += 1;
-                        hops = 0;
-                        last = Some(stale);
-                        self.rotate();
                     } else {
-                        return Ok(reply);
+                        let refused = if err.is_some_and(|e| e.starts_with("unknown session")) {
+                            // Failover in flight: the new primary has not
+                            // finished (or begun) the takeover replay yet.
+                            format!("{reply:?}")
+                        } else if let Some(stale) = self.observe_epoch(&reply) {
+                            // A zombie primary answered from pre-takeover
+                            // state; rotate toward the real owner.
+                            self.stale_epochs += 1;
+                            stale
+                        } else {
+                            return Ok(reply);
+                        };
+                        hops = 0;
+                        last = Some(refused);
+                        self.rotate();
                     }
                 }
                 Err(e) => {
-                    // A failed *connect* (no bytes sent) is safe to retry;
-                    // anything past that point is ambiguous.
+                    // A failed *connect* (no bytes sent) is always safe
+                    // to retry; past that point an exact request is
+                    // ambiguous.
                     let connect_failed = fresh && self.reconnects == before;
                     self.rotate();
-                    if !connect_failed {
+                    if exact && !connect_failed {
                         return Err(e);
                     }
                     hops = 0;
@@ -624,6 +572,7 @@ mod tests {
     use crate::net::{serve_with, NetConfig};
     use crate::server::{Server, ServerConfig};
     use std::net::TcpListener;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -697,31 +646,9 @@ mod tests {
             .session;
 
         // A fake stale peer that answers every line with a typed redirect.
-        let stale = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stale_addr = stale.local_addr().unwrap();
-        thread::spawn(move || {
-            for stream in stale.incoming() {
-                let Ok(stream) = stream else { break };
-                let home = home;
-                thread::spawn(move || {
-                    let mut reader = BufReader::new(stream.try_clone().unwrap());
-                    let mut writer = stream;
-                    let mut line = String::new();
-                    while let Ok(n) = reader.read_line(&mut line) {
-                        if n == 0 {
-                            break;
-                        }
-                        let reply = format!(
-                            "{{\"ok\":false,\"error\":\"moved\",\"session\":0,\"peer\":\"{home}\"}}\n"
-                        );
-                        if writer.write_all(reply.as_bytes()).is_err() {
-                            break;
-                        }
-                        line.clear();
-                    }
-                });
-            }
-        });
+        let stale_addr = spawn_static_peer(format!(
+            "{{\"ok\":false,\"error\":\"moved\",\"session\":0,\"peer\":\"{home}\"}}\n"
+        ));
 
         // The client starts on the stale peer and must end up at home.
         let mut client = ClusterClient::new(vec![stale_addr, home], 11);
@@ -736,25 +663,24 @@ mod tests {
         assert_eq!(client.current_peer(), home);
     }
 
-    /// Spawns a fake peer that answers every request line with `reply`
-    /// (a closure over the connection count is overkill here — the reply
-    /// is static per peer).
-    fn spawn_static_peer(reply: String) -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
+    /// Serves `listener` as a fake peer that answers every request line
+    /// with the static `reply` — or, when `reply` is empty, hangs up right
+    /// after reading a line. Returns a count of the lines it has read.
+    fn serve_static(listener: TcpListener, reply: String) -> Arc<AtomicUsize> {
+        let lines = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&lines);
         thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { break };
-                let reply = reply.clone();
+                let (reply, seen) = (reply.clone(), Arc::clone(&seen));
                 thread::spawn(move || {
                     let mut reader = BufReader::new(stream.try_clone().unwrap());
                     let mut writer = stream;
                     let mut line = String::new();
                     while let Ok(n) = reader.read_line(&mut line) {
-                        if n == 0 {
-                            break;
-                        }
-                        if writer.write_all(reply.as_bytes()).is_err() {
+                        seen.fetch_add(usize::from(n > 0), Ordering::SeqCst);
+                        if n == 0 || reply.is_empty() || writer.write_all(reply.as_bytes()).is_err()
+                        {
                             break;
                         }
                         line.clear();
@@ -762,6 +688,13 @@ mod tests {
                 });
             }
         });
+        lines
+    }
+
+    fn spawn_static_peer(reply: String) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        serve_static(listener, reply);
         addr
     }
 
@@ -774,39 +707,112 @@ mod tests {
         let lb = TcpListener::bind("127.0.0.1:0").unwrap();
         let (aa, ab) = (la.local_addr().unwrap(), lb.local_addr().unwrap());
         for (listener, peer) in [(la, ab), (lb, aa)] {
-            thread::spawn(move || {
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { break };
-                    thread::spawn(move || {
-                        let mut reader = BufReader::new(stream.try_clone().unwrap());
-                        let mut writer = stream;
-                        let mut line = String::new();
-                        while let Ok(n) = reader.read_line(&mut line) {
-                            if n == 0 {
-                                break;
-                            }
-                            let reply = format!(
-                                "{{\"ok\":false,\"error\":\"moved\",\"session\":1,\"peer\":\"{peer}\"}}\n"
-                            );
-                            if writer.write_all(reply.as_bytes()).is_err() {
-                                break;
-                            }
-                            line.clear();
-                        }
-                    });
-                }
-            });
+            serve_static(
+                listener,
+                format!("{{\"ok\":false,\"error\":\"moved\",\"session\":1,\"peer\":\"{peer}\"}}\n"),
+            );
         }
 
-        let mut client = ClusterClient::new(vec![aa, ab], 13);
-        let err = client
-            .request_routed("{\"cmd\":\"query\",\"session\":1}", Duration::from_secs(30))
+        for exact in [false, true] {
+            let mut client = ClusterClient::new(vec![aa, ab], 13);
+            let line = "{\"cmd\":\"query\",\"session\":1}";
+            let deadline = Duration::from_secs(30);
+            let err = if exact {
+                client.request_exact(line, deadline)
+            } else {
+                client.request_routed(line, deadline)
+            }
             .expect_err("an endless redirect chain must fail, not hang");
-        assert!(
-            err.to_string().contains("route_loop"),
-            "expected a typed route_loop error, got: {err}"
-        );
-        assert!(client.moves() >= MAX_REDIRECT_HOPS as u64);
+            assert!(
+                err.to_string().contains("route_loop"),
+                "expected a typed route_loop error (exact={exact}), got: {err}"
+            );
+            assert_eq!(client.moves(), MAX_REDIRECT_HOPS as u64);
+        }
+    }
+
+    #[test]
+    fn exact_requests_surface_an_epoch_advancing_redirect() {
+        let event =
+            "{\"cmd\":\"event\",\"session\":5,\"input\":\"Mouse.clicks\",\"value\":\"Unit\"}";
+        let owner = spawn_static_peer("{\"ok\":true,\"session\":5,\"epoch\":1}\n".to_string());
+        let adopter = spawn_static_peer("{\"ok\":true,\"session\":5,\"epoch\":2}\n".to_string());
+        // A demoted zombie that redirects at the epoch-2 adopter.
+        let zombie = spawn_static_peer(format!(
+            "{{\"ok\":false,\"error\":\"moved\",\"session\":5,\"epoch\":2,\"peer\":\"{adopter}\"}}\n"
+        ));
+
+        let mut client = ClusterClient::new(vec![owner, zombie], 19);
+        client
+            .request_exact(event, Duration::from_secs(10))
+            .unwrap();
+        client.point_at(zombie);
+        let err = client
+            .request_exact(event, Duration::from_secs(10))
+            .expect_err("a handoff under an exact request must not be resent");
+        assert!(err.to_string().contains("epoch_advanced"), "{err}");
+        // The redirect was still followed, so the resync lands at the
+        // new owner directly.
+        assert_eq!(client.current_peer(), adopter);
+
+        // An idempotent request in the same spot just follows along.
+        let mut client = ClusterClient::new(vec![owner, zombie], 19);
+        client
+            .request_routed(event, Duration::from_secs(10))
+            .unwrap();
+        client.point_at(zombie);
+        let reply = client
+            .request_routed(event, Duration::from_secs(10))
+            .unwrap();
+        assert_eq!(reply.get("epoch").and_then(as_u64), Some(2));
+    }
+
+    #[test]
+    fn exact_requests_never_resend_after_an_ambiguous_transport_error() {
+        // A peer that reads the request and hangs up without replying:
+        // whether it applied the event is unknowable.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let lines = serve_static(listener, String::new());
+        let line =
+            "{\"cmd\":\"event\",\"session\":5,\"input\":\"Mouse.clicks\",\"value\":\"Unit\"}";
+
+        let mut client = ClusterClient::new(vec![addr], 23);
+        let err = client
+            .request_exact(line, Duration::from_secs(10))
+            .expect_err("the hang-up must surface");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert_eq!(lines.load(Ordering::SeqCst), 1, "the request was resent");
+
+        // The idempotent flavour resends until its deadline instead.
+        let mut client = ClusterClient::new(vec![addr], 23);
+        let err = client
+            .request_routed(line, Duration::from_millis(200))
+            .expect_err("no reply ever comes");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(lines.load(Ordering::SeqCst) > 2);
+    }
+
+    #[test]
+    fn exact_requests_retry_a_refused_connect_on_the_next_peer() {
+        // Reserve a port and release it: connecting there is refused, so
+        // the request provably never left the client.
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let live = spawn_static_peer("{\"ok\":true,\"session\":5,\"epoch\":1}\n".to_string());
+
+        let mut client = ClusterClient::new(vec![dead, live], 29);
+        let reply = client
+            .request_exact(
+                "{\"cmd\":\"event\",\"session\":5,\"input\":\"Mouse.clicks\",\"value\":\"Unit\"}",
+                Duration::from_secs(10),
+            )
+            .unwrap();
+        expect_ok(&reply).unwrap();
+        assert_eq!(client.current_peer(), live);
+        assert_eq!(client.reconnects(), 1);
     }
 
     #[test]
