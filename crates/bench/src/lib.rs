@@ -125,7 +125,7 @@ pub fn wide_graph(width: usize, node_cost: Duration, model: CostModel) -> (Signa
         .collect();
     let join = g.lift_n(
         "join",
-        |vs| Value::Int(vs.iter().filter_map(Value::as_int).sum()),
+        |vs| Value::Int(vs.iter().filter_map(|v| v.as_int()).sum()),
         branches,
     );
     (g.finish(join).expect("valid graph"), input)

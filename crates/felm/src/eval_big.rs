@@ -4,8 +4,11 @@
 //! verbatim — ideal as a specification, quadratic in practice (substitution
 //! copies terms). Signal-graph nodes apply their embedded FElm functions on
 //! *every event*, so stage two wants a fast interpreter: this module
-//! evaluates the simple-typed fragment with closures and persistent
-//! environments in one pass.
+//! [`compile`]s a simple-typed term once into [`Code`] and evaluates that
+//! with closures and persistent environments ([`eval_code`]). A closure
+//! shares its lambda's compiled body, so applying a function copies no
+//! syntax; graph nodes compile their function when the graph is built and
+//! only evaluate per event.
 //!
 //! Scope: values of simple types only (unit, numbers, strings, pairs,
 //! functions). Signal forms are out of scope by construction — stage one
@@ -49,9 +52,9 @@ pub enum RtValue {
     /// A function closure.
     Closure {
         /// Parameter name.
-        param: String,
-        /// Body (shared).
-        body: Arc<Expr>,
+        param: Arc<str>,
+        /// Compiled body (shared with the lambda it was built from).
+        body: Arc<Code>,
         /// Captured environment.
         env: Env,
     },
@@ -110,7 +113,7 @@ impl PartialEq for RtValue {
 pub struct Env(Option<Arc<Binding>>);
 
 struct Binding {
-    name: String,
+    name: Arc<str>,
     value: RtValue,
     next: Env,
 }
@@ -122,7 +125,7 @@ impl Env {
     }
 
     /// Extends with one binding (O(1), shares the tail).
-    pub fn bind(&self, name: impl Into<String>, value: RtValue) -> Env {
+    pub fn bind(&self, name: impl Into<Arc<str>>, value: RtValue) -> Env {
         Env(Some(Arc::new(Binding {
             name: name.into(),
             value,
@@ -134,7 +137,7 @@ impl Env {
     pub fn lookup(&self, name: &str) -> Option<&RtValue> {
         let mut cur = self;
         while let Some(b) = &cur.0 {
-            if b.name == name {
+            if &*b.name == name {
                 return Some(&b.value);
             }
             cur = &b.next;
@@ -148,7 +151,7 @@ impl fmt::Debug for Env {
         let mut names = Vec::new();
         let mut cur = self;
         while let Some(b) = &cur.0 {
-            names.push(b.name.as_str());
+            names.push(&*b.name);
             cur = &b.next;
         }
         write!(f, "Env{names:?}")
@@ -161,7 +164,179 @@ fn stuck<T>(reason: impl Into<String>) -> Result<T, EvalError> {
     })
 }
 
-/// Evaluates a simple-typed expression under `env`.
+/// The compiled form of a simple-typed [`Expr`]: what [`eval_code`] runs.
+///
+/// Compilation is one syntax walk: names become shared `Arc<str>`s,
+/// string literals are materialised once, and lambda bodies become shared
+/// `Arc<Code>`s, so building a closure copies no syntax. Forms with no
+/// value semantics here (signal forms, unresolved constructors) compile to
+/// [`Code::Stuck`], which fails only if evaluation reaches it.
+#[derive(Debug)]
+pub enum Code {
+    /// `()`
+    Unit,
+    /// An integer literal.
+    Int(i64),
+    /// A float literal.
+    Float(f64),
+    /// A string literal.
+    Str(Arc<str>),
+    /// A variable reference.
+    Var(Arc<str>),
+    /// A lambda.
+    Lam {
+        /// Parameter name.
+        param: Arc<str>,
+        /// Body, shared by every closure built from this lambda.
+        body: Arc<Code>,
+    },
+    /// Application.
+    App(Box<Code>, Box<Code>),
+    /// A binary operator.
+    BinOp(BinOp, Box<Code>, Box<Code>),
+    /// `if c then t else f`.
+    If(Box<Code>, Box<Code>, Box<Code>),
+    /// `let name = value in body`.
+    Let {
+        /// Bound name.
+        name: Arc<str>,
+        /// Bound expression.
+        value: Box<Code>,
+        /// Body.
+        body: Box<Code>,
+    },
+    /// A pair.
+    Pair(Box<Code>, Box<Code>),
+    /// `fst`.
+    Fst(Box<Code>),
+    /// `snd`.
+    Snd(Box<Code>),
+    /// A list literal.
+    List(Vec<Code>),
+    /// A unary list primitive.
+    ListOp(ListOp, Box<Code>),
+    /// `ith index list`.
+    Ith(Box<Code>, Box<Code>),
+    /// A record literal.
+    Record(Vec<(String, Code)>),
+    /// Field access.
+    Field(Box<Code>, String),
+    /// A saturated constructor application.
+    CtorApp(Arc<str>, Vec<Code>),
+    /// `case`, branches tried in order.
+    Case {
+        /// The matched expression.
+        scrutinee: Box<Code>,
+        /// The branches.
+        branches: Vec<(CodePattern, Code)>,
+    },
+    /// A form evaluation cannot reduce; evaluating it fails with this
+    /// message.
+    Stuck(String),
+}
+
+/// A compiled `case` pattern.
+#[derive(Debug)]
+pub enum CodePattern {
+    /// A constructor; `None` binders are `_`.
+    Ctor {
+        /// Constructor name.
+        name: Arc<str>,
+        /// One binder per argument.
+        binders: Vec<Option<Arc<str>>>,
+    },
+    /// A catch-all variable.
+    Var(Arc<str>),
+    /// `_`.
+    Wildcard,
+}
+
+/// Compiles a simple-typed expression for [`eval_code`]. Never fails:
+/// forms that cannot evaluate become [`Code::Stuck`].
+///
+/// ```
+/// use felm::budget::Meter;
+/// use felm::eval_big::{compile, eval_code, Env, RtValue};
+/// use felm::parser::parse_expr;
+///
+/// let code = compile(&parse_expr("(\\x y -> x * y + 1) 6 7").unwrap());
+/// let v = eval_code(&Env::empty(), &code, &mut Meter::unlimited()).unwrap();
+/// assert_eq!(v, RtValue::Int(43));
+/// ```
+pub fn compile(e: &Expr) -> Code {
+    let boxed = |e: &Expr| Box::new(compile(e));
+    match &e.kind {
+        ExprKind::Unit => Code::Unit,
+        ExprKind::Int(n) => Code::Int(*n),
+        ExprKind::Float(x) => Code::Float(*x),
+        ExprKind::Str(s) => Code::Str(Arc::from(s.as_str())),
+        ExprKind::Var(x) => Code::Var(Arc::from(x.as_str())),
+        ExprKind::Lam { param, body, .. } => Code::Lam {
+            param: Arc::from(param.as_str()),
+            body: Arc::new(compile(body)),
+        },
+        ExprKind::App(f, a) => Code::App(boxed(f), boxed(a)),
+        ExprKind::BinOp(op, a, b) => Code::BinOp(*op, boxed(a), boxed(b)),
+        ExprKind::If(c, t, f) => Code::If(boxed(c), boxed(t), boxed(f)),
+        ExprKind::Let { name, value, body } => Code::Let {
+            name: Arc::from(name.as_str()),
+            value: boxed(value),
+            body: boxed(body),
+        },
+        ExprKind::Pair(a, b) => Code::Pair(boxed(a), boxed(b)),
+        ExprKind::Fst(p) => Code::Fst(boxed(p)),
+        ExprKind::Snd(p) => Code::Snd(boxed(p)),
+        ExprKind::List(items) => Code::List(items.iter().map(compile).collect()),
+        ExprKind::ListOp(op, l) => Code::ListOp(*op, boxed(l)),
+        ExprKind::Ith(index, l) => Code::Ith(boxed(index), boxed(l)),
+        ExprKind::Record(fields) => Code::Record(
+            fields
+                .iter()
+                .map(|(name, value)| (name.clone(), compile(value)))
+                .collect(),
+        ),
+        ExprKind::Field(rec, name) => Code::Field(boxed(rec), name.clone()),
+        ExprKind::Ctor(name) => Code::Stuck(format!(
+            "unresolved constructor `{name}` (run Adts::resolve first)"
+        )),
+        ExprKind::CtorApp(name, args) => {
+            Code::CtorApp(Arc::from(name.as_str()), args.iter().map(compile).collect())
+        }
+        ExprKind::Case {
+            scrutinee,
+            branches,
+        } => Code::Case {
+            scrutinee: boxed(scrutinee),
+            branches: branches
+                .iter()
+                .map(|b| {
+                    let pattern = match &b.pattern {
+                        Pattern::Ctor { name, binders } => CodePattern::Ctor {
+                            name: Arc::from(name.as_str()),
+                            binders: binders
+                                .iter()
+                                .map(|x| (x != "_").then(|| Arc::from(x.as_str())))
+                                .collect(),
+                        },
+                        Pattern::Var(x) => CodePattern::Var(Arc::from(x.as_str())),
+                        Pattern::Wildcard => CodePattern::Wildcard,
+                    };
+                    (pattern, compile(&b.body))
+                })
+                .collect(),
+        },
+        ExprKind::Input(i) => Code::Stuck(format!("signal form in big-step evaluation: input {i}")),
+        ExprKind::Lift { .. }
+        | ExprKind::Foldp { .. }
+        | ExprKind::Async(_)
+        | ExprKind::SignalPrim { .. } => {
+            Code::Stuck("signal form in big-step evaluation".to_string())
+        }
+    }
+}
+
+/// Evaluates a simple-typed expression under `env`: [`compile`], then
+/// [`eval_code`] with an unlimited meter.
 ///
 /// # Errors
 ///
@@ -178,96 +353,105 @@ pub fn eval(env: &Env, e: &Expr) -> Result<RtValue, EvalError> {
     eval_metered(env, e, &mut Meter::unlimited())
 }
 
-/// [`eval`] under a [`Meter`]: every node visit charges one fuel tick,
-/// every value construction charges allocation (strings/lists/records by
-/// length), and evaluation nesting counts against the depth budget, so an
-/// adversarial term traps with a typed [`crate::budget::Trap`] instead of
-/// spinning or exhausting memory. With an unlimited meter this is the
-/// exact same computation as [`eval`] (which is this function with
-/// [`Meter::unlimited`]).
+/// [`eval`] under a [`Meter`]: [`compile`], then [`eval_code`].
 ///
 /// # Errors
 ///
 /// [`EvalError::Stuck`] on ill-typed terms, [`EvalError::Trap`] on budget
 /// exhaustion.
 pub fn eval_metered(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalError> {
+    eval_code(env, &compile(e), meter)
+}
+
+/// Evaluates compiled code under `env` and `meter`: every node visit
+/// charges one fuel tick, every value construction charges allocation
+/// (strings/lists/records by length), and evaluation nesting counts
+/// against the depth budget, so an adversarial term traps with a typed
+/// [`crate::budget::Trap`] instead of spinning or exhausting memory. With
+/// [`Meter::unlimited`] the meter never traps.
+///
+/// # Errors
+///
+/// [`EvalError::Stuck`] on ill-typed terms, [`EvalError::Trap`] on budget
+/// exhaustion.
+pub fn eval_code(env: &Env, code: &Code, meter: &mut Meter) -> Result<RtValue, EvalError> {
     meter.tick()?;
     meter.enter()?;
-    let r = eval_node(env, e, meter);
+    let r = eval_form(env, code, meter);
     meter.leave();
     r
 }
 
-fn eval_node(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalError> {
-    match &e.kind {
-        ExprKind::Unit => Ok(RtValue::Unit),
-        ExprKind::Int(n) => Ok(RtValue::Int(*n)),
-        ExprKind::Float(x) => Ok(RtValue::Float(*x)),
-        ExprKind::Str(s) => {
+fn eval_form(env: &Env, code: &Code, meter: &mut Meter) -> Result<RtValue, EvalError> {
+    match code {
+        Code::Unit => Ok(RtValue::Unit),
+        Code::Int(n) => Ok(RtValue::Int(*n)),
+        Code::Float(x) => Ok(RtValue::Float(*x)),
+        Code::Str(s) => {
             meter.alloc(1 + s.len() as u64)?;
-            Ok(RtValue::Str(Arc::from(s.as_str())))
+            Ok(RtValue::Str(s.clone()))
         }
-        ExprKind::Var(x) => match env.lookup(x) {
+        Code::Var(x) => match env.lookup(x) {
             Some(v) => Ok(v.clone()),
             None => stuck(format!("unbound variable {x}")),
         },
-        ExprKind::Lam { param, body, .. } => {
+        Code::Lam { param, body } => {
             meter.alloc(1)?;
             Ok(RtValue::Closure {
                 param: param.clone(),
-                body: Arc::new((**body).clone()),
+                body: body.clone(),
                 env: env.clone(),
             })
         }
-        ExprKind::App(f, a) => {
-            let fv = eval_metered(env, f, meter)?;
-            let av = eval_metered(env, a, meter)?;
+        Code::App(f, a) => {
+            let fv = eval_code(env, f, meter)?;
+            let av = eval_code(env, a, meter)?;
             apply_metered(fv, av, meter)
         }
-        ExprKind::BinOp(op, a, b) => {
-            let av = eval_metered(env, a, meter)?;
-            let bv = eval_metered(env, b, meter)?;
+        Code::BinOp(op, a, b) => {
+            let av = eval_code(env, a, meter)?;
+            let bv = eval_code(env, b, meter)?;
             delta(*op, &av, &bv, meter)
         }
-        ExprKind::If(c, t, f) => match eval_metered(env, c, meter)? {
+        Code::If(c, t, f) => match eval_code(env, c, meter)? {
             RtValue::Int(n) => {
                 if n != 0 {
-                    eval_metered(env, t, meter)
+                    eval_code(env, t, meter)
                 } else {
-                    eval_metered(env, f, meter)
+                    eval_code(env, f, meter)
                 }
             }
             other => stuck(format!("if-condition is not an integer: {other:?}")),
         },
-        ExprKind::Let { name, value, body } => {
-            let v = eval_metered(env, value, meter)?;
+        Code::Let { name, value, body } => {
+            let v = eval_code(env, value, meter)?;
             meter.alloc(1)?;
-            eval_metered(&env.bind(name.clone(), v), body, meter)
+            eval_code(&env.bind(name.clone(), v), body, meter)
         }
-        ExprKind::Pair(a, b) => {
+        Code::Pair(a, b) => {
             meter.alloc(1)?;
             Ok(RtValue::Pair(Arc::new((
-                eval_metered(env, a, meter)?,
-                eval_metered(env, b, meter)?,
+                eval_code(env, a, meter)?,
+                eval_code(env, b, meter)?,
             ))))
         }
-        ExprKind::Fst(p) => match eval_metered(env, p, meter)? {
+        Code::Fst(p) => match eval_code(env, p, meter)? {
             RtValue::Pair(pr) => Ok(pr.0.clone()),
             other => stuck(format!("fst of a non-pair: {other:?}")),
         },
-        ExprKind::Snd(p) => match eval_metered(env, p, meter)? {
+        Code::Snd(p) => match eval_code(env, p, meter)? {
             RtValue::Pair(pr) => Ok(pr.1.clone()),
             other => stuck(format!("snd of a non-pair: {other:?}")),
         },
-        ExprKind::List(items) => {
+        Code::List(items) => {
             meter.alloc(1 + items.len() as u64)?;
             let vals = items
                 .iter()
-                .map(|i| eval_metered(env, i, meter))
+                .map(|i| eval_code(env, i, meter))
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(RtValue::List(Arc::new(vals)))
         }
-        ExprKind::ListOp(op, l) => match eval_metered(env, l, meter)? {
+        Code::ListOp(op, l) => match eval_code(env, l, meter)? {
             RtValue::List(items) => match op {
                 ListOp::Head => match items.first() {
                     Some(h) => Ok(h.clone()),
@@ -286,12 +470,12 @@ fn eval_node(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalErro
             },
             other => stuck(format!("{} of a non-list: {other:?}", op.keyword())),
         },
-        ExprKind::Ith(index, l) => {
-            let i = match eval_metered(env, index, meter)? {
+        Code::Ith(index, l) => {
+            let i = match eval_code(env, index, meter)? {
                 RtValue::Int(n) => n,
                 other => return stuck(format!("ith index is not an int: {other:?}")),
             };
-            match eval_metered(env, l, meter)? {
+            match eval_code(env, l, meter)? {
                 RtValue::List(items) => {
                     if i < 0 || i as usize >= items.len() {
                         stuck(format!(
@@ -305,80 +489,64 @@ fn eval_node(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalErro
                 other => stuck(format!("ith of a non-list: {other:?}")),
             }
         }
-        ExprKind::Record(fields) => {
+        Code::Record(fields) => {
             meter.alloc(1 + fields.len() as u64)?;
             let mut out = std::collections::BTreeMap::new();
             for (name, value) in fields {
-                out.insert(name.clone(), eval_metered(env, value, meter)?);
+                out.insert(name.clone(), eval_code(env, value, meter)?);
             }
             Ok(RtValue::Record(Arc::new(out)))
         }
-        ExprKind::Field(rec, name) => match eval_metered(env, rec, meter)? {
+        Code::Field(rec, name) => match eval_code(env, rec, meter)? {
             RtValue::Record(fields) => match fields.get(name) {
                 Some(v) => Ok(v.clone()),
                 None => stuck(format!("record has no field `{name}`")),
             },
             other => stuck(format!("field access on a non-record: {other:?}")),
         },
-        ExprKind::Ctor(name) => stuck(format!(
-            "unresolved constructor `{name}` (run Adts::resolve first)"
-        )),
-        ExprKind::CtorApp(name, args) => {
+        Code::CtorApp(name, args) => {
             meter.alloc(1 + args.len() as u64)?;
             let vals = args
                 .iter()
-                .map(|a| eval_metered(env, a, meter))
+                .map(|a| eval_code(env, a, meter))
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(RtValue::Tagged {
-                tag: Arc::from(name.as_str()),
+                tag: name.clone(),
                 args: Arc::new(vals),
             })
         }
-        ExprKind::Case {
+        Code::Case {
             scrutinee,
             branches,
         } => {
-            let value = eval_metered(env, scrutinee, meter)?;
-            for b in branches {
-                match (&b.pattern, &value) {
-                    (Pattern::Ctor { name, binders }, RtValue::Tagged { tag, args })
-                        if name.as_str() == &**tag =>
+            let value = eval_code(env, scrutinee, meter)?;
+            for (pattern, body) in branches {
+                match (pattern, &value) {
+                    (CodePattern::Ctor { name, binders }, RtValue::Tagged { tag, args })
+                        if name == tag =>
                     {
                         let mut env2 = env.clone();
                         for (binder, arg) in binders.iter().zip(args.iter()) {
-                            if binder != "_" {
+                            if let Some(binder) = binder {
                                 env2 = env2.bind(binder.clone(), arg.clone());
                             }
                         }
-                        return eval_metered(&env2, &b.body, meter);
+                        return eval_code(&env2, body, meter);
                     }
-                    (Pattern::Ctor { .. }, _) => continue,
-                    (Pattern::Var(x), _) => {
-                        return eval_metered(&env.bind(x.clone(), value.clone()), &b.body, meter)
+                    (CodePattern::Ctor { .. }, _) => continue,
+                    (CodePattern::Var(x), _) => {
+                        return eval_code(&env.bind(x.clone(), value.clone()), body, meter)
                     }
-                    (Pattern::Wildcard, _) => return eval_metered(env, &b.body, meter),
+                    (CodePattern::Wildcard, _) => return eval_code(env, body, meter),
                 }
             }
             stuck(format!("no case branch matched {value:?}"))
         }
-        ExprKind::Input(i) => stuck(format!("signal form in big-step evaluation: input {i}")),
-        ExprKind::Lift { .. }
-        | ExprKind::Foldp { .. }
-        | ExprKind::Async(_)
-        | ExprKind::SignalPrim { .. } => stuck("signal form in big-step evaluation"),
+        Code::Stuck(reason) => stuck(reason.as_str()),
     }
 }
 
-/// Applies a closure to an argument.
-///
-/// # Errors
-///
-/// [`EvalError::Stuck`] if `f` is not a closure.
-pub fn apply(f: RtValue, arg: RtValue) -> Result<RtValue, EvalError> {
-    apply_metered(f, arg, &mut Meter::unlimited())
-}
-
-/// [`apply`] under a [`Meter`] (see [`eval_metered`]).
+/// Applies a closure to an argument under a [`Meter`] (see [`eval_code`]).
 ///
 /// # Errors
 ///
@@ -386,7 +554,7 @@ pub fn apply(f: RtValue, arg: RtValue) -> Result<RtValue, EvalError> {
 /// budget exhaustion.
 pub fn apply_metered(f: RtValue, arg: RtValue, meter: &mut Meter) -> Result<RtValue, EvalError> {
     match f {
-        RtValue::Closure { param, body, env } => eval_metered(&env.bind(param, arg), &body, meter),
+        RtValue::Closure { param, body, env } => eval_code(&env.bind(param, arg), &body, meter),
         other => stuck(format!("application of a non-function: {other:?}")),
     }
 }

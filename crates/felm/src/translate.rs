@@ -8,10 +8,11 @@
 //! [`elm_runtime::SignalGraph`]; the runtime's schedulers then provide the
 //! threads/channels/dispatcher of Figs. 9–11.
 //!
-//! Functions embedded in `lift`/`foldp` nodes are FElm values; at event
-//! time the node applies them with the stage-one evaluator (β-reduction by
-//! [`crate::eval::normalize`]) — the moral equivalent of the paper's
-//! `⟦f⟧V` application inside each node's CML loop.
+//! Functions embedded in `lift`/`foldp`/`keepIf` nodes are FElm values;
+//! each node compiles its function once, when the graph is built
+//! ([`crate::eval_big::compile`]), and applies the compiled code at event
+//! time ([`apply_compiled`]) — the moral equivalent of the paper's `⟦f⟧V`
+//! application inside each node's CML loop.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -21,6 +22,7 @@ use elm_runtime::{GraphBuilder, NodeId, SignalGraph, Value};
 use crate::ast::{Expr, ExprKind};
 use crate::env::InputEnv;
 use crate::eval::{normalize, DEFAULT_FUEL};
+use crate::eval_big::{compile, Code};
 use crate::intermediate::{FinalTerm, SignalTerm};
 
 /// Errors raised while building the graph.
@@ -113,7 +115,20 @@ pub fn expr_to_value(e: &Expr) -> Option<Value> {
     })
 }
 
-/// Applies an FElm function value to runtime values.
+/// Applies an FElm function value to runtime values: [`compile`], then
+/// [`apply_compiled`]. Graph nodes compile their function once when the
+/// graph is built and call [`apply_compiled`] per event; this wrapper
+/// serves one-off applications (tests, the `interpreter` bench).
+///
+/// # Panics
+///
+/// Same conditions as [`apply_compiled`].
+pub fn apply_function(func: &Expr, args: &[Value]) -> Value {
+    let args: Vec<&Value> = args.iter().collect();
+    apply_compiled(&compile(func), &args)
+}
+
+/// Applies compiled FElm function code to runtime values.
 ///
 /// Uses the environment-based big-step interpreter
 /// ([`crate::eval_big`]) — this runs on every event at every node, so it
@@ -126,53 +141,45 @@ pub fn expr_to_value(e: &Expr) -> Option<Value> {
 /// against the event's remaining fuel/allocation pools and deadline; a
 /// budget trap is recorded on the governor (the scheduler rolls the
 /// event back) and a `Unit` sentinel is returned instead of panicking.
-/// Ungoverned applications evaluate unmetered, exactly as before.
+/// Ungoverned applications run under an unlimited meter and report
+/// nothing.
 ///
 /// # Panics
 ///
 /// Panics if application gets stuck or produces a non-data value — both
 /// impossible for nodes built from well-typed programs; a panic here
 /// indicates translation of an unchecked term.
-pub fn apply_function(func: &Expr, args: &[Value]) -> Value {
+pub fn apply_compiled(code: &Code, args: &[&Value]) -> Value {
     use crate::budget::{Budget, Meter, Trap};
     use crate::eval::EvalError;
+    use crate::eval_big::{apply_metered, eval_code, from_runtime_value, to_runtime_value, Env};
     use elm_runtime::governor;
 
-    let Some(view) = governor::active() else {
-        // Ungoverned fast path: no accounting at all.
-        let mut cur = crate::eval_big::eval(&crate::eval_big::Env::empty(), func)
-            .unwrap_or_else(|err| panic!("embedded FElm function got stuck: {err}"));
-        for a in args {
-            let arg = crate::eval_big::from_runtime_value(a)
-                .unwrap_or_else(|| panic!("runtime value {a:?} is outside FElm's data universe"));
-            cur = crate::eval_big::apply(cur, arg)
-                .unwrap_or_else(|err| panic!("embedded FElm function got stuck: {err}"));
-        }
-        return crate::eval_big::to_runtime_value(&cur)
-            .unwrap_or_else(|| panic!("embedded FElm function returned a non-data value"));
+    // Governed applications evaluate against the event's *remaining*
+    // pools so a budget bounds the total work of the event, not of each
+    // node.
+    let view = governor::active();
+    let mut meter = match view {
+        Some(view) => Meter::new(Budget {
+            fuel: view.fuel_left,
+            max_alloc_cells: view.alloc_left,
+            max_depth: view.max_depth,
+        })
+        .with_deadline(view.deadline),
+        None => Meter::unlimited(),
     };
-
-    // Governed path: evaluate against the event's *remaining* pools so a
-    // budget bounds the total work of the event, not of each node.
-    let mut meter = Meter::new(Budget {
-        fuel: view.fuel_left,
-        max_alloc_cells: view.alloc_left,
-        max_depth: view.max_depth,
-    })
-    .with_deadline(view.deadline);
-    let result = (|| {
-        let mut cur =
-            crate::eval_big::eval_metered(&crate::eval_big::Env::empty(), func, &mut meter)?;
-        for a in args {
-            let arg = crate::eval_big::from_runtime_value(a)
-                .unwrap_or_else(|| panic!("runtime value {a:?} is outside FElm's data universe"));
-            cur = crate::eval_big::apply_metered(cur, arg, &mut meter)?;
-        }
-        Ok(cur)
-    })();
-    governor::consume(meter.fuel_used(), meter.alloc_cells());
+    let mut result = eval_code(&Env::empty(), code, &mut meter);
+    for a in args {
+        let Ok(cur) = result else { break };
+        let arg = from_runtime_value(a)
+            .unwrap_or_else(|| panic!("runtime value {a:?} is outside FElm's data universe"));
+        result = apply_metered(cur, arg, &mut meter);
+    }
+    if view.is_some() {
+        governor::consume(meter.fuel_used(), meter.alloc_cells());
+    }
     match result {
-        Ok(cur) => crate::eval_big::to_runtime_value(&cur)
+        Ok(cur) => to_runtime_value(&cur)
             .unwrap_or_else(|| panic!("embedded FElm function returned a non-data value")),
         Err(EvalError::Trap(t)) => {
             governor::record_trap(match t {
@@ -284,20 +291,20 @@ impl Translator<'_> {
                     .iter()
                     .map(|a| self.walk(a))
                     .collect::<Result<Vec<_>, _>>()?;
-                let f = func.clone();
+                let code = compile(func);
                 let label = format!("lift{}", parents.len());
                 Ok(self
                     .builder
-                    .lift_n(label, move |vs| apply_function(&f, vs), parents))
+                    .lift_n(label, move |vs| apply_compiled(&code, vs), parents))
             }
             SignalTerm::Foldp { func, init, signal } => {
                 let parent = self.walk(signal)?;
-                let f = func.clone();
+                let code = compile(func);
                 let init_value = expr_to_value(init)
                     .unwrap_or_else(|| panic!("foldp base value is outside FElm's data universe"));
                 Ok(self.builder.foldp(
                     "foldp",
-                    move |new, acc| apply_function(&f, &[new.clone(), acc.clone()]),
+                    move |new, acc| apply_compiled(&code, &[new, acc]),
                     init_value,
                     parent,
                 ))
@@ -321,12 +328,12 @@ impl Translator<'_> {
                     SignalPrimOp::SampleOn => self.builder.sample_on(parents[0], parents[1]),
                     SignalPrimOp::DropRepeats => self.builder.drop_repeats(parents[0]),
                     SignalPrimOp::KeepIf => {
-                        let pred = values[0].clone();
+                        let pred = compile(&values[0]);
                         let base = expr_to_value(&values[1]).unwrap_or_else(|| {
                             panic!("keepIf base value is outside FElm's data universe")
                         });
                         self.builder.keep_if(
-                            move |v| apply_function(&pred, std::slice::from_ref(v)).is_truthy(),
+                            move |v| apply_compiled(&pred, &[v]).is_truthy(),
                             base,
                             parents[0],
                         )

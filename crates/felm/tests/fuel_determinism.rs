@@ -8,6 +8,9 @@
 //!   before it) is a pure function of the term and the budget: two runs
 //!   agree exactly. This is what makes trapped events safe to roll back
 //!   and replay — governance can never diverge recovered state.
+//! * On a fixed corpus, the meter's readings (fuel, allocation, the depth
+//!   that suffices, and where each fuel and depth budget traps) are
+//!   pinned numbers, so an evaluator rewrite cannot move a trap.
 //!
 //! Plus end-to-end checks that a runaway `twice`-tower and a
 //! string-doubling allocator bomb trap inside a governed signal runtime,
@@ -16,7 +19,7 @@
 use felm::budget::{Budget, Meter, Trap};
 use felm::env::InputEnv;
 use felm::eval::{normalize, normalize_metered, EvalError, DEFAULT_FUEL};
-use felm::eval_big::{eval, eval_metered, Env, RtValue};
+use felm::eval_big::{apply_metered, eval, eval_metered, Env, RtValue};
 use felm::parser::parse_expr;
 use felm::pipeline::compile_source;
 use felm::translate::expr_to_value;
@@ -271,4 +274,173 @@ fn trapped_events_replay_deterministically() {
     assert_eq!(v1, v2);
     assert_eq!(t1, t2);
     assert_eq!(t1.len(), 2);
+}
+
+/// The meter's exact readings on a fixed corpus: the `interpreter` bench
+/// workloads, one function per scalar and fold shape the scenario
+/// generator (`elm_synth::gen`) renders, and a few terms covering the
+/// remaining evaluable forms. A row is `(data declarations, function
+/// source, Int arguments, readings)`; see [`readings`].
+///
+/// These numbers are part of the governance contract: a trapped event is
+/// rolled back and replayed, so fuel, allocation and depth traps must land
+/// on exactly the same events whatever the evaluator's internals are. The
+/// values were recorded with the syntax-walking evaluator that compiled
+/// evaluation (`eval_big::Code`) replaced, and did not change with it.
+type PinnedRow = (&'static str, &'static str, &'static [i64], [u64; 5]);
+
+const PINNED: &[PinnedRow] = &[
+    // Scalar1
+    ("", "(\\a -> a + 3)", &[5], [4, 1, 2, 3, 4]),
+    ("", "(\\a -> a - 4)", &[5], [4, 1, 2, 3, 4]),
+    ("", "(\\a -> a * 2)", &[5], [4, 1, 2, 3, 4]),
+    ("", "(\\a -> if a < 0 then 0 - a else a)", &[-5], [8, 1, 3, 7, 8]),
+    ("", "(\\a -> if a < 0 then 0 - a else a)", &[5], [6, 1, 3, 5, 8]),
+    ("", "(\\a -> a % 7)", &[50], [4, 1, 2, 3, 4]),
+    // Scalar2
+    ("", "(\\a b -> a + b)", &[3, 4], [5, 2, 2, 7, 5]),
+    ("", "(\\a b -> a - b)", &[3, 4], [5, 2, 2, 7, 5]),
+    ("", "(\\a b -> if a < b then b else a)", &[3, 4], [7, 2, 3, 11, 10]),
+    ("", "(\\a b -> if a < b then b else a)", &[4, 3], [7, 2, 3, 11, 10]),
+    ("", "(\\a b -> a + b * 3)", &[3, 4], [7, 2, 3, 11, 11]),
+    // Fold
+    ("", "(\\e n -> n + 1)", &[9, 41], [5, 2, 2, 7, 5]),
+    ("", "(\\e n -> n + ((if e < 0 then 0 - e else e) % 5))", &[-7, 10], [13, 2, 5, 23, 26]),
+    ("", "(\\e n -> e + 2)", &[9, 41], [5, 2, 2, 7, 5]),
+    ("", "(\\e n -> e - 3)", &[9, 41], [5, 2, 2, 7, 5]),
+    ("", "(\\e n -> if e == 7777777 then ((let t = \\f y -> f (f y) in (t (t (t (\\n -> n + 1))))) 0) else n + 1)", &[1, 41], [9, 2, 3, 15, 10]),
+    ("", "(\\e n -> if e == 7777777 then ((let t = \\f y -> f (f y) in (t (t (t (\\n -> n + 1))))) 0) else n + 1)", &[7777777, 41], [79, 8, 10, 541, 161]),
+    // The remaining evaluable forms.
+    ("", "\\x -> let add = \\a b -> a + b in let inc = add 1 in inc (inc x)", &[4], [19, 5, 6, 72, 42]),
+    ("", "\\x -> let x = x + 1 in let f = \\y -> x + y in let x = 100 in f x", &[4], [15, 5, 6, 46, 42]),
+    ("", "\\x -> fst (x, 1) + snd (2, x)", &[4], [10, 3, 4, 17, 13]),
+    ("", "\\x -> length [\"ab\" ++ \"cd\", \"e\"] + x", &[4], [9, 16, 5, 48, 19]),
+    ("", "\\x -> head (tail [x, x + 1, x + 2]) + ith 1 (x :: [7])", &[4], [18, 12, 6, 89, 27]),
+    ("", "\\x -> let r = {a = x, b = x * 2} in r.a + r.b", &[4], [12, 5, 4, 43, 14]),
+    ("data MaybeInt = Just Int | Nothing", "\\x -> case (if x > 0 then Just x else Nothing) of | Just n -> n + 1 | Nothing -> 0", &[4], [11, 3, 4, 18, 13]),
+    ("data MaybeInt = Just Int | Nothing", "\\x -> case (if x > 0 then Just x else Nothing) of | Just n -> n + 1 | Nothing -> 0", &[-4], [8, 2, 4, 8, 13]),
+];
+
+/// `(depth, readings)` for the `interpreter` bench workload at each
+/// benched depth, applied to `21` and `2`.
+const PINNED_BENCH: &[(usize, [u64; 5])] = &[
+    (1, [11, 3, 4, 22, 16]),
+    (8, [53, 10, 18, 239, 205]),
+    (32, [197, 34, 66, 2471, 2341]),
+];
+
+/// Source of the `interpreter` bench workload at `depth`.
+fn bench_workload(depth: usize) -> String {
+    let mut body = String::from("x + y");
+    for k in 0..depth {
+        body = format!("let t{k} = ({body}) * 2 in t{k} - {k}");
+    }
+    format!("\\x y -> {body}")
+}
+
+fn pinned_expr(data: &str, src: &str) -> felm::ast::Expr {
+    if data.is_empty() {
+        return parse_expr(src).expect("pinned source parses");
+    }
+    let prog = felm::parser::parse_program(&format!("{data}\nmain = {src}")).unwrap();
+    let adts = felm::env::Adts::from_defs(&prog.datas).unwrap();
+    adts.resolve(&prog.to_expr().unwrap()).unwrap()
+}
+
+/// Evaluates `e` and applies the result to `args`, all under one meter.
+fn apply_all(e: &felm::ast::Expr, args: &[i64], meter: &mut Meter) -> Result<RtValue, EvalError> {
+    let mut cur = eval_metered(&Env::empty(), e, meter)?;
+    for a in args {
+        cur = apply_metered(cur, RtValue::Int(*a), meter)?;
+    }
+    Ok(cur)
+}
+
+/// Runs `e` applied to `args` under `budget`, returning the meter after
+/// it finished or trapped.
+fn run_under(
+    e: &felm::ast::Expr,
+    args: &[i64],
+    budget: Budget,
+) -> (Result<RtValue, EvalError>, Meter) {
+    let mut m = Meter::new(budget);
+    let r = apply_all(e, args, &mut m);
+    (r, m)
+}
+
+/// The meter's readings for one application:
+///
+/// 1. fuel used,
+/// 2. cells allocated,
+/// 3. the smallest depth budget under which it completes,
+/// 4. the sum, over every fuel budget that traps, of the cells allocated
+///    when it traps, and
+/// 5. the sum, over every depth budget that traps, of the fuel used when
+///    it traps.
+///
+/// The last two pin the order of the meter's `tick`, `alloc` and `enter`
+/// calls, not just their totals.
+fn readings(e: &felm::ast::Expr, args: &[i64]) -> [u64; 5] {
+    let (result, m) = run_under(e, args, Budget::UNLIMITED);
+    result.expect("pinned corpus evaluates");
+    let depth_budget = |max_depth| Budget {
+        max_depth,
+        ..Budget::UNLIMITED
+    };
+    let depth = (1..)
+        .find(|&d| run_under(e, args, depth_budget(d)).0.is_ok())
+        .expect("some depth suffices");
+    let alloc_at_fuel_traps = (0..m.fuel_used())
+        .map(|fuel| run_under(e, args, Budget::with_fuel(fuel)).1.alloc_cells())
+        .sum();
+    let fuel_at_depth_traps = (0..depth)
+        .map(|d| run_under(e, args, depth_budget(d)).1.fuel_used())
+        .sum();
+    [
+        m.fuel_used(),
+        m.alloc_cells(),
+        depth,
+        alloc_at_fuel_traps,
+        fuel_at_depth_traps,
+    ]
+}
+
+/// Checks one pinned row: the readings match, and one unit less of the
+/// fuel, allocation or depth budget traps on that dimension.
+fn check_pinned(label: &str, e: &felm::ast::Expr, args: &[i64], want: [u64; 5]) {
+    assert_eq!(readings(e, args), want, "{label}");
+    let [fuel, alloc, depth, ..] = want;
+    let trap = |budget: Budget| run_under(e, args, budget).0.unwrap_err();
+    assert_eq!(
+        trap(Budget::with_fuel(fuel - 1)),
+        EvalError::Trap(Trap::OutOfFuel),
+        "{label}"
+    );
+    if alloc > 0 {
+        let budget = Budget {
+            max_alloc_cells: alloc - 1,
+            ..Budget::UNLIMITED
+        };
+        assert_eq!(trap(budget), EvalError::Trap(Trap::OutOfMemory), "{label}");
+    }
+    let budget = Budget {
+        max_depth: depth - 1,
+        ..Budget::UNLIMITED
+    };
+    assert_eq!(
+        trap(budget),
+        EvalError::Trap(Trap::DepthExceeded),
+        "{label}"
+    );
+}
+
+#[test]
+fn meter_readings_are_pinned() {
+    for &(data, src, args, want) in PINNED {
+        check_pinned(src, &pinned_expr(data, src), args, want);
+    }
+    for &(d, want) in PINNED_BENCH {
+        let e = parse_expr(&bench_workload(d)).unwrap();
+        check_pinned(&format!("bench depth {d}"), &e, &[21, 2], want);
+    }
 }

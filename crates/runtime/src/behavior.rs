@@ -19,8 +19,9 @@ use std::sync::Arc;
 
 use crate::value::Value;
 
-/// A pure n-ary function suitable for a `liftn` node.
-pub type LiftFn = Arc<dyn Fn(&[Value]) -> Value + Send + Sync>;
+/// A pure n-ary function suitable for a `liftn` node. It borrows the
+/// parents' current values, so applying it copies none of them.
+pub type LiftFn = Arc<dyn Fn(&[&Value]) -> Value + Send + Sync>;
 
 /// A fold function for `foldp`: `(new_input, accumulator) -> accumulator`.
 /// Argument order follows the paper's `foldp f`: `f : τ → τ' → τ'`.
@@ -90,7 +91,7 @@ pub struct Lift {
 
 impl Lift {
     /// Wraps a pure function of the parents' current values.
-    pub fn new(f: impl Fn(&[Value]) -> Value + Send + Sync + 'static) -> Self {
+    pub fn new(f: impl Fn(&[&Value]) -> Value + Send + Sync + 'static) -> Self {
         Lift { f: Arc::new(f) }
     }
 }
@@ -101,7 +102,8 @@ impl BehaviorSpec for Lift {
     }
 
     fn default_value(&self, parent_defaults: &[Value]) -> Value {
-        (self.f)(parent_defaults)
+        let refs: Vec<&Value> = parent_defaults.iter().collect();
+        (self.f)(&refs)
     }
 
     fn op_name(&self) -> &'static str {
@@ -115,8 +117,7 @@ struct LiftState {
 
 impl NodeBehavior for LiftState {
     fn step(&mut self, inputs: StepInputs<'_>) -> Option<Value> {
-        let vals: Vec<Value> = inputs.values.iter().map(|v| (*v).clone()).collect();
-        Some((self.f)(&vals))
+        Some((self.f)(inputs.values))
     }
 }
 

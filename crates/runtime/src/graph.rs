@@ -12,6 +12,7 @@
 //! exist when it is added, so parent ids are always smaller than the child's
 //! id and node-id order is a topological order.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -114,6 +115,9 @@ impl Node {
 pub struct SignalGraph {
     nodes: Vec<Node>,
     output: NodeId,
+    /// Input name → node, built once by [`GraphBuilder::finish`] and
+    /// shared by every clone of the graph.
+    inputs: Arc<BTreeMap<String, NodeId>>,
 }
 
 impl SignalGraph {
@@ -165,12 +169,10 @@ impl SignalGraph {
             .collect()
     }
 
-    /// The input node named `name`, if any.
+    /// The input node named `name`, if any (the first one added, should
+    /// a hand-built graph declare a name twice). One index lookup.
     pub fn input_named(&self, name: &str) -> Option<NodeId> {
-        self.nodes.iter().find_map(|n| match &n.kind {
-            NodeKind::Input { name: n2 } if n2 == name => Some(n.id),
-            _ => None,
-        })
+        self.inputs.get(name).copied()
     }
 
     /// Children (outgoing edges) of each node, computed on demand.
@@ -357,7 +359,7 @@ impl GraphBuilder {
         f: impl Fn(&Value) -> Value + Send + Sync + 'static,
         s: NodeId,
     ) -> NodeId {
-        self.compute(label, Lift::new(move |vs| f(&vs[0])), vec![s])
+        self.compute(label, Lift::new(move |vs| f(vs[0])), vec![s])
     }
 
     /// `lift2 f s1 s2`.
@@ -368,7 +370,7 @@ impl GraphBuilder {
         s1: NodeId,
         s2: NodeId,
     ) -> NodeId {
-        self.compute(label, Lift::new(move |vs| f(&vs[0], &vs[1])), vec![s1, s2])
+        self.compute(label, Lift::new(move |vs| f(vs[0], vs[1])), vec![s1, s2])
     }
 
     /// `lift3 f s1 s2 s3`.
@@ -382,7 +384,7 @@ impl GraphBuilder {
     ) -> NodeId {
         self.compute(
             label,
-            Lift::new(move |vs| f(&vs[0], &vs[1], &vs[2])),
+            Lift::new(move |vs| f(vs[0], vs[1], vs[2])),
             vec![s1, s2, s3],
         )
     }
@@ -391,7 +393,7 @@ impl GraphBuilder {
     pub fn lift_n(
         &mut self,
         label: impl Into<String>,
-        f: impl Fn(&[Value]) -> Value + Send + Sync + 'static,
+        f: impl Fn(&[&Value]) -> Value + Send + Sync + 'static,
         parents: Vec<NodeId>,
     ) -> NodeId {
         self.compute(label, Lift::new(f), parents)
@@ -485,9 +487,16 @@ impl GraphBuilder {
                 _ => {}
             }
         }
+        let mut inputs = BTreeMap::new();
+        for n in &self.nodes {
+            if let NodeKind::Input { name } = &n.kind {
+                inputs.entry(name.clone()).or_insert(n.id);
+            }
+        }
         Ok(SignalGraph {
             nodes: self.nodes,
             output,
+            inputs: Arc::new(inputs),
         })
     }
 }
@@ -518,6 +527,22 @@ mod tests {
         assert_eq!(g.node(g.output()).parents, vec![NodeId(0), NodeId(1)]);
         assert_eq!(g.input_named("Mouse.x"), Some(NodeId(0)));
         assert_eq!(g.input_named("Nope"), None);
+    }
+
+    #[test]
+    fn input_named_finds_the_first_input_of_a_repeated_name() {
+        let mut g = GraphBuilder::new();
+        let first = g.input("i", 0i64);
+        let second = g.input("i", 1i64);
+        let sum = g.lift2(
+            "sum",
+            |a, b| Value::Int(a.as_int().unwrap() + b.as_int().unwrap()),
+            first,
+            second,
+        );
+        let graph = g.finish(sum).unwrap();
+        assert_eq!(graph.input_named("i"), Some(first));
+        assert_eq!(graph.clone().input_named("i"), Some(first));
     }
 
     #[test]

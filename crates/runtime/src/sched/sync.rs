@@ -70,6 +70,21 @@ pub struct SyncRuntime {
     /// Traps since the last [`SyncRuntime::take_traps`], as
     /// `(seq, kind)` — one entry per trapped (and rolled-back) event.
     trap_log: Vec<(u64, TrapKind)>,
+    /// Per-event buffers, emptied after each event and kept for the next
+    /// so dispatch does not allocate them again.
+    scratch: Scratch,
+}
+
+/// Buffers [`SyncRuntime::dispatch`] reuses from event to event.
+#[derive(Default)]
+struct Scratch {
+    /// Did each node change this event?
+    changed: Vec<bool>,
+    /// Governed events: `(node, previous value)` for every overwritten
+    /// value, in overwrite order.
+    undo_values: Vec<(usize, Value)>,
+    /// Governed events: `async` nodes that buffered a value.
+    undo_async_pushes: Vec<usize>,
 }
 
 /// A point-in-time copy of a [`SyncRuntime`]'s mutable state, sufficient
@@ -253,6 +268,7 @@ impl SyncRuntime {
             limits: None,
             event_timeout: None,
             trap_log: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -414,23 +430,25 @@ impl SyncRuntime {
         self.stats.record_event();
 
         let n = self.graph.len();
-        let mut changed = vec![false; n];
+        let Scratch {
+            mut changed,
+            mut undo_values,
+            mut undo_async_pushes,
+        } = std::mem::take(&mut self.scratch);
+        changed.clear();
+        changed.resize(n, false);
 
         // Resource governance. Ungoverned dispatch (the default) pays one
         // bool check; governed dispatch activates a thread-local governor
         // that metered node functions draw fuel/allocation from, and keeps
         // an undo log so a trapped event rolls back to a no-op.
-        let governed =
-            self.limits.is_some() || occ.deadline.is_some() || self.event_timeout.is_some();
-        let _scope = governed.then(|| {
-            let deadline = occ
-                .deadline
-                .or_else(|| self.event_timeout.map(|t| Instant::now() + t));
-            governor::enter(self.limits.unwrap_or_else(EventLimits::unlimited), deadline)
-        });
-        let mut undo_values: Vec<(usize, Value)> = Vec::new();
+        let deadline = occ
+            .deadline
+            .or_else(|| self.event_timeout.map(|t| Instant::now() + t));
+        let governed = self.limits.is_some() || deadline.is_some();
+        let _scope = governed
+            .then(|| governor::enter(self.limits.unwrap_or_else(EventLimits::unlimited), deadline));
         let mut undo_async_pop: Option<(usize, (Value, TraceId))> = None;
-        let mut undo_async_pushes: Vec<usize> = Vec::new();
         let mut undo_queue_pushes = 0usize;
 
         // Tracing fast path: `tracer` is None (or disabled) in the default
@@ -548,22 +566,11 @@ impl SyncRuntime {
                         self.stats.record_memo_skip();
                         continue;
                     }
-                    let flags: Vec<bool> = if self.memoize {
-                        node.parents.iter().map(|p| changed[p.index()]).collect()
-                    } else {
-                        // Ablation: without NoChange tracking a node cannot
-                        // know which inputs changed; everything looks new.
-                        vec![true; node.parents.len()]
-                    };
-                    let parent_vals: Vec<&Value> = node
-                        .parents
-                        .iter()
-                        .map(|p| &self.values[p.index()])
-                        .collect();
-                    if governed && governor::deadline_blown(Instant::now()) {
+                    if deadline.is_some() && governor::deadline_blown(Instant::now()) {
                         // Check between node computations so even
                         // non-metered (native Rust) node functions cannot
                         // extend an event past its deadline unobserved.
+                        // Events without a deadline skip reading the clock.
                         governor::record_trap(TrapKind::DeadlineExceeded);
                         break;
                     }
@@ -577,11 +584,21 @@ impl SyncRuntime {
                     // than tearing down the whole runtime — single-threaded
                     // parity with the concurrent scheduler's behavior.
                     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        behavior.step(StepInputs {
-                            changed: &flags,
-                            values: &parent_vals,
-                            prev: &prev,
-                        })
+                        with_parent_inputs(
+                            &node.parents,
+                            // Ablation: without NoChange tracking a node
+                            // cannot know which inputs changed; everything
+                            // looks new.
+                            self.memoize.then_some(&changed[..]),
+                            &self.values,
+                            |flags, values| {
+                                behavior.step(StepInputs {
+                                    changed: flags,
+                                    values,
+                                    prev: &prev,
+                                })
+                            },
+                        )
                     }));
                     let panicked = out.is_err();
                     match out {
@@ -616,18 +633,24 @@ impl SyncRuntime {
             }
         }
 
-        if governed {
-            if let Some(kind) = governor::take_trap() {
+        let trapped = if governed {
+            governor::take_trap()
+        } else {
+            None
+        };
+        let out_id = self.graph.output();
+        let output = match trapped {
+            Some(kind) => {
                 // Roll the whole round back: the trapped event becomes a
                 // deterministic no-op. Values are restored, the async pop
                 // is un-popped, and this round's async/queue pushes are
                 // removed, so replaying the surviving suffix of events on
                 // a fresh runtime reproduces this state exactly.
-                for (idx, v) in undo_values.into_iter().rev() {
+                for (idx, v) in undo_values.drain(..).rev() {
                     self.values[idx] = v;
                 }
-                for idx in undo_async_pushes.into_iter().rev() {
-                    self.pending_async[idx].pop_back();
+                for idx in undo_async_pushes.iter().rev() {
+                    self.pending_async[*idx].pop_back();
                 }
                 for _ in 0..undo_queue_pushes {
                     self.queue.pop_back();
@@ -637,19 +660,19 @@ impl SyncRuntime {
                 }
                 self.stats.record_trap();
                 self.trap_log.push((seq, kind));
-                return OutputEvent {
-                    seq,
-                    source: src,
-                    output: Propagated::NoChange,
-                };
+                Propagated::NoChange
             }
-        }
-
-        let out_id = self.graph.output();
-        let output = if changed[out_id.index()] {
-            Propagated::Change(self.values[out_id.index()].clone())
-        } else {
-            Propagated::NoChange
+            None if changed[out_id.index()] => {
+                Propagated::Change(self.values[out_id.index()].clone())
+            }
+            None => Propagated::NoChange,
+        };
+        undo_values.clear();
+        undo_async_pushes.clear();
+        self.scratch = Scratch {
+            changed,
+            undo_values,
+            undo_async_pushes,
         };
         OutputEvent {
             seq,
@@ -658,6 +681,36 @@ impl SyncRuntime {
         }
     }
 }
+
+/// Calls `f` with one node's per-parent change flags (all `true` when
+/// `changed` is `None`, the no-memoization ablation) and current parent
+/// values. Up to [`INLINE_PARENTS`] parents are gathered on the stack, so
+/// the common node computation allocates nothing here.
+fn with_parent_inputs<R>(
+    parents: &[NodeId],
+    changed: Option<&[bool]>,
+    values: &[Value],
+    f: impl FnOnce(&[bool], &[&Value]) -> R,
+) -> R {
+    let flag = |p: &NodeId| changed.is_none_or(|c| c[p.index()]);
+    let k = parents.len();
+    if k > INLINE_PARENTS {
+        let flags: Vec<bool> = parents.iter().map(flag).collect();
+        let vals: Vec<&Value> = parents.iter().map(|p| &values[p.index()]).collect();
+        return f(&flags, &vals);
+    }
+    let mut flags = [true; INLINE_PARENTS];
+    let mut vals = [&values[parents[0].index()]; INLINE_PARENTS];
+    for (i, p) in parents.iter().enumerate() {
+        flags[i] = flag(p);
+        vals[i] = &values[p.index()];
+    }
+    f(&flags[..k], &vals[..k])
+}
+
+/// Parents gathered on the stack by [`with_parent_inputs`]; nodes with
+/// more fall back to heap buffers.
+const INLINE_PARENTS: usize = 4;
 
 #[cfg(test)]
 mod tests {
@@ -972,6 +1025,48 @@ mod tests {
             .unwrap();
         let parent = tree.parent[async_idx].unwrap();
         assert_eq!(tree.spans[parent].node, slow.0);
+    }
+
+    /// A node reporting what dispatch hands it: one `(changed, value)` pair
+    /// per parent. Run with 3 parents (gathered on the stack) and 6 (heap
+    /// fallback), with and without memoization.
+    #[test]
+    fn nodes_see_each_parents_flag_and_value() {
+        use crate::behavior::Custom;
+        struct Report;
+        impl NodeBehavior for Report {
+            fn step(&mut self, inputs: StepInputs<'_>) -> Option<Value> {
+                Some(Value::list(
+                    inputs
+                        .changed
+                        .iter()
+                        .zip(inputs.values)
+                        .map(|(c, v)| Value::pair(Value::Bool(*c), (*v).clone())),
+                ))
+            }
+        }
+        for width in [3usize, 6] {
+            for memoize in [true, false] {
+                let mut g = GraphBuilder::new();
+                let inputs: Vec<NodeId> = (0..width)
+                    .map(|k| g.input(format!("in{k}"), k as i64))
+                    .collect();
+                let report = g.compute(
+                    "report",
+                    Custom::new("report", Value::Unit, || Box::new(Report)),
+                    inputs.clone(),
+                );
+                let graph = g.finish(report).unwrap();
+                let mut rt = SyncRuntime::with_memoization(&graph, memoize);
+                rt.feed(Occurrence::input(inputs[1], 40i64)).unwrap();
+                rt.run_to_quiescence();
+                let want = Value::list((0..width).map(|k| {
+                    let v = if k == 1 { 40 } else { k as i64 };
+                    Value::pair(Value::Bool(k == 1 || !memoize), Value::Int(v))
+                }));
+                assert_eq!(rt.value(report), &want, "width {width}, memoize {memoize}");
+            }
+        }
     }
 
     #[test]

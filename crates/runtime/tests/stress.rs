@@ -69,7 +69,7 @@ fn repeated_drains_under_many_inputs() {
     let inputs: Vec<_> = (0..8).map(|k| g.input(format!("in{k}"), 0i64)).collect();
     let sum = g.lift_n(
         "sum",
-        |vs| Value::Int(vs.iter().filter_map(Value::as_int).sum()),
+        |vs| Value::Int(vs.iter().filter_map(|v| v.as_int()).sum()),
         inputs.clone(),
     );
     let graph = g.finish(sum).unwrap();

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::Sender;
 use elm_environment::fault::{self, FaultPlan};
 use elm_runtime::{
-    Counter, EventJournal, EventLimits, Gauge, Histogram, JournalEntry, JournalError,
+    Counter, EventJournal, EventLimits, Gauge, Histogram, JournalEntry, JournalError, NodeId,
     NodeTimingSnapshot, PlainValue, RuntimeSnapshot, SignalGraph, StatsSnapshot, Tracer, Value,
 };
 use elm_signals::{Engine, Program, Running};
@@ -192,6 +192,8 @@ impl TraceMailbox {
 
 struct Queued {
     input: String,
+    /// `input` resolved once, at admission.
+    node: NodeId,
     value: Value,
     at: Instant,
     /// Client-supplied causal trace id (0 = untraced), journaled and
@@ -594,10 +596,13 @@ impl Session {
     /// replication stream, and any failover.
     pub fn enqueue_traced(&mut self, input: &str, value: Value, trace: u64) -> EnqueueOutcome {
         self.last_activity = Instant::now();
-        if self.recovery_failed || self.graph.input_named(input).is_none() {
-            self.ignored += 1;
-            return EnqueueOutcome::Ignored;
-        }
+        let node = match self.graph.input_named(input) {
+            Some(node) if !self.recovery_failed => node,
+            _ => {
+                self.ignored += 1;
+                return EnqueueOutcome::Ignored;
+            }
+        };
         let mut outcome = EnqueueOutcome::Accepted;
         if self.queue.len() >= self.config.queue_capacity {
             match self.config.policy {
@@ -626,7 +631,7 @@ impl Session {
                     outcome = EnqueueOutcome::DroppedOldest;
                 }
                 BackpressurePolicy::Coalesce => {
-                    if let Some(q) = self.queue.iter_mut().rev().find(|q| q.input == input) {
+                    if let Some(q) = self.queue.iter_mut().rev().find(|q| q.node == node) {
                         // Keep the original enqueue time: latency then
                         // honestly reports how stale the merged slot is.
                         // The trace follows the surviving value.
@@ -649,6 +654,7 @@ impl Session {
         }
         self.queue.push_back(Queued {
             input: input.to_string(),
+            node,
             value,
             at: Instant::now(),
             trace,
@@ -711,7 +717,7 @@ impl Session {
             }
             let applied = self
                 .running
-                .send_named(&q.input, q.value.clone())
+                .send_input(q.node, q.value.clone())
                 .and_then(|()| self.running.drain_raw());
             let outs = match applied {
                 Ok(outs) => outs,

@@ -337,10 +337,10 @@ where
         "lift4",
         move |vs| {
             f(
-                A::from_value_unwrap(&vs[0]),
-                B::from_value_unwrap(&vs[1]),
-                C::from_value_unwrap(&vs[2]),
-                D::from_value_unwrap(&vs[3]),
+                A::from_value_unwrap(vs[0]),
+                B::from_value_unwrap(vs[1]),
+                C::from_value_unwrap(vs[2]),
+                D::from_value_unwrap(vs[3]),
             )
             .into_value()
         },
@@ -377,10 +377,11 @@ pub fn combine<T: SignalValue>(signals: &[Signal<T>]) -> Signal<Vec<T>> {
         .first()
         .expect("combine requires at least one signal");
     let ids: Vec<_> = signals.iter().map(|s| s.id).collect();
-    let id = first
-        .net
-        .borrow_mut()
-        .lift_n("combine", |vs| Value::list(vs.iter().cloned()), ids);
+    let id = first.net.borrow_mut().lift_n(
+        "combine",
+        |vs| Value::list(vs.iter().map(|v| (*v).clone())),
+        ids,
+    );
     first.derive(id)
 }
 

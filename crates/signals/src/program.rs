@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use elm_runtime::{
-    ConcurrentRuntime, Occurrence, OutputEvent, RunError, RuntimeSnapshot, SignalGraph,
+    ConcurrentRuntime, NodeId, Occurrence, OutputEvent, RunError, RuntimeSnapshot, SignalGraph,
     StatsSnapshot, SyncRuntime, Trace, Tracer, Value,
 };
 
@@ -98,7 +98,7 @@ impl<T: SignalValue> Program<T> {
                 if let Some(t) = tracer {
                     rt.set_tracer(t);
                 }
-                Inner::Synchronous(rt)
+                Inner::Synchronous(Box::new(rt))
             }
         };
         Running {
@@ -112,7 +112,9 @@ impl<T: SignalValue> Program<T> {
 
 enum Inner {
     Concurrent(ConcurrentRuntime),
-    Synchronous(SyncRuntime),
+    // Boxed: the synchronous engine carries its per-event scratch buffers
+    // inline and is several times the concurrent handle's size.
+    Synchronous(Box<SyncRuntime>),
 }
 
 /// A running program: feed inputs, observe outputs.
@@ -153,6 +155,17 @@ impl<T: SignalValue> Running<T> {
             .graph
             .input_named(name)
             .ok_or_else(|| RunError::WorkerLost(format!("unknown input '{name}'")))?;
+        self.send_input(id, value)
+    }
+
+    /// Sends a dynamic event to an input node, for callers that already
+    /// resolved its name with [`SignalGraph::input_named`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if `id` is not an input of this program's graph or the
+    /// runtime has stopped.
+    pub fn send_input(&mut self, id: NodeId, value: Value) -> Result<(), RunError> {
         let occ = Occurrence::input(id, value);
         match &mut self.inner {
             Inner::Concurrent(rt) => rt.feed(occ),
@@ -179,11 +192,7 @@ impl<T: SignalValue> Running<T> {
                 .graph
                 .input_named(name)
                 .ok_or_else(|| RunError::WorkerLost(format!("unknown input '{name}'")))?;
-            let occ = Occurrence::input(id, value.clone());
-            match &mut self.inner {
-                Inner::Concurrent(rt) => rt.feed(occ)?,
-                Inner::Synchronous(rt) => rt.feed(occ)?,
-            }
+            self.send_input(id, value.clone())?;
         }
         Ok(())
     }
