@@ -70,6 +70,6 @@ pub use protocol::{
 };
 pub use registry::{ProgramSpec, Registry};
 pub use server::{Server, ServerConfig};
-pub use session::{Session, SessionConfig, SessionId, TraceMailbox, TracePop};
+pub use session::{Session, SessionConfig, SessionId, TraceMailbox, TracePop, UpdateSink};
 pub use shard::{Command, ShardCounters, ShardHandle, ShardStats};
 pub use supervisor::{RestartBudget, RestartDecision, RestartPolicy};

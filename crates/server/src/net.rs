@@ -1,21 +1,48 @@
 //! TCP front end: newline-delimited JSON over a socket.
 //!
-//! One reader thread per connection parses request lines and dispatches
-//! to the shared [`Server`]; one writer thread serializes replies and
-//! subscription pushes from a *bounded* outbound queue, so streamed
-//! updates interleave safely with request/reply traffic on the same
-//! socket and a stalled client cannot pin unbounded memory.
+//! # Thread model
 //!
-//! Overload hardening:
+//! Each connection runs exactly two threads. The *reader* parses request
+//! lines and hands them to the shared [`Server`]; the *writer* sends
+//! everything queued on the connection's outbound queue. Subscriptions
+//! add no thread: a wire subscriber is a sink the session's shard pushes
+//! rendered `update` lines into directly, without ever blocking. (Only a
+//! `trace` subscription keeps a forwarder thread.) The writer takes every
+//! ready line at each wakeup and sends them with one `write_all`.
+//!
+//! # Pipelining and ordering
+//!
+//! Clients may pipeline: send many requests without waiting for replies.
+//! For every request line the reader reserves the line's reply slot on
+//! the outbound queue *before* the request reaches a shard, and the
+//! writer only ever sends the filled prefix of the queue. So:
+//!
+//! * replies come back in request order, even across shards;
+//! * a request's reply always precedes every update it caused (an
+//!   `event`'s ack precedes the `changed` update it produced, a `close`
+//!   reply precedes the final `closed` update).
+//!
+//! `event` and `batch` requests are handed to their shard without
+//! waiting; the reader keeps parsing while a complete line is already
+//! buffered, up to [`MAX_BURST`] requests in flight, then collects the
+//! answers in order and fills their slots. Every other verb first settles
+//! the answers in flight, then runs to completion. Events to one session
+//! are applied in request order; a `query` reflects every event sent
+//! before it on the same connection.
+//!
+//! # Overload hardening
 //!
 //! * Request lines are length-capped ([`NetConfig::max_line_bytes`],
 //!   1 MiB by default). An oversized or non-UTF-8 line is discarded up
 //!   to its terminating newline and answered with a typed
 //!   `protocol_error`; the connection itself survives.
-//! * Every outbound push has a write deadline. A subscriber that stops
-//!   draining its socket gets its backlog dropped, a final
-//!   `{"update":"closed","reason":"slow_consumer"}` best-effort notice,
-//!   and a hard disconnect — without stalling any other connection.
+//! * The outbound queue is bounded ([`NetConfig::outbound_queue`]).
+//!   Replies wait for room up to the write deadline; shard pushes never
+//!   wait. If pushed updates hold the queue over capacity for longer than
+//!   the deadline, the client is a slow consumer: its backlog is dropped,
+//!   it gets a final `{"update":"closed","reason":"slow_consumer"}`
+//!   best-effort notice, and it is disconnected — without stalling the
+//!   shard or any other connection.
 //!
 //! Try it with `nc` (see the README quick-start):
 //!
@@ -28,14 +55,23 @@ use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::protocol::{self, EnqueueOutcome, Request, Update};
+use crate::protocol::{self, BatchOutcome, EnqueueOutcome, Request, Update};
 use crate::registry::ProgramSpec;
-use crate::server::Server;
-use crate::session::TracePop;
+use crate::server::{Pending, Server};
+use crate::session::{SessionId, TracePop, UpdateSink};
+use crate::shard::MAX_BURST;
+
+/// Read buffer per connection: room for a few hundred pipelined event
+/// lines per `read` call.
+const READ_BUFFER: usize = 64 * 1024;
+
+/// Write buffer the writer keeps between wakeups; a larger one (after a
+/// big reply) is given back.
+const WRITE_BUFFER: usize = 64 * 1024;
 
 /// Tuning knobs for the TCP front end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,13 +79,14 @@ pub struct NetConfig {
     /// Longest accepted request line in bytes (excluding the newline).
     /// Longer lines are discarded and answered with `protocol_error`.
     pub max_line_bytes: usize,
-    /// Outbound queue capacity in lines. When full, pushes wait up to
-    /// `write_deadline` for the writer to drain before declaring the
+    /// Outbound queue capacity in lines. A reply waits up to
+    /// `write_deadline` for room; pushed updates never wait, but holding
+    /// the queue over capacity for longer than `write_deadline` marks the
     /// client a slow consumer.
     pub outbound_queue: usize,
-    /// How long a reply or subscription push may wait on a full
-    /// outbound queue (and how long a blocked socket write may take)
-    /// before the connection is cut.
+    /// How long a reply may wait on a full outbound queue, how long
+    /// pushed updates may hold it over capacity, and how long a blocked
+    /// socket write may take, before the connection is cut.
     pub write_deadline: Duration,
 }
 
@@ -102,112 +139,240 @@ pub fn serve_with(server: Arc<Server>, listener: TcpListener, config: NetConfig)
 }
 
 // ---------------------------------------------------------------------------
-// Bounded outbound queue
+// Outbound queue with reserved reply slots
 // ---------------------------------------------------------------------------
 
-/// What happened to an outbound line.
+/// Why [`OutboundQueue::reserve`] gave no slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SendOutcome {
-    /// Queued for the writer.
-    Sent,
-    /// The queue stayed full past the deadline: the client is not
-    /// draining its socket.
+enum Refused {
+    /// At capacity, and the caller would not wait.
+    Full,
+    /// Still at capacity at the deadline: the client is not draining its
+    /// socket.
     TimedOut,
-    /// The connection is already closing; the line was dropped.
+    /// The connection is closing.
     Closed,
 }
 
 struct OutboundState {
-    lines: VecDeque<String>,
-    /// No further sends are accepted; the writer drains what is queued
+    /// Lines in send order. `None` is a reply slot reserved for a request
+    /// still being answered; the writer never passes it.
+    slots: VecDeque<Option<String>>,
+    /// Ticket of `slots[0]`; tickets number every slot ever queued.
+    head: u64,
+    /// No further lines are accepted; the writer sends what is filled
     /// (usually nothing, or one final notice) and shuts the socket down.
     closed: bool,
+    /// Since when pushed updates have held the queue over capacity while
+    /// a filled line waited for the client, and the session whose push
+    /// first did.
+    over: Option<(Instant, SessionId)>,
 }
 
-/// Bounded MPSC line queue between request/forwarder threads and the
-/// one writer thread. Producers block (with a deadline) when it fills;
-/// the slow-consumer path clears it so the cut is never delayed behind
-/// a backlog the client will never read.
+/// The line queue between a connection's producers (its reader, and the
+/// shards pushing its subscriptions' updates) and its writer thread.
 struct OutboundQueue {
     inner: Mutex<OutboundState>,
-    /// Signalled when space frees up (producers wait here).
+    /// Signalled when the writer takes lines (the reader waits here for
+    /// room).
     space: Condvar,
-    /// Signalled when lines arrive or the queue closes (writer waits here).
+    /// Signalled when the front slot fills or the queue closes (the
+    /// writer waits here).
     ready: Condvar,
     cap: usize,
+    deadline: Duration,
 }
 
 impl OutboundQueue {
-    fn new(cap: usize) -> Arc<Self> {
+    fn new(config: NetConfig) -> Arc<Self> {
         Arc::new(OutboundQueue {
             inner: Mutex::new(OutboundState {
-                lines: VecDeque::new(),
+                slots: VecDeque::new(),
+                head: 0,
                 closed: false,
+                over: None,
             }),
             space: Condvar::new(),
             ready: Condvar::new(),
-            cap: cap.max(1),
+            cap: config.outbound_queue.max(1),
+            deadline: config.write_deadline,
         })
     }
 
-    fn send_with_deadline(&self, line: String, deadline: Instant) -> SendOutcome {
-        let mut st = self.inner.lock().unwrap();
+    fn lock(&self) -> MutexGuard<'_, OutboundState> {
+        self.inner
+            .lock()
+            .expect("no producer panics while holding the outbound queue")
+    }
+
+    /// Reserves the next slot for a reply and returns its ticket. At
+    /// capacity it waits for room until `deadline`, or refuses at once
+    /// with [`Refused::Full`] when there is none.
+    fn reserve(&self, deadline: Option<Instant>) -> Result<u64, Refused> {
+        let mut st = self.lock();
         loop {
             if st.closed {
-                return SendOutcome::Closed;
+                return Err(Refused::Closed);
             }
-            if st.lines.len() < self.cap {
-                st.lines.push_back(line);
-                self.ready.notify_one();
-                return SendOutcome::Sent;
+            if st.slots.len() < self.cap {
+                st.slots.push_back(None);
+                return Ok(st.head + st.slots.len() as u64 - 1);
             }
+            let Some(deadline) = deadline else {
+                return Err(Refused::Full);
+            };
             let now = Instant::now();
             if now >= deadline {
-                return SendOutcome::TimedOut;
+                return Err(Refused::TimedOut);
             }
-            let (guard, _) = self.space.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
+            st = self
+                .space
+                .wait_timeout(st, deadline - now)
+                .expect("no producer panics while holding the outbound queue")
+                .0;
         }
     }
 
-    /// Blocks until a line is available; `None` once closed and drained.
-    fn pop(&self) -> Option<String> {
-        let mut st = self.inner.lock().unwrap();
+    /// Fills a reserved slot. A no-op once a cut dropped the slot.
+    fn fill(&self, ticket: u64, line: String) {
+        let mut st = self.lock();
+        let Some(i) = ticket.checked_sub(st.head) else {
+            return;
+        };
+        if let Some(slot) = st.slots.get_mut(i as usize) {
+            *slot = Some(line);
+            if i == 0 {
+                self.ready.notify_one();
+            }
+        }
+    }
+
+    /// Queues a pushed update line without ever blocking: the caller is a
+    /// shard thread. Returns `false` once the connection is closing, and
+    /// when this push cuts the connection because updates have held the
+    /// queue over capacity, with the client not reading, for longer than
+    /// the write deadline.
+    fn push_update(&self, session: SessionId, line: String) -> bool {
+        let mut st = self.lock();
+        if st.closed {
+            return false;
+        }
+        st.slots.push_back(Some(line));
+        if st.slots.len() == 1 {
+            self.ready.notify_one();
+        }
+        // Only a filled line at the front means the client is the one
+        // not keeping up; a reserved front slot is the server's own wait.
+        if st.slots.len() <= self.cap || !matches!(st.slots.front(), Some(Some(_))) {
+            st.over = None;
+            return true;
+        }
+        let now = Instant::now();
+        match st.over {
+            None => st.over = Some((now, session)),
+            Some((since, first)) if now.duration_since(since) >= self.deadline => {
+                SLOW_DISCONNECTS.fetch_add(1, Ordering::Relaxed);
+                self.abandon(&mut st, Some(slow_notice(first)));
+                return false;
+            }
+            Some(_) => {}
+        }
+        true
+    }
+
+    /// Waits for filled lines at the front and moves all of them into
+    /// `buf`, each followed by its newline. Returns `false` once the queue
+    /// is closed with nothing left to send.
+    fn take_ready(&self, buf: &mut Vec<u8>) -> bool {
+        let mut st = self.lock();
         loop {
-            if let Some(line) = st.lines.pop_front() {
+            let filled = st.slots.iter().take_while(|s| s.is_some()).count();
+            if filled > 0 {
+                for line in st.slots.drain(..filled).flatten() {
+                    buf.extend_from_slice(line.as_bytes());
+                    buf.push(b'\n');
+                }
+                st.head += filled as u64;
+                if st.slots.len() <= self.cap {
+                    st.over = None;
+                }
                 self.space.notify_all();
-                return Some(line);
+                return true;
             }
             if st.closed {
-                return None;
+                return false;
             }
-            st = self.ready.wait(st).unwrap();
+            st = self
+                .ready
+                .wait(st)
+                .expect("no producer panics while holding the outbound queue");
         }
     }
 
-    /// Normal shutdown: stop accepting sends, let the writer drain.
+    /// Normal shutdown: accept nothing more; the writer drains what is
+    /// filled.
     fn close(&self) {
-        let mut st = self.inner.lock().unwrap();
+        let mut st = self.lock();
         st.closed = true;
         self.ready.notify_all();
         self.space.notify_all();
     }
 
-    /// Slow-consumer cut: drop the backlog the client will never read,
-    /// queue one final notice, and close.
-    fn poison_slow(&self, final_line: String) {
-        let mut st = self.inner.lock().unwrap();
+    /// Slow-consumer cut: counted, the backlog dropped, and `notice`
+    /// queued as the last line.
+    fn cut_slow(&self, notice: String) {
+        let mut st = self.lock();
         if !st.closed {
-            st.lines.clear();
-            st.lines.push_back(final_line);
-            st.closed = true;
+            SLOW_DISCONNECTS.fetch_add(1, Ordering::Relaxed);
+            self.abandon(&mut st, Some(notice));
         }
+    }
+
+    /// The writer could not send (the socket write timed out or failed):
+    /// close, counting a slow consumer when pushed updates were holding
+    /// the queue over capacity.
+    fn write_failed(&self) {
+        let mut st = self.lock();
+        if !st.closed && st.over.is_some() {
+            SLOW_DISCONNECTS.fetch_add(1, Ordering::Relaxed);
+        }
+        self.abandon(&mut st, None);
+    }
+
+    /// Closes the queue, dropping every line the client will never read
+    /// (pending tickets fall behind `head`, so their fills are no-ops),
+    /// with `notice` as the one line left to send.
+    fn abandon(&self, st: &mut OutboundState, notice: Option<String>) {
+        st.head += st.slots.len() as u64;
+        st.slots.clear();
+        st.slots.extend(notice.map(Some));
+        st.closed = true;
         self.ready.notify_all();
         self.space.notify_all();
     }
 
     fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
+        self.lock().closed
+    }
+}
+
+fn slow_notice(session: SessionId) -> String {
+    protocol::update_line(&Update::Closed {
+        session,
+        reason: "slow_consumer".to_string(),
+    })
+}
+
+/// A wire subscription: the session's shard renders each update and
+/// queues it on the connection itself.
+struct WireSink(Arc<OutboundQueue>);
+
+impl UpdateSink for WireSink {
+    fn push(&self, update: &Update) -> bool {
+        let (Update::Changed { session, .. }
+        | Update::Closed { session, .. }
+        | Update::Moved { session, .. }) = update;
+        self.0.push_update(*session, protocol::update_line(update))
     }
 }
 
@@ -322,34 +487,46 @@ pub fn handle_client_with(server: Arc<Server>, stream: TcpStream, config: NetCon
     // A blocked socket write is bounded by the same deadline as queue
     // waits, so a stuffed kernel buffer cannot wedge the writer thread.
     let _ = stream.set_write_timeout(Some(config.write_deadline.max(Duration::from_millis(1))));
-    let out = OutboundQueue::new(config.outbound_queue);
+    let out = OutboundQueue::new(config);
 
     let writer_out = Arc::clone(&out);
     let mut write_half = stream;
     let writer = thread::spawn(move || {
-        while let Some(line) = writer_out.pop() {
-            if write_half
-                .write_all(line.as_bytes())
-                .and_then(|()| write_half.write_all(b"\n"))
-                .and_then(|()| write_half.flush())
-                .is_err()
-            {
-                writer_out.close();
+        let mut buf = Vec::with_capacity(WRITE_BUFFER);
+        while writer_out.take_ready(&mut buf) {
+            if write_half.write_all(&buf).is_err() {
+                writer_out.write_failed();
                 break;
             }
+            buf.clear();
+            buf.shrink_to(WRITE_BUFFER);
         }
         // Unblocks a reader parked in fill_buf and tells the peer the
         // stream is over even if it never reads another byte.
         let _ = write_half.shutdown(Shutdown::Both);
     });
 
-    let mut reader = BufReader::new(read_half);
-    while let Ok(frame) = read_frame(&mut reader, config.max_line_bytes) {
-        let reply = match frame {
-            Frame::Eof => break,
+    let mut conn = Conn {
+        server,
+        out: Arc::clone(&out),
+        config,
+        in_flight: VecDeque::new(),
+    };
+    let mut reader = BufReader::with_capacity(READ_BUFFER, read_half);
+    loop {
+        // Keep parsing while another request is already buffered; answer
+        // what is in flight before blocking on the socket.
+        if conn.in_flight.len() >= MAX_BURST || !reader.buffer().contains(&b'\n') {
+            conn.settle();
+        }
+        let Ok(frame) = read_frame(&mut reader, config.max_line_bytes) else {
+            break;
+        };
+        let more = match frame {
+            Frame::Eof => false,
             Frame::Rejected(detail) => {
                 FRAMES_REJECTED.fetch_add(1, Ordering::Relaxed);
-                protocol::protocol_error_line(&detail)
+                conn.reply(protocol::protocol_error_line(&detail))
             }
             Frame::Line(line) => {
                 let line = line.trim();
@@ -360,33 +537,195 @@ pub fn handle_client_with(server: Arc<Server>, stream: TcpStream, config: NetCon
                 // speaking plain HTTP gets one response and a closed
                 // connection.
                 if let Some(rest) = line.strip_prefix("GET ") {
-                    let deadline = Instant::now() + config.write_deadline;
-                    let _ = out.send_with_deadline(http_response(&server, rest), deadline);
-                    break;
+                    conn.settle();
+                    conn.reply(http_response(&conn.server, rest));
+                    false
+                } else {
+                    conn.serve(line)
                 }
-                dispatch(&server, line, &out, config)
             }
         };
-        if reply.is_empty() {
-            // Silent cluster verbs (journal-append, snapshot-ship,
-            // heartbeat) produce no reply line.
-            continue;
-        }
-        let deadline = Instant::now() + config.write_deadline;
-        match out.send_with_deadline(reply, deadline) {
-            SendOutcome::Sent => {}
-            SendOutcome::TimedOut => {
-                // The client keeps sending requests but never reads the
-                // replies: same pathology as a slow subscriber.
-                SLOW_DISCONNECTS.fetch_add(1, Ordering::Relaxed);
-                out.poison_slow(protocol::err_line("slow_consumer"));
-                break;
-            }
-            SendOutcome::Closed => break,
+        if !more {
+            break;
         }
     }
+    conn.settle();
     out.close();
     let _ = writer.join();
+}
+
+/// A shard's answer the reader still owes the client.
+enum Owed {
+    Event(Pending<EnqueueOutcome>),
+    Batch(Pending<BatchOutcome>),
+}
+
+/// A pipelined `event` or `batch`: handed to its shard, reply slot
+/// reserved, answer not yet collected.
+struct InFlight {
+    ticket: u64,
+    session: SessionId,
+    owed: Owed,
+}
+
+/// The reader side of one connection.
+struct Conn {
+    server: Arc<Server>,
+    out: Arc<OutboundQueue>,
+    config: NetConfig,
+    in_flight: VecDeque<InFlight>,
+}
+
+impl Conn {
+    /// Reserves the next reply slot. When the queue is full, the answers
+    /// in flight are settled first: their reserved slots are what the
+    /// writer is waiting on. `None` ends the connection.
+    fn reserve(&mut self) -> Option<u64> {
+        let ticket = match self.out.reserve(None) {
+            Err(Refused::Full) => {
+                self.settle();
+                self.out
+                    .reserve(Some(Instant::now() + self.config.write_deadline))
+            }
+            other => other,
+        };
+        match ticket {
+            Ok(ticket) => Some(ticket),
+            Err(Refused::TimedOut) => {
+                // The client keeps sending requests but never reads the
+                // replies: same pathology as a slow subscriber.
+                self.out.cut_slow(protocol::err_line("slow_consumer"));
+                None
+            }
+            Err(_) => None,
+        }
+    }
+
+    /// Queues a reply that needs no shard. Returns `false` once the
+    /// connection should end.
+    fn reply(&mut self, line: String) -> bool {
+        let Some(ticket) = self.reserve() else {
+            return false;
+        };
+        self.out.fill(ticket, line);
+        true
+    }
+
+    /// Collects every answer in flight, in request order, and fills its
+    /// slot. Runs on the reader, so a `moved` redirect never makes a
+    /// shard call into the cluster.
+    fn settle(&mut self) {
+        while let Some(f) = self.in_flight.pop_front() {
+            let line = match f.owed {
+                Owed::Event(answer) => match answer.wait() {
+                    Ok(EnqueueOutcome::Shed { retry_after_ms }) => {
+                        protocol::overloaded_line(retry_after_ms)
+                    }
+                    Ok(outcome) => protocol::event_line(outcome),
+                    Err(e) => err_or_moved(&self.server, f.session, e),
+                },
+                Owed::Batch(answer) => match answer.wait() {
+                    // Admission is all-or-nothing per batch: a shed batch
+                    // had nothing enqueued, so the whole reply is the
+                    // typed overload signal with its retry hint.
+                    Ok(outcome) if outcome.shed > 0 => {
+                        protocol::overloaded_line(outcome.retry_after_ms)
+                    }
+                    Ok(outcome) => protocol::batch_line(&outcome),
+                    Err(e) => err_or_moved(&self.server, f.session, e),
+                },
+            };
+            self.out.fill(f.ticket, line);
+        }
+    }
+
+    /// Serves one request line. Returns `false` once the connection
+    /// should end.
+    fn serve(&mut self, line: &str) -> bool {
+        let request = match Request::parse(line) {
+            Ok(r) => r,
+            Err(e) => return self.reply(protocol::err_line(&e)),
+        };
+        match request {
+            Request::Event {
+                session,
+                input,
+                value,
+                trace,
+            } => {
+                let Some(ticket) = self.reserve() else {
+                    return false;
+                };
+                let sent = self.server.send_event(session, input, value, trace);
+                self.owe(ticket, session, sent.map(Owed::Event));
+            }
+            Request::Batch { session, events } => {
+                let Some(ticket) = self.reserve() else {
+                    return false;
+                };
+                let events = events.into_iter().map(|(i, v)| (i, v.to_value())).collect();
+                let sent = self.server.send_batch(session, events);
+                self.owe(ticket, session, sent.map(Owed::Batch));
+            }
+            // Streamed cluster verbs are silent even outside cluster mode:
+            // they are fire-and-forget, so a reply would desynchronize the
+            // sender's framing. They get no slot.
+            Request::JournalAppend {
+                from,
+                session,
+                entry,
+                epoch,
+            } => {
+                self.settle();
+                if let Some(cluster) = self.server.cluster() {
+                    cluster.handle_journal_append(from, session, entry, epoch);
+                }
+            }
+            Request::SnapshotShip {
+                from,
+                session,
+                meta,
+                snapshot,
+                through,
+                dropped,
+                trace,
+                epoch,
+            } => {
+                self.settle();
+                if let Some(cluster) = self.server.cluster() {
+                    cluster.handle_snapshot_ship(
+                        from, session, meta, snapshot, through, dropped, trace, epoch,
+                    );
+                }
+            }
+            Request::Heartbeat { from } => {
+                self.settle();
+                if let Some(cluster) = self.server.cluster() {
+                    cluster.handle_heartbeat(from);
+                }
+            }
+            request => {
+                self.settle();
+                let Some(ticket) = self.reserve() else {
+                    return false;
+                };
+                let reply = dispatch(&self.server, request, &self.out);
+                self.out.fill(ticket, reply);
+            }
+        }
+        true
+    }
+
+    fn owe(&mut self, ticket: u64, session: SessionId, sent: Result<Owed, String>) {
+        match sent {
+            Ok(owed) => self.in_flight.push_back(InFlight {
+                ticket,
+                session,
+                owed,
+            }),
+            Err(e) => self.out.fill(ticket, protocol::err_line(&e)),
+        }
+    }
 }
 
 /// Builds a minimal HTTP/1.0 response for `GET <path> ...` request lines.
@@ -420,36 +759,8 @@ fn http_response(server: &Arc<Server>, request_rest: &str) -> String {
     )
 }
 
-/// Pushes one streamed line, declaring the connection a slow consumer
-/// (backlog dropped, final `closed{reason:"slow_consumer"}` notice,
-/// counter bumped) if it cannot be queued within the deadline.
-/// Returns `false` once the forwarder should stop.
-fn forward_or_cut(out: &OutboundQueue, line: String, session: u64, config: NetConfig) -> bool {
-    let deadline = Instant::now() + config.write_deadline;
-    match out.send_with_deadline(line, deadline) {
-        SendOutcome::Sent => true,
-        SendOutcome::Closed => false,
-        SendOutcome::TimedOut => {
-            SLOW_DISCONNECTS.fetch_add(1, Ordering::Relaxed);
-            out.poison_slow(protocol::update_line(&Update::Closed {
-                session,
-                reason: "slow_consumer".to_string(),
-            }));
-            false
-        }
-    }
-}
-
-fn dispatch(
-    server: &Arc<Server>,
-    line: &str,
-    out: &Arc<OutboundQueue>,
-    config: NetConfig,
-) -> String {
-    let request = match Request::parse(line) {
-        Ok(r) => r,
-        Err(e) => return protocol::err_line(&e),
-    };
+/// Runs one request that is neither pipelined nor silent, to completion.
+fn dispatch(server: &Arc<Server>, request: Request, out: &Arc<OutboundQueue>) -> String {
     match request {
         Request::Open {
             program,
@@ -478,52 +789,20 @@ fn dispatch(
                 Err(e) => protocol::err_line(&e),
             }
         }
-        Request::Event {
-            session,
-            input,
-            value,
-            trace,
-        } => match server.event_traced(session, &input, value, trace) {
-            Ok(EnqueueOutcome::Shed { retry_after_ms }) => {
-                protocol::overloaded_line(retry_after_ms)
-            }
-            Ok(outcome) => protocol::event_line(outcome),
-            Err(e) => err_or_moved(server, session, e),
-        },
-        Request::Batch { session, events } => match server.batch(session, &events) {
-            // Admission is all-or-nothing per batch: a shed batch had
-            // nothing enqueued, so the whole reply is the typed
-            // overload signal with its retry hint.
-            Ok(outcome) if outcome.shed > 0 => protocol::overloaded_line(outcome.retry_after_ms),
-            Ok(outcome) => protocol::batch_line(&outcome),
-            Err(e) => err_or_moved(server, session, e),
-        },
         Request::Query { session } => match server.query(session) {
             Ok(info) => protocol::query_line(&info),
             Err(e) => err_or_moved(server, session, e),
         },
-        Request::Subscribe { session } => match server.subscribe(session) {
-            Ok(rx) => {
-                // Forward updates until the session closes, the client
-                // goes away, or the client stops draining; the writer
-                // thread owns actual socket I/O. A `closed` (or `moved`)
-                // update is always the stream's final message, so the
-                // forwarder ends right after relaying it.
-                let out = Arc::clone(out);
-                thread::spawn(move || {
-                    for update in rx.iter() {
-                        let is_final =
-                            matches!(update, Update::Closed { .. } | Update::Moved { .. });
-                        let line = protocol::update_line(&update);
-                        if !forward_or_cut(&out, line, session, config) || is_final {
-                            break;
-                        }
-                    }
-                });
-                protocol::subscribed_line(session)
+        // The shard pushes this session's updates straight onto the
+        // connection's queue, behind this request's reserved reply slot,
+        // until the session closes (a `closed` or `moved` update is the
+        // stream's final message) or the connection goes away.
+        Request::Subscribe { session } => {
+            match server.subscribe_sink(session, Box::new(WireSink(Arc::clone(out)))) {
+                Ok(()) => protocol::subscribed_line(session),
+                Err(e) => err_or_moved(server, session, e),
             }
-            Err(e) => err_or_moved(server, session, e),
-        },
+        }
         Request::Stats { session } => match session {
             Some(id) => match server.session_stats(id) {
                 Ok(stats) => protocol::session_stats_line(&stats),
@@ -554,7 +833,7 @@ fn dispatch(
                 thread::spawn(move || loop {
                     match mailbox.recv_timeout(Duration::from_secs(1)) {
                         TracePop::Line(line) => {
-                            if !forward_or_cut(&out, line, session, config) {
+                            if !out.push_update(session, line) {
                                 mailbox.close();
                                 break;
                             }
@@ -601,43 +880,11 @@ fn dispatch(
             Some(cluster) => cluster.handle_takeover(from, &addr, &sessions, &traces, &epochs),
             None => protocol::err_line("not in cluster mode"),
         },
-        // Streamed verbs are silent even outside cluster mode: they are
-        // fire-and-forget, so an error reply would desynchronize the
-        // sender's framing. The empty string is skipped by the caller.
-        Request::JournalAppend {
-            from,
-            session,
-            entry,
-            epoch,
-        } => {
-            if let Some(cluster) = server.cluster() {
-                cluster.handle_journal_append(from, session, entry, epoch);
-            }
-            String::new()
-        }
-        Request::SnapshotShip {
-            from,
-            session,
-            meta,
-            snapshot,
-            through,
-            dropped,
-            trace,
-            epoch,
-        } => {
-            if let Some(cluster) = server.cluster() {
-                cluster.handle_snapshot_ship(
-                    from, session, meta, snapshot, through, dropped, trace, epoch,
-                );
-            }
-            String::new()
-        }
-        Request::Heartbeat { from } => {
-            if let Some(cluster) = server.cluster() {
-                cluster.handle_heartbeat(from);
-            }
-            String::new()
-        }
+        Request::Event { .. }
+        | Request::Batch { .. }
+        | Request::JournalAppend { .. }
+        | Request::SnapshotShip { .. }
+        | Request::Heartbeat { .. } => unreachable!("served by Conn::serve"),
     }
 }
 

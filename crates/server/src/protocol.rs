@@ -410,9 +410,14 @@ impl IngressStats {
 }
 
 /// Ingest-to-output latency percentiles, in microseconds.
+///
+/// Computed over a window: each session keeps only its most recent
+/// [`crate::session::LATENCY_WINDOW`] samples (1024), so a summary
+/// describes recent traffic, and a server-wide summary covers at most
+/// that many samples per live session.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct LatencySummary {
-    /// Samples measured.
+    /// Samples in the window (at most `LATENCY_WINDOW` per session).
     pub count: u64,
     /// Median.
     pub p50_us: u64,
@@ -420,7 +425,7 @@ pub struct LatencySummary {
     pub p90_us: u64,
     /// 99th percentile.
     pub p99_us: u64,
-    /// Worst observed.
+    /// Worst in the window.
     pub max_us: u64,
 }
 

@@ -11,7 +11,7 @@ use std::sync::{OnceLock, Weak};
 use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver};
-use elm_runtime::{JournalEntry, PlainValue, StatsSnapshot, WireSnapshot};
+use elm_runtime::{JournalEntry, PlainValue, StatsSnapshot, Value, WireSnapshot};
 
 use crate::admission::{AdmissionConfig, MemoryGauge};
 use crate::cluster::{Cluster, ReplicationTap};
@@ -21,7 +21,7 @@ use crate::protocol::{
     TrapStats, Update,
 };
 use crate::registry::{ProgramSpec, Registry};
-use crate::session::{SessionConfig, SessionId, TraceMailbox};
+use crate::session::{SessionConfig, SessionId, TraceMailbox, UpdateSink};
 use crate::shard::{Command, ShardHandle, ShardStats};
 use std::sync::Arc;
 
@@ -49,6 +49,25 @@ impl Default for ServerConfig {
             idle_timeout: None,
             admission: AdmissionConfig::default(),
         }
+    }
+}
+
+const SHARD_DOWN: &str = "shard is down";
+
+/// The answer a shard owes for a request already handed to it (see
+/// [`Server::send_event`]). Commands from one thread reach a shard in the
+/// order they were sent, so answers can be collected later without
+/// reordering the requests themselves.
+pub(crate) struct Pending<T>(Receiver<Result<T, String>>);
+
+impl<T> Pending<T> {
+    /// Blocks for the shard's answer.
+    ///
+    /// # Errors
+    ///
+    /// The request's own error, or `shard is down`.
+    pub(crate) fn wait(self) -> Result<T, String> {
+        self.0.recv().map_err(|_| SHARD_DOWN.to_string())?
     }
 }
 
@@ -129,17 +148,28 @@ impl Server {
         &self.shards[(session as usize) % self.shards.len()]
     }
 
+    /// Hands a command to `session`'s shard without waiting for it.
+    fn send<R>(
+        &self,
+        session: SessionId,
+        make: impl FnOnce(channel::Sender<R>) -> Command,
+    ) -> Result<Receiver<R>, String> {
+        let (tx, rx) = channel::bounded(1);
+        self.shard_for(session)
+            .sender()
+            .send(make(tx))
+            .map_err(|_| SHARD_DOWN.to_string())?;
+        Ok(rx)
+    }
+
     fn ask<R>(
         &self,
         session: SessionId,
         make: impl FnOnce(channel::Sender<R>) -> Command,
     ) -> Result<R, String> {
-        let (tx, rx) = channel::bounded(1);
-        self.shard_for(session)
-            .sender()
-            .send(make(tx))
-            .map_err(|_| "shard is down".to_string())?;
-        rx.recv().map_err(|_| "shard is down".to_string())
+        self.send(session, make)?
+            .recv()
+            .map_err(|_| SHARD_DOWN.to_string())
     }
 
     /// Compiles/looks up a program and hosts it as a new session.
@@ -299,13 +329,32 @@ impl Server {
         value: PlainValue,
         trace: u64,
     ) -> Result<EnqueueOutcome, String> {
-        self.ask(session, |reply| Command::Event {
+        self.send_event(session, input.to_string(), value, trace)?
+            .wait()
+    }
+
+    /// Hands one event to its session's shard and returns without waiting
+    /// for the outcome: the send half of [`Server::event_traced`], which
+    /// lets a caller keep several requests in flight.
+    ///
+    /// # Errors
+    ///
+    /// Fails only when the shard is down.
+    pub(crate) fn send_event(
+        &self,
+        session: SessionId,
+        input: String,
+        value: PlainValue,
+        trace: u64,
+    ) -> Result<Pending<EnqueueOutcome>, String> {
+        self.send(session, |reply| Command::Event {
             session,
-            input: input.to_string(),
+            input,
             value: value.to_value(),
             trace,
             reply,
-        })?
+        })
+        .map(Pending)
     }
 
     /// Sends many events, enqueued in order.
@@ -322,11 +371,25 @@ impl Server {
             .iter()
             .map(|(i, v)| (i.clone(), v.to_value()))
             .collect();
-        self.ask(session, |reply| Command::Batch {
+        self.send_batch(session, events)?.wait()
+    }
+
+    /// The send half of [`Server::batch`] (see [`Server::send_event`]).
+    ///
+    /// # Errors
+    ///
+    /// Fails only when the shard is down.
+    pub(crate) fn send_batch(
+        &self,
+        session: SessionId,
+        events: Vec<(String, Value)>,
+    ) -> Result<Pending<BatchOutcome>, String> {
+        self.send(session, |reply| Command::Batch {
             session,
             events,
             reply,
-        })?
+        })
+        .map(Pending)
     }
 
     /// Current output value and queue depth (pumps pending events first,
@@ -348,12 +411,27 @@ impl Server {
     /// Fails for an unknown session.
     pub fn subscribe(&self, session: SessionId) -> Result<Receiver<Update>, String> {
         let (tx, rx) = channel::unbounded();
+        self.subscribe_sink(session, Box::new(tx))?;
+        Ok(rx)
+    }
+
+    /// Streams output changes into `sink`, which the session's shard
+    /// pushes into directly (no thread in between). The stream ends with
+    /// one [`Update::Closed`] or [`Update::Moved`].
+    ///
+    /// # Errors
+    ///
+    /// Fails for an unknown session.
+    pub(crate) fn subscribe_sink(
+        &self,
+        session: SessionId,
+        sink: Box<dyn UpdateSink>,
+    ) -> Result<(), String> {
         self.ask(session, |reply| Command::Subscribe {
             session,
-            sink: tx,
+            sink,
             reply,
-        })??;
-        Ok(rx)
+        })?
     }
 
     /// Statistics for one session.

@@ -59,7 +59,10 @@ pub struct SessionConfig {
     /// Applied events between runtime snapshots — the bound on how many
     /// journal entries any single recovery replays.
     pub snapshot_interval: u64,
-    /// Journal segment capacity (entries per in-memory segment).
+    /// Journal segment capacity (entries per in-memory segment). Truncation
+    /// frees whole segments, so a session holds at most two segments of
+    /// entries; the session caps the segment at `snapshot_interval`, which
+    /// bounds its journal by twice the interval.
     pub journal_segment: usize,
     /// Restart budget for crash recovery.
     pub restart: RestartPolicy,
@@ -86,7 +89,7 @@ impl Default for SessionConfig {
             queue_capacity: 1024,
             policy: BackpressurePolicy::Block,
             snapshot_interval: 256,
-            journal_segment: 1024,
+            journal_segment: 256,
             restart: RestartPolicy::default(),
             faults: FaultPlan::disabled(),
             observe: false,
@@ -96,9 +99,26 @@ impl Default for SessionConfig {
     }
 }
 
-/// Latency sample cap per session — enough for any realistic stats window
-/// while bounding memory for immortal sessions.
-const MAX_LATENCY_SAMPLES: usize = 1 << 20;
+/// Ingest-to-output latency samples a session keeps: the most recent
+/// ones, in a ring, so memory and the sort behind every `stats` call and
+/// `/metrics` scrape stay fixed however long the session lives.
+pub const LATENCY_WINDOW: usize = 1024;
+
+/// Where a session delivers its output updates. The shard thread pushes
+/// into it directly, so [`UpdateSink::push`] must never block: a sink that
+/// cannot keep up buffers or gives up, it never stalls the shard.
+pub trait UpdateSink: Send {
+    /// Delivers one update. Returns `false` once the sink is gone; the
+    /// session then drops it.
+    fn push(&self, update: &Update) -> bool;
+}
+
+/// The in-process sink behind [`crate::Server::subscribe`].
+impl UpdateSink for Sender<Update> {
+    fn push(&self, update: &Update) -> bool {
+        self.send(update.clone()).is_ok()
+    }
+}
 
 /// Rendered trace lines queued per `trace` subscriber, drop-oldest.
 pub const TRACE_SUBSCRIBER_CAPACITY: usize = 256;
@@ -226,7 +246,7 @@ pub struct Session {
     running: Running<Value>,
     queue: VecDeque<Queued>,
     config: SessionConfig,
-    subscribers: Vec<Sender<Update>>,
+    subscribers: Vec<Box<dyn UpdateSink>>,
     enqueued: u64,
     dropped: u64,
     coalesced: u64,
@@ -234,7 +254,10 @@ pub struct Session {
     pumps: u64,
     events_out: u64,
     seq: u64,
+    // Ring of the last LATENCY_WINDOW latency samples; `latency_next` is
+    // the slot the next sample overwrites once the ring is full.
     latencies: Vec<u64>,
+    latency_next: usize,
     last_activity: Instant,
     // --- crash recovery ---
     journal: EventJournal,
@@ -301,7 +324,8 @@ impl Session {
         let mut running = Program::from_dynamic_graph(graph.clone())
             .start_observed(Engine::Synchronous, tracer.clone());
         running.set_governor(config.limits, config.event_timeout);
-        let mut journal = EventJournal::new(config.journal_segment.max(1));
+        let segment = (config.journal_segment as u64).min(config.snapshot_interval);
+        let mut journal = EventJournal::new(segment.max(1) as usize);
         if config.faults.journal_fail > 0.0 {
             let mut rng = config.faults.rng(fault::STREAM_JOURNAL, id);
             let p = config.faults.journal_fail;
@@ -327,6 +351,7 @@ impl Session {
             events_out: 0,
             seq: 0,
             latencies: Vec::new(),
+            latency_next: 0,
             last_activity: Instant::now(),
             journal,
             snapshot: None,
@@ -581,7 +606,7 @@ impl Session {
     }
 
     /// Registers an output-change subscriber.
-    pub fn subscribe(&mut self, sink: Sender<Update>) {
+    pub fn subscribe(&mut self, sink: Box<dyn UpdateSink>) {
         self.last_activity = Instant::now();
         self.subscribers.push(sink);
     }
@@ -762,14 +787,12 @@ impl Session {
                         seq: self.seq,
                         value: pv,
                     };
-                    self.subscribers.retain(|s| s.send(update.clone()).is_ok());
+                    self.subscribers.retain(|s| s.push(&update));
                 }
             }
             let latency_us = Instant::now().duration_since(q.at).as_micros() as u64;
             self.ingest_hist.observe(latency_us);
-            if self.latencies.len() < MAX_LATENCY_SAMPLES {
-                self.latencies.push(latency_us);
-            }
+            self.record_latency(latency_us);
             if !journal_ok {
                 // The applied event is missing from the journal; snapshot
                 // immediately so no recovery ever needs the hole.
@@ -1039,7 +1062,17 @@ impl Session {
         }
     }
 
-    /// Raw ingest-to-output latency samples, in microseconds.
+    fn record_latency(&mut self, us: u64) {
+        if self.latencies.len() < LATENCY_WINDOW {
+            self.latencies.push(us);
+        } else {
+            self.latencies[self.latency_next] = us;
+            self.latency_next = (self.latency_next + 1) % LATENCY_WINDOW;
+        }
+    }
+
+    /// The most recent [`LATENCY_WINDOW`] ingest-to-output latency
+    /// samples, in microseconds (unordered).
     pub fn latency_samples(&self) -> &[u64] {
         &self.latencies
     }
@@ -1076,8 +1109,9 @@ impl Session {
             session: self.id,
             reason: reason.to_string(),
         };
-        self.subscribers.retain(|s| s.send(update.clone()).is_ok());
-        self.subscribers.clear();
+        for s in self.subscribers.drain(..) {
+            s.push(&update);
+        }
         for mb in self.trace_subscribers.drain(..) {
             mb.close();
         }
@@ -1092,8 +1126,9 @@ impl Session {
             session: self.id,
             peer: peer.to_string(),
         };
-        self.subscribers.retain(|s| s.send(update.clone()).is_ok());
-        self.subscribers.clear();
+        for s in self.subscribers.drain(..) {
+            s.push(&update);
+        }
         for mb in self.trace_subscribers.drain(..) {
             mb.close();
         }
@@ -1261,7 +1296,7 @@ mod tests {
             },
         );
         let (tx, rx) = crossbeam::channel::unbounded();
-        s.subscribe(tx);
+        s.subscribe(Box::new(tx));
         for _ in 0..200 {
             s.enqueue("Mouse.clicks", Value::Unit);
             s.pump();
@@ -1378,7 +1413,7 @@ mod tests {
     fn subscribers_receive_ordered_updates_and_latency_is_recorded() {
         let mut s = session("counter", 16, BackpressurePolicy::Block);
         let (tx, rx) = crossbeam::channel::unbounded();
-        s.subscribe(tx);
+        s.subscribe(Box::new(tx));
         s.enqueue("Mouse.clicks", Value::Unit);
         s.enqueue("Mouse.clicks", Value::Unit);
         s.pump();
@@ -1407,5 +1442,48 @@ mod tests {
                 reason: "closed".to_string()
             }]
         );
+    }
+
+    #[test]
+    fn journal_holds_at_most_two_snapshot_intervals() {
+        // The default config, and a shorter interval that leaves the
+        // segment at its default: either way truncation keeps the journal
+        // within two intervals, whatever the number of events applied.
+        let short = SessionConfig {
+            snapshot_interval: 64,
+            ..SessionConfig::default()
+        };
+        for config in [SessionConfig::default(), short] {
+            let bound = 2 * config.snapshot_interval;
+            let mut s = session_with("counter", config);
+            let mut peak = 0;
+            for _ in 0..(20 * config.snapshot_interval / 50) {
+                for _ in 0..50 {
+                    s.enqueue("Mouse.clicks", Value::Unit);
+                }
+                s.pump();
+                let held = s.recovery_stats().journal_len;
+                assert!(held <= bound, "journal holds {held} > {bound} entries");
+                peak = peak.max(held);
+            }
+            assert!(s.recovery_stats().snapshot_count >= 19);
+            assert!(peak >= config.snapshot_interval / 2, "peak {peak}");
+        }
+    }
+
+    #[test]
+    fn latency_samples_are_a_ring_of_the_most_recent() {
+        let mut s = session("counter", 16, BackpressurePolicy::Block);
+        let total = LATENCY_WINDOW as u64 + 300;
+        for us in 0..total {
+            s.record_latency(us);
+        }
+        let mut kept = s.latency_samples().to_vec();
+        kept.sort_unstable();
+        let want: Vec<u64> = (total - LATENCY_WINDOW as u64..total).collect();
+        assert_eq!(kept, want);
+        let summary = s.stats().latency;
+        assert_eq!(summary.count, LATENCY_WINDOW as u64);
+        assert_eq!(summary.max_us, total - 1);
     }
 }

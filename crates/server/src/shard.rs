@@ -27,9 +27,8 @@ use crate::admission::{Admission, AdmissionConfig, AdmissionController, MemoryGa
 use crate::cluster::{RepMsg, ReplicationTap};
 use crate::protocol::{
     AdmissionStats, BatchOutcome, DescribeInfo, EnqueueOutcome, OpenInfo, QueryInfo, SessionStats,
-    Update,
 };
-use crate::session::{Session, SessionConfig, SessionId, TraceMailbox};
+use crate::session::{Session, SessionConfig, SessionId, TraceMailbox, UpdateSink};
 use elm_runtime::{JournalEntry, WireSnapshot};
 
 /// How long a shard sleeps when no commands arrive before re-checking
@@ -38,7 +37,7 @@ const TICK: Duration = Duration::from_millis(5);
 
 /// How many commands a shard absorbs back-to-back before it pumps the
 /// affected sessions — bounds ingest-to-output latency under a firehose.
-const MAX_BURST: usize = 256;
+pub(crate) const MAX_BURST: usize = 256;
 
 /// Lifecycle counters owned by one shard.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -170,8 +169,8 @@ pub enum Command {
     Subscribe {
         /// Target session.
         session: SessionId,
-        /// Where updates go.
-        sink: Sender<Update>,
+        /// Where updates go. The shard pushes into it without blocking.
+        sink: Box<dyn UpdateSink>,
         /// Acknowledges registration.
         reply: Sender<Result<(), String>>,
     },
@@ -648,6 +647,7 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Update;
     use crate::registry::{ProgramSpec, Registry};
 
     fn spawn_shard(idle_timeout: Option<Duration>) -> ShardHandle {
@@ -786,7 +786,7 @@ mod tests {
             .sender()
             .send(Command::Subscribe {
                 session: 9,
-                sink: sub_tx,
+                sink: Box::new(sub_tx),
                 reply: tx,
             })
             .unwrap();
@@ -882,7 +882,7 @@ mod tests {
             .sender()
             .send(Command::Subscribe {
                 session: 1,
-                sink: sub_tx,
+                sink: Box::new(sub_tx),
                 reply: tx,
             })
             .unwrap();

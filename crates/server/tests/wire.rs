@@ -217,3 +217,125 @@ fn ad_hoc_source_and_stats_over_tcp() {
     let garbage = c.round_trip("this is not json");
     assert_eq!(field(&garbage, "ok"), &Json::Bool(false));
 }
+
+#[test]
+fn pipelined_replies_keep_request_order_and_precede_their_updates() {
+    let addr = start_server();
+    let mut c = Client::connect(addr);
+
+    // Two sessions on different shards (ids are placed `id % shards`).
+    let a = as_u64(field(
+        &c.round_trip(r#"{"cmd":"open","program":"counter"}"#),
+        "session",
+    ));
+    let b = as_u64(field(
+        &c.round_trip(r#"{"cmd":"open","program":"counter"}"#),
+        "session",
+    ));
+    assert_ne!(a % 2, b % 2, "sessions {a} and {b} share a shard");
+    for s in [a, b] {
+        assert_ok(&c.round_trip(&format!(r#"{{"cmd":"subscribe","session":{s}}}"#)));
+    }
+
+    // ~200 interleaved request lines in one write, with a malformed line,
+    // an event for an unknown session and a query among them.
+    enum Want {
+        Ack(u64),
+        Malformed,
+        Unknown,
+        Query(i64),
+    }
+    let mut wants = Vec::new();
+    let mut text = String::new();
+    let mut sent_to_a = 0i64;
+    for i in 0..200 {
+        let line = match i {
+            50 => {
+                wants.push(Want::Malformed);
+                r#"{"cmd":"event","session":"#.to_string()
+            }
+            100 => {
+                wants.push(Want::Unknown);
+                r#"{"cmd":"event","session":999,"input":"Mouse.clicks","value":"Unit"}"#.to_string()
+            }
+            150 => {
+                wants.push(Want::Query(sent_to_a));
+                format!(r#"{{"cmd":"query","session":{a}}}"#)
+            }
+            _ => {
+                let s = if i % 3 == 0 { b } else { a };
+                if s == a {
+                    sent_to_a += 1;
+                }
+                wants.push(Want::Ack(s));
+                format!(r#"{{"cmd":"event","session":{s},"input":"Mouse.clicks","value":"Unit"}}"#)
+            }
+        };
+        text.push_str(&line);
+        text.push('\n');
+    }
+    c.stream.write_all(text.as_bytes()).unwrap();
+
+    // Per session: acks seen so far, and the last update seq seen.
+    let mut acked = std::collections::HashMap::from([(a, 0u64), (b, 0u64)]);
+    let mut last_update = std::collections::HashMap::from([(a, 0u64), (b, 0u64)]);
+    let mut next = 0;
+    while next < wants.len() || last_update[&a] < sent_to_a as u64 {
+        let msg = c.recv();
+        if msg.get("update").is_some() {
+            assert_eq!(
+                field(&msg, "update"),
+                &Json::Str("changed".into()),
+                "{msg:?}"
+            );
+            let s = as_u64(field(&msg, "session"));
+            let seq = as_u64(field(&msg, "seq"));
+            assert_eq!(seq, last_update[&s] + 1, "updates out of order: {msg:?}");
+            // The k-th event to a counter session causes its k-th update,
+            // and that event's ack must already be on the wire.
+            assert!(
+                seq <= acked[&s],
+                "update {seq} of session {s} before its ack"
+            );
+            last_update.insert(s, seq);
+            continue;
+        }
+        let want = wants
+            .get(next)
+            .unwrap_or_else(|| panic!("unexpected reply {msg:?}"));
+        match want {
+            Want::Ack(s) => {
+                assert_ok(&msg);
+                assert_eq!(field(&msg, "outcome"), &Json::Str("accepted".into()));
+                *acked.get_mut(s).unwrap() += 1;
+            }
+            Want::Malformed => assert_eq!(field(&msg, "ok"), &Json::Bool(false), "{msg:?}"),
+            Want::Unknown => {
+                assert_eq!(field(&msg, "ok"), &Json::Bool(false), "{msg:?}");
+                let error = field(&msg, "error").as_str().unwrap_or_default();
+                assert!(error.contains("unknown session"), "{msg:?}");
+            }
+            Want::Query(n) => {
+                assert_ok(&msg);
+                assert_eq!(
+                    field(field(&msg, "value"), "Int"),
+                    &Json::I64(*n),
+                    "{msg:?}"
+                );
+            }
+        }
+        next += 1;
+    }
+    assert_eq!(acked[&a], sent_to_a as u64);
+    assert_eq!(last_update[&a], sent_to_a as u64);
+    let sent_to_b = 197 - sent_to_a as u64;
+    assert_eq!(acked[&b], sent_to_b);
+    while last_update[&b] < sent_to_b {
+        let msg = c.recv();
+        let s = as_u64(field(&msg, "session"));
+        assert_eq!(s, b, "{msg:?}");
+        let seq = as_u64(field(&msg, "seq"));
+        assert_eq!(seq, last_update[&b] + 1);
+        last_update.insert(b, seq);
+    }
+}
