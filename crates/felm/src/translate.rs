@@ -10,9 +10,12 @@
 //!
 //! Functions embedded in `lift`/`foldp`/`keepIf` nodes are FElm values;
 //! each node compiles its function once, when the graph is built
-//! ([`crate::eval_big::compile`]), and applies the compiled code at event
-//! time ([`apply_compiled`]) — the moral equivalent of the paper's `⟦f⟧V`
-//! application inside each node's CML loop.
+//! ([`crate::eval_big::compile`]), into slot-resolved code, and applies
+//! that code at event time ([`apply_compiled`]) — the moral equivalent of
+//! the paper's `⟦f⟧V` application inside each node's CML loop. The
+//! application is uncurried: the k parent values of a `\p1 … pk -> body`
+//! node fill one reused frame, and an int-closed body over `Int` parents
+//! runs on unboxed `i64`s, allocating nothing.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -22,7 +25,7 @@ use elm_runtime::{GraphBuilder, NodeId, SignalGraph, Value};
 use crate::ast::{Expr, ExprKind};
 use crate::env::InputEnv;
 use crate::eval::{normalize, DEFAULT_FUEL};
-use crate::eval_big::{compile, Code};
+use crate::eval_big::{apply_node, compile, Code};
 use crate::intermediate::{FinalTerm, SignalTerm};
 
 /// Errors raised while building the graph.
@@ -128,13 +131,15 @@ pub fn apply_function(func: &Expr, args: &[Value]) -> Value {
     apply_compiled(&compile(func), &args)
 }
 
-/// Applies compiled FElm function code to runtime values.
+/// Applies compiled FElm function code to runtime values: the node entry
+/// point, run on every event at every `lift`, `foldp` and `keepIf` node.
 ///
-/// Uses the environment-based big-step interpreter
-/// ([`crate::eval_big`]) — this runs on every event at every node, so it
-/// must be fast; agreement with the Fig. 6 small-step machine is
-/// property-tested, and [`apply_function_small_step`] keeps the
-/// specification path available (the `interpreter` bench compares them).
+/// Runs [`crate::eval_big::apply_node`]: the parent values are bound into
+/// one frame of the slot-resolved code, on the unboxed Int lane when the
+/// function's body is int-closed and the parents it reads are Ints.
+/// Agreement with the Fig. 6 small-step machine is property-tested, and
+/// [`apply_function_small_step`] keeps the specification path available
+/// (the `interpreter` bench compares them).
 ///
 /// When the hosting scheduler has activated a per-event resource
 /// governor ([`elm_runtime::governor`]), the application runs metered
@@ -152,7 +157,6 @@ pub fn apply_function(func: &Expr, args: &[Value]) -> Value {
 pub fn apply_compiled(code: &Code, args: &[&Value]) -> Value {
     use crate::budget::{Budget, Meter, Trap};
     use crate::eval::EvalError;
-    use crate::eval_big::{apply_metered, eval_code, from_runtime_value, to_runtime_value, Env};
     use elm_runtime::governor;
 
     // Governed applications evaluate against the event's *remaining*
@@ -168,19 +172,12 @@ pub fn apply_compiled(code: &Code, args: &[&Value]) -> Value {
         .with_deadline(view.deadline),
         None => Meter::unlimited(),
     };
-    let mut result = eval_code(&Env::empty(), code, &mut meter);
-    for a in args {
-        let Ok(cur) = result else { break };
-        let arg = from_runtime_value(a)
-            .unwrap_or_else(|| panic!("runtime value {a:?} is outside FElm's data universe"));
-        result = apply_metered(cur, arg, &mut meter);
-    }
+    let result = apply_node(code, args, &mut meter);
     if view.is_some() {
         governor::consume(meter.fuel_used(), meter.alloc_cells());
     }
     match result {
-        Ok(cur) => to_runtime_value(&cur)
-            .unwrap_or_else(|| panic!("embedded FElm function returned a non-data value")),
+        Ok(value) => value,
         Err(EvalError::Trap(t)) => {
             governor::record_trap(match t {
                 Trap::OutOfFuel => governor::TrapKind::OutOfFuel,

@@ -19,10 +19,12 @@
 use felm::budget::{Budget, Meter, Trap};
 use felm::env::InputEnv;
 use felm::eval::{normalize, normalize_metered, EvalError, DEFAULT_FUEL};
-use felm::eval_big::{apply_metered, eval, eval_metered, Env, RtValue};
+use felm::eval_big::{
+    apply_metered, apply_node, apply_node_boxed, compile, eval, eval_metered, Code, Env, RtValue,
+};
 use felm::parser::parse_expr;
 use felm::pipeline::compile_source;
-use felm::translate::expr_to_value;
+use felm::translate::{apply_function_small_step, expr_to_value};
 
 use elm_runtime::{EventLimits, Occurrence, SyncRuntime, TrapKind, Value};
 use proptest::prelude::*;
@@ -368,6 +370,43 @@ fn run_under(
     (r, m)
 }
 
+/// One application under a given budget: whether it completed, and the
+/// meter after it finished or trapped.
+type Run<'a> = dyn Fn(Budget) -> (Result<(), EvalError>, Meter) + 'a;
+
+/// [`run_under`] as a [`Run`]: evaluate `e`, then apply it to one
+/// argument at a time.
+fn curried(e: &felm::ast::Expr, args: &[i64]) -> impl Fn(Budget) -> (Result<(), EvalError>, Meter) {
+    let (e, args) = (e.clone(), args.to_vec());
+    move |budget| {
+        let (r, m) = run_under(&e, &args, budget);
+        (r.map(drop), m)
+    }
+}
+
+/// A node entry point: `apply_node` or `apply_node_boxed`.
+type Apply = fn(&Code, &[&Value], &mut Meter) -> Result<Value, EvalError>;
+
+/// `e` applied to `args` through a node entry point, the way a graph node
+/// applies its function.
+fn node_entry(
+    apply: Apply,
+    e: &felm::ast::Expr,
+    args: &[Value],
+) -> impl Fn(Budget) -> (Result<(), EvalError>, Meter) {
+    let (code, args) = (compile(e), args.to_vec());
+    move |budget| {
+        let mut m = Meter::new(budget);
+        let refs: Vec<&Value> = args.iter().collect();
+        let r = apply(&code, &refs, &mut m).map(drop);
+        (r, m)
+    }
+}
+
+fn ints(args: &[i64]) -> Vec<Value> {
+    args.iter().map(|&n| Value::Int(n)).collect()
+}
+
 /// The meter's readings for one application:
 ///
 /// 1. fuel used,
@@ -380,22 +419,20 @@ fn run_under(
 ///
 /// The last two pin the order of the meter's `tick`, `alloc` and `enter`
 /// calls, not just their totals.
-fn readings(e: &felm::ast::Expr, args: &[i64]) -> [u64; 5] {
-    let (result, m) = run_under(e, args, Budget::UNLIMITED);
+fn readings(run: &Run) -> [u64; 5] {
+    let (result, m) = run(Budget::UNLIMITED);
     result.expect("pinned corpus evaluates");
     let depth_budget = |max_depth| Budget {
         max_depth,
         ..Budget::UNLIMITED
     };
     let depth = (1..)
-        .find(|&d| run_under(e, args, depth_budget(d)).0.is_ok())
+        .find(|&d| run(depth_budget(d)).0.is_ok())
         .expect("some depth suffices");
     let alloc_at_fuel_traps = (0..m.fuel_used())
-        .map(|fuel| run_under(e, args, Budget::with_fuel(fuel)).1.alloc_cells())
+        .map(|fuel| run(Budget::with_fuel(fuel)).1.alloc_cells())
         .sum();
-    let fuel_at_depth_traps = (0..depth)
-        .map(|d| run_under(e, args, depth_budget(d)).1.fuel_used())
-        .sum();
+    let fuel_at_depth_traps = (0..depth).map(|d| run(depth_budget(d)).1.fuel_used()).sum();
     [
         m.fuel_used(),
         m.alloc_cells(),
@@ -408,9 +445,14 @@ fn readings(e: &felm::ast::Expr, args: &[i64]) -> [u64; 5] {
 /// Checks one pinned row: the readings match, and one unit less of the
 /// fuel, allocation or depth budget traps on that dimension.
 fn check_pinned(label: &str, e: &felm::ast::Expr, args: &[i64], want: [u64; 5]) {
-    assert_eq!(readings(e, args), want, "{label}");
+    check_run(label, &curried(e, args), want);
+}
+
+/// [`check_pinned`] for any [`Run`].
+fn check_run(label: &str, run: &Run, want: [u64; 5]) {
+    assert_eq!(readings(run), want, "{label}");
     let [fuel, alloc, depth, ..] = want;
-    let trap = |budget: Budget| run_under(e, args, budget).0.unwrap_err();
+    let trap = |budget: Budget| run(budget).0.unwrap_err();
     assert_eq!(
         trap(Budget::with_fuel(fuel - 1)),
         EvalError::Trap(Trap::OutOfFuel),
@@ -442,5 +484,118 @@ fn meter_readings_are_pinned() {
     for &(d, want) in PINNED_BENCH {
         let e = parse_expr(&bench_workload(d)).unwrap();
         check_pinned(&format!("bench depth {d}"), &e, &[21, 2], want);
+    }
+}
+
+/// A graph node applies its function through `apply_node`, which binds
+/// the parent values into one frame and takes the Int lane when it can.
+/// Both node paths must meter exactly like the curried application the
+/// pinned rows record.
+#[test]
+fn node_entry_gives_the_pinned_readings() {
+    let mut int_closed = 0;
+    for &(data, src, args, want) in PINNED {
+        let e = pinned_expr(data, src);
+        int_closed += compile(&e).is_int_closed() as usize;
+        for (path, apply) in [("lane", apply_node as Apply), ("boxed", apply_node_boxed)] {
+            let run = node_entry(apply, &e, &ints(args));
+            check_run(&format!("{path}: {src}"), &run, want);
+        }
+    }
+    assert_eq!(
+        int_closed, 15,
+        "the scalar and fold rows run on the Int lane"
+    );
+    for &(d, want) in PINNED_BENCH {
+        let e = parse_expr(&bench_workload(d)).unwrap();
+        assert!(compile(&e).is_int_closed());
+        for (path, apply) in [("lane", apply_node as Apply), ("boxed", apply_node_boxed)] {
+            let run = node_entry(apply, &e, &ints(&[21, 2]));
+            check_run(&format!("{path}: bench depth {d}"), &run, want);
+        }
+    }
+}
+
+/// An int-closed body over `params`: Int literals, the parameters, every
+/// operator but `++` and `::`, `if` and `let`.
+fn int_closed_body(rng: &mut rand::rngs::StdRng, depth: usize, scope: &mut Vec<String>) -> String {
+    use rand::Rng;
+    if depth == 0 || rng.gen_bool(0.2) {
+        return match scope.len() {
+            n if n > 0 && rng.gen_bool(0.6) => scope[rng.gen_range(0..n)].clone(),
+            _ => format!("{}", rng.gen_range(0i64..10)),
+        };
+    }
+    let d = depth - 1;
+    match rng.gen_range(0u32..4) {
+        0 | 1 => {
+            const OPS: [&str; 13] = [
+                "+", "-", "*", "/", "%", "==", "/=", "<", "<=", ">", ">=", "&&", "||",
+            ];
+            let op = OPS[rng.gen_range(0..OPS.len())];
+            let a = int_closed_body(rng, d, scope);
+            let b = int_closed_body(rng, d, scope);
+            format!("({a} {op} {b})")
+        }
+        2 => {
+            let c = int_closed_body(rng, d, scope);
+            let t = int_closed_body(rng, d, scope);
+            let f = int_closed_body(rng, d, scope);
+            format!("(if {c} then {t} else {f})")
+        }
+        _ => {
+            let value = int_closed_body(rng, d, scope);
+            // Reusing a parameter's name shadows it.
+            let name = ["t", "u", "a", "n"][rng.gen_range(0usize..4)].to_string();
+            scope.push(name.clone());
+            let body = int_closed_body(rng, d, scope);
+            scope.pop();
+            format!("(let {name} = {value} in {body})")
+        }
+    }
+}
+
+/// `\a n -> body` or `\e n -> body`; the latter never reads `e`, which
+/// the test feeds a `Unit`, as `foldp` over `Mouse.clicks` does.
+fn int_closed_node() -> BoxedStrategy<(String, bool)> {
+    BoxedStrategy::from_fn(|rng| {
+        use rand::Rng;
+        let unit_event = rng.gen_bool(0.3);
+        let mut scope = if unit_event {
+            vec!["n".to_string()]
+        } else {
+            vec!["a".to_string(), "n".to_string()]
+        };
+        let body = int_closed_body(rng, 4, &mut scope);
+        let first = if unit_event { "e" } else { "a" };
+        (format!("\\{first} n -> {body}"), unit_event)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn int_lane_agrees_with_the_slot_path_and_the_spec(
+        node in int_closed_node(),
+        a in -30i64..30,
+        n in -30i64..30,
+    ) {
+        let (src, unit_event) = node;
+        let f = parse_expr(&src).expect("generated function parses");
+        let code = compile(&f);
+        prop_assert!(code.is_int_closed(), "{}", src);
+        let first = if unit_event { Value::Unit } else { Value::Int(a) };
+        let args = [first, Value::Int(n)];
+        let refs = [&args[0], &args[1]];
+
+        let lane = apply_node(&code, &refs, &mut Meter::unlimited()).expect("total body");
+        let boxed = apply_node_boxed(&code, &refs, &mut Meter::unlimited()).expect("total body");
+        prop_assert_eq!(&lane, &boxed, "{}", src);
+        prop_assert_eq!(&lane, &apply_function_small_step(&f, &args), "{}", src);
+
+        let lane = readings(&node_entry(apply_node, &f, &args));
+        let boxed = readings(&node_entry(apply_node_boxed, &f, &args));
+        prop_assert_eq!(lane, boxed, "{}", src);
     }
 }

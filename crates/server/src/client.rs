@@ -584,7 +584,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(1);
         let d0 = backoff_ms(policy, 0, 0, &mut rng);
-        assert!(d0 >= 3 && d0 <= 4, "{d0}");
+        assert!((3..=4).contains(&d0), "{d0}");
         // The server hint floors the delay.
         let hinted = backoff_ms(policy, 0, 40, &mut rng);
         assert!(hinted > 20 && hinted <= 40, "{hinted}");

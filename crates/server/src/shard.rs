@@ -928,13 +928,10 @@ mod tests {
         let shard = spawn_shard(Some(Duration::from_millis(30)));
         open_on(&shard, 1, "counter", SessionConfig::default());
         let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match query_on(&shard, 1) {
-                // Querying touches the session, pushing the idle deadline
-                // out — so back off longer than the timeout between polls.
-                Ok(_) => thread::sleep(Duration::from_millis(50)),
-                Err(_) => break,
-            }
+        // Querying touches the session, pushing the idle deadline out — so
+        // back off longer than the timeout between polls.
+        while query_on(&shard, 1).is_ok() {
+            thread::sleep(Duration::from_millis(50));
             assert!(Instant::now() < deadline, "idle session never evicted");
         }
         shard.shutdown();
