@@ -90,8 +90,9 @@ impl FaultPlan {
         }
     }
 
-    /// The default chaos mix used by `loadgen --chaos`: frequent node
-    /// panics, occasional crashes, stalls, bursts, and journal failures.
+    /// The default chaos mix (the server's seeded chaos recovery test and
+    /// `loadgen --fleet` run it): frequent node panics, occasional
+    /// crashes, stalls, bursts, and journal failures.
     pub fn chaos(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,

@@ -27,22 +27,6 @@ use crate::graph::{NodeKind, SignalGraph};
 /// assert!(rendered.contains("dispatcher"));
 /// ```
 pub fn to_dot(graph: &SignalGraph) -> String {
-    to_dot_inner(graph, None)
-}
-
-/// Renders `graph` with nodes colored by cumulative compute time ("heat").
-///
-/// `compute_ns[i]` is node `i`'s cumulative compute time in nanoseconds
-/// (e.g. the per-node histogram sums collected by a
-/// [`crate::tracing::Tracer`]); missing entries count as zero. Node fill
-/// goes from white (cold) to saturated red (the hottest node), and each
-/// label is annotated with the cumulative milliseconds, so profiling output
-/// is visually inspectable with any Graphviz viewer.
-pub fn to_dot_with_heat(graph: &SignalGraph, compute_ns: &[u64]) -> String {
-    to_dot_inner(graph, Some(compute_ns))
-}
-
-fn to_dot_inner(graph: &SignalGraph, heat: Option<&[u64]>) -> String {
     let mut out = String::new();
     let owner = graph.subgraph_owner();
     out.push_str("digraph signal_graph {\n");
@@ -54,7 +38,7 @@ fn to_dot_inner(graph: &SignalGraph, heat: Option<&[u64]>) -> String {
     // Primary nodes first.
     for node in graph.nodes() {
         if owner[node.id.index()].is_none() {
-            write_node(&mut out, "  ", graph, node.id.index(), heat);
+            write_node(&mut out, "  ", graph, node.id.index());
         }
     }
     // One cluster per async node's secondary subgraph.
@@ -72,7 +56,7 @@ fn to_dot_inner(graph: &SignalGraph, heat: Option<&[u64]>) -> String {
         let _ = writeln!(out, "    label=\"secondary subgraph of {a}\";");
         out.push_str("    style=dotted;\n");
         for idx in members {
-            write_node(&mut out, "    ", graph, idx, heat);
+            write_node(&mut out, "    ", graph, idx);
         }
         out.push_str("  }\n");
     }
@@ -102,40 +86,15 @@ fn to_dot_inner(graph: &SignalGraph, heat: Option<&[u64]>) -> String {
     out
 }
 
-fn write_node(
-    out: &mut String,
-    indent: &str,
-    graph: &SignalGraph,
-    idx: usize,
-    heat: Option<&[u64]>,
-) {
+fn write_node(out: &mut String, indent: &str, graph: &SignalGraph, idx: usize) {
     let node = &graph.nodes()[idx];
     let shape = if node.is_source() { "box" } else { "oval" };
     let label = node.label.replace('"', "\\\"");
-    match heat {
-        Some(compute_ns) => {
-            let max = compute_ns.iter().copied().max().unwrap_or(0).max(1);
-            let ns = compute_ns.get(idx).copied().unwrap_or(0);
-            // White (cold) → saturated red (hottest): scale green/blue down
-            // with the node's share of the hottest node's time.
-            let frac = ns as f64 / max as f64;
-            let cold = (255.0 * (1.0 - frac)).round() as u8;
-            let ms = ns as f64 / 1e6;
-            let _ = writeln!(
-                out,
-                "{indent}{} [label=\"{label}\\n{ms:.3} ms\", shape={shape}, \
-                 style=filled, fillcolor=\"#ff{cold:02x}{cold:02x}\"];",
-                node.id,
-            );
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "{indent}{} [label=\"{label}\", shape={shape}];",
-                node.id
-            );
-        }
-    }
+    let _ = writeln!(
+        out,
+        "{indent}{} [label=\"{label}\", shape={shape}];",
+        node.id
+    );
 }
 
 #[cfg(test)]
@@ -157,23 +116,6 @@ mod tests {
         assert!(dot.contains("n0 -> n2;"));
         assert!(dot.contains("n1 -> n2;"));
         assert!(dot.contains("n2 [peripheries=2];"));
-    }
-
-    #[test]
-    fn heat_rendering_colors_hottest_node_red() {
-        let mut g = GraphBuilder::new();
-        let x = g.input("Mouse.x", 0i64);
-        let f = g.lift1("f", |v| v.clone(), x);
-        let h = g.lift1("hot", |v| v.clone(), f);
-        let graph = g.finish(h).unwrap();
-        // Node 2 ("hot") has all the compute time.
-        let dot = to_dot_with_heat(&graph, &[0, 500_000, 2_000_000]);
-        assert!(dot.contains("n2 [label=\"hot\\n2.000 ms\""));
-        assert!(dot.contains("fillcolor=\"#ff0000\""), "{dot}");
-        // The cold input stays white.
-        assert!(dot.contains("fillcolor=\"#ffffff\""), "{dot}");
-        // Heat-free rendering is unchanged.
-        assert!(!to_dot(&graph).contains("fillcolor"));
     }
 
     #[test]

@@ -1,36 +1,28 @@
-//! Load generator: drives M concurrent sessions with simulator traces
-//! and reports throughput, ingest-to-output latency percentiles, and a
-//! per-session isolation check against single-session synchronous
-//! replay.
+//! Load generator: the end-to-end correctness harness of the signal
+//! server. Every mode drives real sessions, judges each one's served
+//! output against its synchronous replay ([`replay`]) — the paper's
+//! guarantee, with `async` the only sanctioned reordering — and exits
+//! nonzero on any failed check. Throughput is measured by `perfbench/`,
+//! not here. In-process isolation, span-tree reconstruction and
+//! crash recovery under seeded chaos are pinned by the `elm-server`
+//! integration tests (`multi_session.rs`, `trace_reconstruction.rs`,
+//! `recovery.rs`) rather than by a mode of this binary.
 //!
 //! ```text
-//! loadgen [--sessions M] [--events N] [--program NAME] [--shards N]
-//!         [--queue N] [--policy P] [--seed S] [--out BENCH_server.json]
-//!         [--chaos] [--overload] [--fleet] [--cluster] [--partition]
-//!         [--no-fencing] [--fleet-programs N] [--snapshot-interval N]
+//! loadgen (--overload | --fleet | --cluster | --partition) [--sessions M]
+//!         [--events N] [--shards N] [--seed S] [--out FILE] [--no-fencing]
+//!         [--fleet-programs N] [--snapshot-interval N]
 //! ```
 //!
-//! `--events` is per session; the default workload is 64 sessions ×
-//! 10000 events of mixed mouse/keyboard/timer traffic, each session on
-//! its own deterministic seed. The report carries both the offered
-//! `events_per_sec` and `applied_events_per_sec`, which counts only the
-//! events the program declares an input for (the rest are `ignored`).
+//! There are four modes; `--events` is per session.
 //!
-//! Sessions are opened with `observe: true`, so every run also exercises
-//! the observability surface: it dumps the Prometheus scrape
-//! (`BENCH_metrics.prom`), the reconstructed span trees of a seeded
-//! traced workload (`BENCH_trace.json`), and a heat-annotated DOT
-//! rendering of the graph (`BENCH_heat.dot`), and fails if span trees on
-//! either scheduler do not match the graph's causal structure.
-//!
-//! `--chaos` turns on the deterministic fault-injection harness: traces
-//! are laced with poison-pill events and queue bursts, sessions suffer
-//! seeded runtime crashes and journal append failures, and shard workers
-//! stall — all derived from `--seed` at the fixed rates below. The run
-//! fails (nonzero exit) if any session's recovery fails, any recovery
-//! replays more than the snapshot interval, any recovered session's final
-//! output diverges from an uninterrupted synchronous replay, or fewer
-//! than a quarter of the sessions were actually hit by a panic.
+//! `--overload` over-drives an in-process server with admission control
+//! through retrying TCP clients, next to fueled hostile builtins
+//! (`runaway`, `membomb`) and a control-plane probe. The verdict in
+//! `BENCH_overload.json` fails unless every control probe is answered,
+//! `admitted + shed == offered` in the scrape, no retrying client gives
+//! up, every hostile event traps with its session surviving, and the
+//! admitted traffic equals a budget-governed replay.
 //!
 //! `--fleet` hosts a *scenario fleet*: hundreds of distinct seeded FElm
 //! programs synthesized by `elm-synth`, opened as ad-hoc sources across
@@ -90,13 +82,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use elm_environment::{FaultPlan, Simulator};
-use elm_runtime::{
-    assemble, dot, reachable_from, EventLimits, NodeId, PlainSpanTree, PlainValue, SignalGraph,
-    Trace, TraceEvent, Tracer,
-};
+use elm_runtime::{EventLimits, PlainValue, SignalGraph, Trace, TraceEvent};
 use elm_server::{
-    place, AdmissionConfig, BackpressurePolicy, Client, ClusterClient, ProgramSpec, Registry,
-    RestartPolicy, Server, ServerConfig, SessionConfig, Update,
+    place, AdmissionConfig, Client, ClusterClient, ProgramSpec, Registry, RestartPolicy, Server,
+    ServerConfig, SessionConfig, Update,
 };
 use elm_signals::{Engine, Program};
 use elm_synth::{GenConfig, Generator, Scenario};
@@ -104,19 +93,8 @@ use serde_json::Value as Json;
 
 const BATCH: usize = 64;
 
-/// The default `--out`; each non-default mode writes its own report
-/// name instead unless `--out` is given.
-const DEFAULT_OUT: &str = "BENCH_server.json";
-
 /// Size of the `--cluster` / `--partition` peer group.
 const PEERS: usize = 3;
-
-/// `--chaos` per-event fault rates: node-panic poison pills, runtime
-/// crashes, journal append failures, and shard-worker stalls.
-const PANIC_PROB: f64 = 0.005;
-const CRASH_PROB: f64 = 0.0005;
-const JOURNAL_FAIL_PROB: f64 = 0.001;
-const STALL_PROB: f64 = 0.01;
 
 /// The per-event budget the `--fleet` and `--overload` sessions run
 /// under, paired with no wall-clock deadline: deadline traps would not
@@ -130,13 +108,10 @@ const GOVERNED: EventLimits = EventLimits {
 struct Args {
     sessions: usize,
     events: usize,
-    program: Option<String>,
     shards: usize,
-    queue: usize,
-    policy: BackpressurePolicy,
     seed: u64,
-    out: String,
-    chaos: bool,
+    /// Report path; each mode has its own default name.
+    out: Option<String>,
     overload: bool,
     fleet: bool,
     cluster: bool,
@@ -151,13 +126,9 @@ impl Default for Args {
         Args {
             sessions: 64,
             events: 10_000,
-            program: None,
             shards: ServerConfig::default().shards,
-            queue: 1024,
-            policy: BackpressurePolicy::Block,
             seed: 42,
-            out: DEFAULT_OUT.to_string(),
-            chaos: false,
+            out: None,
             overload: false,
             fleet: false,
             cluster: false,
@@ -171,9 +142,8 @@ impl Default for Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: loadgen [--sessions M] [--events N] [--program NAME] [--shards N] \
-         [--queue N] [--policy block|drop-oldest|coalesce] [--seed S] [--out FILE] \
-         [--chaos] [--overload] [--fleet] [--cluster] [--partition] [--no-fencing] \
+        "usage: loadgen (--overload | --fleet | --cluster | --partition) [--sessions M] \
+         [--events N] [--shards N] [--seed S] [--out FILE] [--no-fencing] \
          [--fleet-programs N] [--snapshot-interval N]"
     );
     exit(2)
@@ -187,13 +157,9 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--sessions" => a.sessions = value().parse().unwrap_or_else(|_| usage()),
             "--events" => a.events = value().parse().unwrap_or_else(|_| usage()),
-            "--program" => a.program = Some(value()),
             "--shards" => a.shards = value().parse().unwrap_or_else(|_| usage()),
-            "--queue" => a.queue = value().parse().unwrap_or_else(|_| usage()),
-            "--policy" => a.policy = BackpressurePolicy::parse(&value()).unwrap_or_else(|| usage()),
             "--seed" => a.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--out" => a.out = value(),
-            "--chaos" => a.chaos = true,
+            "--out" => a.out = Some(value()),
             "--overload" => a.overload = true,
             "--fleet" => a.fleet = true,
             "--cluster" => a.cluster = true,
@@ -243,69 +209,6 @@ fn replay(graph: &SignalGraph, events: &[TraceEvent], limits: Option<EventLimits
     PlainValue::from_value(running.current()).expect("replay value is plain")
 }
 
-/// Runs a seeded simulator workload through an *observed* single-session
-/// runtime on `engine` and checks that the reconstructed span trees match
-/// the graph's causal structure: every tree's node set is contained in the
-/// reachable subgraph of its ingress node, and at least one tree covers
-/// that subgraph exactly. Returns the plain span trees plus the tracer's
-/// per-node timing snapshots on success.
-fn trace_check(
-    graph: &SignalGraph,
-    seed: u64,
-    engine: Engine,
-) -> Result<(Vec<PlainSpanTree>, Vec<elm_runtime::NodeTimingSnapshot>), String> {
-    const TRACE_EVENTS: usize = 200;
-    let tracer = Tracer::for_graph(graph);
-    tracer.set_enabled(true);
-    let mut running =
-        Program::from_dynamic_graph(graph.clone()).start_observed(engine, Some(tracer.clone()));
-    let workload = Simulator::workload(seed, TRACE_EVENTS);
-    for e in &workload.events {
-        if graph.input_named(&e.input).is_some() {
-            running
-                .send_named(&e.input, e.value.to_value())
-                .map_err(|e| format!("send: {e}"))?;
-        }
-    }
-    running.drain_raw().map_err(|e| format!("drain: {e}"))?;
-    running.stop();
-
-    let spans = tracer.drain_spans();
-    let trees = assemble(&spans, graph);
-    if trees.is_empty() {
-        return Err("no span trees reconstructed".to_string());
-    }
-    let mut exact = 0usize;
-    for tree in &trees {
-        let roots = tree.roots();
-        if roots.is_empty() {
-            return Err(format!("trace {} has no root span", tree.trace.0));
-        }
-        let mut reachable = BTreeSet::new();
-        for &r in &roots {
-            reachable.extend(reachable_from(graph, NodeId(tree.spans[r].node)));
-        }
-        let nodes = tree.node_set();
-        if !nodes.is_subset(&reachable) {
-            return Err(format!(
-                "trace {}: span nodes {nodes:?} escape the reachable subgraph {reachable:?}",
-                tree.trace.0
-            ));
-        }
-        if nodes == reachable {
-            exact += 1;
-        }
-    }
-    if exact == 0 {
-        return Err(format!(
-            "none of {} trees covered its reachable subgraph exactly",
-            trees.len()
-        ));
-    }
-    let plain = trees.iter().map(|t| t.to_plain(graph)).collect();
-    Ok((plain, tracer.node_timings()))
-}
-
 /// A JSON object from `(key, value)` fields, in order.
 fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
     Json::Map(
@@ -326,9 +229,9 @@ fn write_artifact(path: &str, contents: String, failures: &mut Vec<String>) {
 }
 
 /// Ends a run: reports every failure, prints and stamps the verdict into
-/// `report`, and writes it to `--out` (or to `default_out` when `--out`
-/// was left at its default). Returns the process exit code — nonzero on
-/// any failure, including a report that could not be written.
+/// `report`, and writes it to `--out` (or to `default_out` when no
+/// `--out` was given). Returns the process exit code — nonzero on any
+/// failure, including a report that could not be written.
 fn finish(
     args: &Args,
     mode: &str,
@@ -336,31 +239,22 @@ fn finish(
     mut report: Vec<(&str, Json)>,
     default_out: &str,
 ) -> i32 {
-    let prefix = if mode.is_empty() {
-        String::new()
-    } else {
-        format!("{mode} ")
-    };
-    let tag = prefix.to_uppercase();
+    let tag = mode.to_uppercase();
     for f in failures {
-        eprintln!("loadgen: {tag}FAILURE: {f}");
+        eprintln!("loadgen: {tag} FAILURE: {f}");
     }
     let verdict = if failures.is_empty() { "OK" } else { "FAILED" };
-    println!("{prefix}verdict = {verdict}");
+    println!("{mode} verdict = {verdict}");
     report.push(("verdict", Json::Str(verdict.to_string())));
     let pretty = serde_json::to_string_pretty(&obj(report)).expect("report serialize");
-    let out = if args.out == DEFAULT_OUT {
-        default_out
-    } else {
-        &args.out
-    };
+    let out = args.out.as_deref().unwrap_or(default_out);
     match std::fs::write(out, pretty + "\n") {
         Ok(()) => {
             eprintln!("loadgen: wrote {out}");
             i32::from(!failures.is_empty())
         }
         Err(e) => {
-            eprintln!("loadgen: {tag}FAILURE: cannot write {out}: {e}");
+            eprintln!("loadgen: {tag} FAILURE: cannot write {out}: {e}");
             1
         }
     }
@@ -985,8 +879,6 @@ fn run_fleet(args: &Args) -> Result<i32, String> {
     let server = Server::start(ServerConfig {
         shards: args.shards,
         session: SessionConfig {
-            queue_capacity: args.queue,
-            policy: BackpressurePolicy::Block,
             snapshot_interval: args.snapshot_interval.max(1),
             journal_segment: args.snapshot_interval.max(1) as usize,
             restart: RestartPolicy {
@@ -1442,15 +1334,14 @@ fn run_fleet(args: &Args) -> Result<i32, String> {
 }
 
 /// The `--overload` harness: a deliberately over-driven server with
-/// admission control, fueled sessions, hostile builtin programs, a
-/// control-plane liveness probe, and a slow-subscriber segment — all
-/// checked against deterministic oracles and the scraped metrics.
+/// admission control, fueled sessions, hostile builtin programs, and a
+/// control-plane liveness probe — all checked against deterministic
+/// oracles and the scraped metrics.
 fn run_overload(args: &Args) -> Result<i32, String> {
     use elm_environment::fault::STREAM_RUNAWAY;
     use elm_runtime::TrapKind;
     use elm_server::client::RetryStats;
-    use elm_server::net::{self, serve_with, NetConfig};
-    use elm_server::EnqueueOutcome;
+    use elm_server::net::{serve_with, NetConfig};
     use rand::Rng;
 
     let sessions = args.sessions.clamp(1, 6);
@@ -1465,8 +1356,6 @@ fn run_overload(args: &Args) -> Result<i32, String> {
     let server = Arc::new(Server::start(ServerConfig {
         shards: 2,
         session: SessionConfig {
-            queue_capacity: args.queue,
-            policy: BackpressurePolicy::Block,
             limits: Some(GOVERNED),
             // Wall-clock deadlines would trap nondeterministically and
             // break the replay oracles; the overload run relies on the
@@ -1484,21 +1373,12 @@ fn run_overload(args: &Args) -> Result<i32, String> {
             ..AdmissionConfig::default()
         },
     }));
-    let front_end = |config: NetConfig| -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    {
         let server = Arc::clone(&server);
-        thread::spawn(move || serve_with(server, listener, config));
-        addr
-    };
-    let addr = front_end(NetConfig::default());
-    // A second front end with a tiny outbound queue and a short write
-    // deadline, so the slow-subscriber segment converges quickly.
-    let slow_addr = front_end(NetConfig {
-        outbound_queue: 8,
-        write_deadline: Duration::from_millis(100),
-        ..NetConfig::default()
-    });
+        thread::spawn(move || serve_with(server, listener, NetConfig::default()));
+    }
 
     let mut failures: Vec<String> = Vec::new();
 
@@ -1694,76 +1574,7 @@ fn run_overload(args: &Args) -> Result<i32, String> {
         }
     }
 
-    // --- verdict 4: a slow subscriber is cut, its peers unaffected ---
-    let net_before = net::counters();
-    let word_sid = server
-        .open(ProgramSpec::Builtin("latest-word"), None, None, false)
-        .expect("open latest-word")
-        .session;
-    let subscribe = || -> (std::net::TcpStream, std::io::BufReader<std::net::TcpStream>) {
-        use std::io::{BufRead, Write};
-        let stream = std::net::TcpStream::connect(slow_addr).expect("connect slow front end");
-        let mut w = stream.try_clone().expect("clone");
-        let mut r = std::io::BufReader::new(stream.try_clone().expect("clone"));
-        w.write_all(format!("{{\"cmd\":\"subscribe\",\"session\":{word_sid}}}\n").as_bytes())
-            .expect("subscribe");
-        let mut line = String::new();
-        r.read_line(&mut line).expect("subscribe reply");
-        assert!(line.contains("\"ok\":true"), "{line}");
-        (w, r)
-    };
-    let (_slow_stream, _slow_reader) = subscribe();
-    let (_healthy_stream, healthy_reader) = subscribe();
-    let healthy_seen = Arc::new(AtomicU64::new(0));
-    {
-        use std::io::BufRead;
-        let seen = Arc::clone(&healthy_seen);
-        thread::spawn(move || {
-            for line in healthy_reader.lines().map_while(Result::ok) {
-                if line.contains("\"update\":\"changed\"") {
-                    seen.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-    }
-    let fat = "w".repeat(48 * 1024);
-    let cut_deadline = Instant::now() + Duration::from_secs(30);
-    while net::counters().slow_disconnects == net_before.slow_disconnects {
-        if Instant::now() > cut_deadline {
-            failures.push("slow subscriber was never disconnected".to_string());
-            break;
-        }
-        let _ = server.event(word_sid, "Words.input", PlainValue::Str(fat.clone()));
-        let _ = server.query(word_sid);
-    }
-    // Peers must keep receiving after the cut. Sample the counter
-    // *before* the tail event goes out: its update can reach the healthy
-    // reader thread faster than two loads, and sampling afterwards would
-    // swallow it and report a stall that never happened.
-    let seen = healthy_seen.load(Ordering::Relaxed);
-    while let Ok(EnqueueOutcome::Shed { .. }) =
-        server.event(word_sid, "Words.input", PlainValue::Str("tail".to_string()))
-    {
-        thread::sleep(Duration::from_millis(10));
-    }
-    let _ = server.query(word_sid);
-    let tail_deadline = Instant::now() + Duration::from_secs(10);
-    while healthy_seen.load(Ordering::Relaxed) == seen {
-        if Instant::now() > tail_deadline {
-            failures.push("healthy subscriber stalled after the slow one was cut".to_string());
-            break;
-        }
-        let _ = server.query(word_sid);
-        thread::sleep(Duration::from_millis(10));
-    }
-    let net_after = net::counters();
-    println!(
-        "slow-subscriber segment: {} disconnect(s), healthy peer saw {} update(s)",
-        net_after.slow_disconnects - net_before.slow_disconnects,
-        healthy_seen.load(Ordering::Relaxed)
-    );
-
-    // --- verdict 5: the scraped metrics balance and agree ---
+    // --- verdict 4: the scraped metrics balance and agree ---
     let metrics_text = server.metrics_text();
     let offered = scraped_family_sum(&metrics_text, "elm_admission_offered_total");
     let admitted = scraped_family_sum(&metrics_text, "elm_admitted_total");
@@ -1785,9 +1596,6 @@ fn run_overload(args: &Args) -> Result<i32, String> {
             global.traps.total()
         ));
     }
-    if scraped_family_sum(&metrics_text, "elm_subscriber_disconnects_total") == 0 {
-        failures.push("metrics report zero subscriber disconnects".to_string());
-    }
 
     let report = vec![
         ("benchmark", Json::Str("server-overload".to_string())),
@@ -1805,10 +1613,6 @@ fn run_overload(args: &Args) -> Result<i32, String> {
         ("traps_total", Json::U64(global.traps.total())),
         ("control_probes_attempted", Json::U64(attempted)),
         ("control_probes_answered", Json::U64(answered)),
-        (
-            "slow_subscriber_disconnects",
-            Json::U64(net_after.slow_disconnects - net_before.slow_disconnects),
-        ),
         ("isolation_mismatches", Json::U64(mismatches as u64)),
     ];
     Ok(finish(
@@ -2578,308 +2382,6 @@ fn run_partition(args: &Args) -> Result<i32, String> {
     ))
 }
 
-/// The default mode: throughput, latency, per-session isolation against
-/// [`replay`], span-tree reconstruction on both schedulers, and with
-/// `--chaos` the crash-recovery verdicts.
-fn run_default(args: &Args) -> Result<i32, String> {
-    let program = args
-        .program
-        .clone()
-        .unwrap_or_else(|| if args.chaos { "chaos" } else { "dashboard" }.to_string());
-    let faults = if args.chaos {
-        FaultPlan {
-            seed: args.seed,
-            node_panic: PANIC_PROB,
-            crash: CRASH_PROB,
-            stall: STALL_PROB,
-            stall_ms: 2,
-            queue_full_burst: 0.002,
-            burst_len: 48,
-            journal_fail: JOURNAL_FAIL_PROB,
-            ..FaultPlan::disabled()
-        }
-    } else {
-        FaultPlan::disabled()
-    };
-    if args.chaos {
-        // Injected poison pills panic inside node closures by design;
-        // keep their backtraces out of the report. Anything else still
-        // reaches the default hook.
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("");
-            if !msg.starts_with("chaos:") && !msg.starts_with("crashy:") {
-                previous(info);
-            }
-        }));
-    }
-    eprintln!(
-        "loadgen: {} sessions x {} events, program '{}', {} shards, queue {}, policy {}{}",
-        args.sessions,
-        args.events,
-        program,
-        args.shards,
-        args.queue,
-        args.policy.label(),
-        if args.chaos { ", CHAOS" } else { "" }
-    );
-
-    let traces = Simulator::fan_out_with_faults(args.seed, args.sessions, args.events, &faults);
-    let server = Server::start(ServerConfig {
-        shards: args.shards,
-        session: SessionConfig {
-            queue_capacity: args.queue,
-            policy: args.policy,
-            snapshot_interval: args.snapshot_interval.max(1),
-            // Seal journal segments at the snapshot cadence so truncation
-            // keeps pace with snapshots.
-            journal_segment: args.snapshot_interval.max(1) as usize,
-            restart: RestartPolicy {
-                // Chaos runs must never exhaust the budget by sheer fault
-                // volume; budget exhaustion is a failure we detect, not a
-                // load knob.
-                max_restarts: 100_000,
-                ..RestartPolicy::default()
-            },
-            faults,
-            // Observability is the point of this binary: every session
-            // records spans and per-node timing histograms.
-            observe: true,
-            ..SessionConfig::default()
-        },
-        idle_timeout: None,
-        admission: AdmissionConfig::default(),
-    });
-    let (_, graph) = server
-        .registry()
-        .resolve(ProgramSpec::Builtin(&program))
-        .map_err(|e| format!("resolve '{program}': {e}"))?;
-    let mut session_ids = Vec::with_capacity(args.sessions);
-    for _ in 0..args.sessions {
-        let info = server
-            .open(ProgramSpec::Builtin(&program), None, None, true)
-            .map_err(|e| format!("open failed: {e}"))?;
-        session_ids.push(info.session);
-    }
-
-    // Concurrent ingest: one driver thread per session, batching events
-    // and then waiting for the session's queue to drain.
-    let mut failures: Vec<String> = Vec::new();
-    let started = Instant::now();
-    thread::scope(|s| {
-        let server = &server;
-        let drivers: Vec<_> = session_ids
-            .iter()
-            .zip(&traces)
-            .map(|(&session, trace)| s.spawn(move || feed_and_drain(server, session, trace)))
-            .collect();
-        for d in drivers {
-            if let Err(e) = d.join().expect("driver thread") {
-                failures.push(e);
-            }
-        }
-    });
-    let elapsed = started.elapsed();
-
-    let (global, per_session) = server.stats();
-    let metrics_text = server.metrics_text();
-    let total_events = (args.sessions * args.events) as f64;
-    let events_per_sec = total_events / elapsed.as_secs_f64();
-    // Events the program declares an input for; the rest are `ignored`.
-    let applied_events_per_sec = global.ingress.enqueued as f64 / elapsed.as_secs_f64();
-
-    // Isolation / recovery-correctness check: each session's final value
-    // must equal a single-session synchronous replay of its own trace —
-    // in chaos mode that replay is uninterrupted, so it also proves
-    // crash recovery lost and duplicated nothing.
-    let mut mismatches = 0usize;
-    for (&session, trace) in session_ids.iter().zip(&traces) {
-        let served = server.query(session).expect("final query").value;
-        let replayed = replay(&graph, &trace.events, None);
-        if served != replayed {
-            mismatches += 1;
-            failures.push(format!(
-                "isolation: session {session} served {served:?} != replay {replayed:?}"
-            ));
-        }
-    }
-    let isolation = if mismatches == 0 { "OK" } else { "FAILED" };
-
-    println!(
-        "sessions={} events/session={} total={}",
-        args.sessions, args.events, total_events as u64
-    );
-    println!(
-        "elapsed={:.3}s throughput={:.0} events/sec applied={:.0} events/sec",
-        elapsed.as_secs_f64(),
-        events_per_sec,
-        applied_events_per_sec
-    );
-    println!(
-        "ingest-to-output latency: p50={}us p90={}us p99={}us max={}us ({} samples)",
-        global.latency.p50_us,
-        global.latency.p90_us,
-        global.latency.p99_us,
-        global.latency.max_us,
-        global.latency.count
-    );
-    println!(
-        "ingress: enqueued={} ignored={} dropped={} coalesced={}",
-        global.ingress.enqueued,
-        global.ingress.ignored,
-        global.ingress.dropped,
-        global.ingress.coalesced
-    );
-    println!(
-        "runtime: events={} computations={} memo_skips={}",
-        global.runtime.events, global.runtime.computations, global.runtime.memo_skips
-    );
-    println!("per-session isolation check = {isolation}");
-
-    // Chaos verdicts.
-    let affected = per_session
-        .iter()
-        .filter(|s| s.runtime.node_panics > 0)
-        .count();
-    let restarts_scraped = scraped_family_sum(&metrics_text, "elm_restarts_total");
-    let mut chaos_failures: Vec<String> = Vec::new();
-    if args.chaos {
-        println!(
-            "recovery: restarts={} replayed_events={} max_replay={} snapshots={} \
-             journal_failures={} recovery_failed={}",
-            global.recovery.restarts,
-            global.recovery.replayed_events,
-            global.recovery.max_replay,
-            global.recovery.snapshot_count,
-            global.recovery.journal_failures,
-            global.recovery_failed
-        );
-        println!(
-            "chaos: {}/{} sessions hit by node panics",
-            affected, args.sessions
-        );
-        if global.recovery_failed > 0 {
-            chaos_failures.push(format!(
-                "{} session(s) exhausted their restart budget",
-                global.recovery_failed
-            ));
-        }
-        if global.recovery.max_replay > args.snapshot_interval.max(1) {
-            chaos_failures.push(format!(
-                "a recovery replayed {} events, above the snapshot interval {}",
-                global.recovery.max_replay, args.snapshot_interval
-            ));
-        }
-        if affected * 4 < args.sessions {
-            chaos_failures.push(format!(
-                "only {affected}/{} sessions saw a node panic (< 25%)",
-                args.sessions
-            ));
-        }
-        // The metrics endpoint must agree with the supervisor about how
-        // many restarts happened — a scrape is only useful if it tells
-        // the same story as the recovery machinery itself.
-        if restarts_scraped != global.recovery.restarts {
-            chaos_failures.push(format!(
-                "metrics endpoint reports {restarts_scraped} restarts but the supervisor counted {}",
-                global.recovery.restarts
-            ));
-        } else {
-            println!(
-                "metrics cross-check: elm_restarts_total sum {restarts_scraped} == supervisor restarts"
-            );
-        }
-        let verdict = if chaos_failures.is_empty() {
-            "OK"
-        } else {
-            "FAILED"
-        };
-        println!("chaos verdict = {verdict}");
-    }
-    let chaos_verdict = match (args.chaos, chaos_failures.is_empty()) {
-        (false, _) => "n/a",
-        (true, true) => "OK",
-        (true, false) => "FAILED",
-    };
-    failures.extend(chaos_failures.iter().map(|f| format!("chaos: {f}")));
-
-    // Trace-reconstruction acceptance: the same seeded workload, traced on
-    // BOTH schedulers, must yield span trees matching the graph's causal
-    // structure. The synchronous run's artifacts are kept for inspection.
-    let traced_before = failures.len();
-    let mut sync_trees: Vec<PlainSpanTree> = Vec::new();
-    let mut sync_timings = Vec::new();
-    match trace_check(&graph, args.seed, Engine::Synchronous) {
-        Ok((trees, timings)) => {
-            sync_trees = trees;
-            sync_timings = timings;
-        }
-        Err(e) => failures.push(format!("trace: synchronous scheduler: {e}")),
-    }
-    if let Err(e) = trace_check(&graph, args.seed, Engine::Concurrent) {
-        failures.push(format!("trace: concurrent scheduler: {e}"));
-    }
-    let trace_verdict = if failures.len() == traced_before {
-        "OK"
-    } else {
-        "FAILED"
-    };
-    println!(
-        "trace reconstruction check = {trace_verdict} ({} trees, both schedulers)",
-        sync_trees.len()
-    );
-
-    // Observability artifacts: span trees, the Prometheus scrape, and a
-    // heat-annotated DOT rendering of the traced graph.
-    let trace_json =
-        serde_json::to_string_pretty(&serde_json::to_value(&sync_trees).expect("trees serialize"))
-            .expect("trees serialize");
-    let heat: Vec<u64> = sync_timings.iter().map(|t| t.compute.sum).collect();
-    write_artifact("BENCH_trace.json", trace_json + "\n", &mut failures);
-    write_artifact("BENCH_metrics.prom", metrics_text, &mut failures);
-    let heat_dot = dot::to_dot_with_heat(&graph, &heat);
-    write_artifact("BENCH_heat.dot", heat_dot, &mut failures);
-
-    let report = vec![
-        ("benchmark", Json::Str("server-loadgen".to_string())),
-        ("program", Json::Str(program.clone())),
-        ("sessions", Json::U64(args.sessions as u64)),
-        ("events_per_session", Json::U64(args.events as u64)),
-        ("shards", Json::U64(args.shards as u64)),
-        ("queue_capacity", Json::U64(args.queue as u64)),
-        ("policy", Json::Str(args.policy.label().to_string())),
-        ("seed", Json::U64(args.seed)),
-        ("chaos", Json::Bool(args.chaos)),
-        ("snapshot_interval", Json::U64(args.snapshot_interval)),
-        ("sessions_panicked", Json::U64(affected as u64)),
-        ("elapsed_s", Json::F64(elapsed.as_secs_f64())),
-        ("events_per_sec", Json::F64(events_per_sec)),
-        ("applied_events_per_sec", Json::F64(applied_events_per_sec)),
-        ("latency_p50_us", Json::U64(global.latency.p50_us)),
-        ("latency_p90_us", Json::U64(global.latency.p90_us)),
-        ("latency_p99_us", Json::U64(global.latency.p99_us)),
-        ("latency_max_us", Json::U64(global.latency.max_us)),
-        ("latency_samples", Json::U64(global.latency.count)),
-        (
-            "global",
-            serde_json::to_value(&global).expect("stats serialize"),
-        ),
-        ("isolation", Json::Str(isolation.to_string())),
-        ("trace_check", Json::Str(trace_verdict.to_string())),
-        ("trace_trees", Json::U64(sync_trees.len() as u64)),
-        ("restarts_total_scraped", Json::U64(restarts_scraped)),
-        ("chaos_verdict", Json::Str(chaos_verdict.to_string())),
-    ];
-    let code = finish(args, "", &failures, report, DEFAULT_OUT);
-    server.shutdown();
-    Ok(code)
-}
-
 fn main() {
     let args = parse_args();
     let outcome = if args.partition {
@@ -2891,7 +2393,7 @@ fn main() {
     } else if args.overload {
         run_overload(&args)
     } else {
-        run_default(&args)
+        usage()
     };
     // The one exit: every harness has returned, so its peer group and
     // other owned resources are already torn down.

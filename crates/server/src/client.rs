@@ -25,26 +25,11 @@ fn as_u64(v: &Json) -> Option<u64> {
     }
 }
 
-/// Retry/backoff tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// First retry delay, before the server hint and jitter.
-    pub base_ms: u64,
-    /// Ceiling on any single delay.
-    pub max_ms: u64,
-    /// How many retries before giving up and returning the shed reply.
-    pub max_retries: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base_ms: 5,
-            max_ms: 2_000,
-            max_retries: 64,
-        }
-    }
-}
+/// Backoff window `(base, max)` in milliseconds: the first retry delay
+/// before the server hint and jitter, and the ceiling on any single delay.
+const BACKOFF_MS: (u64, u64) = (5, 2_000);
+/// How many retries before giving up and returning the shed reply.
+const MAX_RETRIES: u32 = 64;
 
 /// What the retry layer has seen so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,7 +40,7 @@ pub struct RetryStats {
     pub sheds: u64,
     /// Attempts replayed after backoff.
     pub retries: u64,
-    /// Requests that exhausted `max_retries` still shed.
+    /// Requests that exhausted their `MAX_RETRIES` (64) retries still shed.
     pub gave_up: u64,
 }
 
@@ -64,20 +49,15 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     rng: StdRng,
-    policy: RetryPolicy,
     stats: RetryStats,
 }
 
 /// Next backoff delay: exponential in the attempt number, floored by the
-/// server's `retry_after_ms` hint, capped at `policy.max_ms`, and
-/// jittered to the upper half of the window so synchronized clients
-/// de-correlate.
-fn backoff_ms(policy: RetryPolicy, attempt: u32, hint_ms: u64, rng: &mut StdRng) -> u64 {
-    let exp = policy
-        .base_ms
-        .saturating_mul(1u64 << attempt.min(20))
-        .min(policy.max_ms);
-    let target = exp.max(hint_ms).min(policy.max_ms.max(hint_ms));
+/// server's `retry_after_ms` hint, capped at `max_ms`, and jittered to
+/// the upper half of the window so synchronized clients de-correlate.
+fn backoff_ms((base_ms, max_ms): (u64, u64), attempt: u32, hint_ms: u64, rng: &mut StdRng) -> u64 {
+    let exp = base_ms.saturating_mul(1u64 << attempt.min(20)).min(max_ms);
+    let target = exp.max(hint_ms).min(max_ms.max(hint_ms));
     if target <= 1 {
         return target;
     }
@@ -85,22 +65,13 @@ fn backoff_ms(policy: RetryPolicy, attempt: u32, hint_ms: u64, rng: &mut StdRng)
 }
 
 impl Client {
-    /// Connects with the default policy, seeding jitter from `seed` so
-    /// load-generation runs stay reproducible.
+    /// Connects, seeding jitter from `seed` so load-generation runs stay
+    /// reproducible.
     ///
     /// # Errors
     ///
     /// Propagates the underlying socket error.
     pub fn connect(addr: SocketAddr, seed: u64) -> io::Result<Client> {
-        Client::connect_with(addr, seed, RetryPolicy::default())
-    }
-
-    /// [`Client::connect`] with explicit retry tuning.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying socket error.
-    pub fn connect_with(addr: SocketAddr, seed: u64, policy: RetryPolicy) -> io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
         writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
@@ -108,7 +79,6 @@ impl Client {
             reader,
             writer,
             rng: StdRng::seed_from_u64(seed),
-            policy,
             stats: RetryStats::default(),
         })
     }
@@ -153,8 +123,9 @@ impl Client {
     /// [`Client::request`], but when the server sheds the request with
     /// `overloaded` it sleeps (jittered exponential backoff, floored at
     /// the server's `retry_after_ms` hint) and resends, up to
-    /// `max_retries` times. The final shed reply is returned verbatim if
-    /// the budget runs out, so callers can still see the refusal.
+    /// `MAX_RETRIES` (64) times. The final shed reply is returned
+    /// verbatim if the budget runs out, so callers can still see the
+    /// refusal.
     ///
     /// # Errors
     ///
@@ -169,12 +140,12 @@ impl Client {
                 return Ok(reply);
             }
             self.stats.sheds += 1;
-            if attempt >= self.policy.max_retries {
+            if attempt >= MAX_RETRIES {
                 self.stats.gave_up += 1;
                 return Ok(reply);
             }
             let hint = reply.get("retry_after_ms").and_then(as_u64).unwrap_or(0);
-            let delay = backoff_ms(self.policy, attempt, hint, &mut self.rng);
+            let delay = backoff_ms(BACKOFF_MS, attempt, hint, &mut self.rng);
             thread::sleep(Duration::from_millis(delay));
             attempt += 1;
             self.stats.retries += 1;
@@ -291,7 +262,6 @@ pub struct ClusterClient {
     current: usize,
     client: Option<Client>,
     rng: StdRng,
-    policy: RetryPolicy,
     seed: u64,
     moves: u64,
     reconnects: u64,
@@ -309,7 +279,6 @@ impl ClusterClient {
             current: 0,
             client: None,
             rng: StdRng::seed_from_u64(seed ^ 0x636c_7573),
-            policy: RetryPolicy::default(),
             seed,
             moves: 0,
             reconnects: 0,
@@ -399,11 +368,7 @@ impl ClusterClient {
     fn try_once(&mut self, line: &str) -> io::Result<Json> {
         if self.client.is_none() {
             let addr = self.peers[self.current];
-            self.client = Some(Client::connect_with(
-                addr,
-                self.seed ^ self.reconnects,
-                self.policy,
-            )?);
+            self.client = Some(Client::connect(addr, self.seed ^ self.reconnects)?);
             self.reconnects += 1;
         }
         let res = self
@@ -545,7 +510,7 @@ impl ClusterClient {
                     ),
                 ));
             }
-            let delay = backoff_ms(self.policy, attempt.min(6), 0, &mut self.rng);
+            let delay = backoff_ms(BACKOFF_MS, attempt.min(6), 0, &mut self.rng);
             thread::sleep(Duration::from_millis(delay));
             attempt += 1;
         }
@@ -577,19 +542,15 @@ mod tests {
 
     #[test]
     fn backoff_grows_honours_hint_and_stays_capped() {
-        let policy = RetryPolicy {
-            base_ms: 4,
-            max_ms: 100,
-            max_retries: 8,
-        };
+        let window = (4, 100);
         let mut rng = StdRng::seed_from_u64(1);
-        let d0 = backoff_ms(policy, 0, 0, &mut rng);
+        let d0 = backoff_ms(window, 0, 0, &mut rng);
         assert!((3..=4).contains(&d0), "{d0}");
         // The server hint floors the delay.
-        let hinted = backoff_ms(policy, 0, 40, &mut rng);
+        let hinted = backoff_ms(window, 0, 40, &mut rng);
         assert!(hinted > 20 && hinted <= 40, "{hinted}");
         // Large attempts saturate at the cap, never overflow.
-        let late = backoff_ms(policy, 31, 0, &mut rng);
+        let late = backoff_ms(window, 31, 0, &mut rng);
         assert!(late > 50 && late <= 100, "{late}");
     }
 

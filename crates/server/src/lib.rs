@@ -13,10 +13,10 @@
 //!
 //! Isolation is the core guarantee: a session's outputs depend only on
 //! its own event stream, so N sessions fed concurrently produce exactly
-//! what N single-program synchronous replays would — the property the
-//! `loadgen` binary checks end to end. Sessions that idle past the
-//! configured timeout are evicted gracefully rather than wedging their
-//! shard.
+//! what N single-program synchronous replays would — the property
+//! `tests/multi_session.rs` and every `loadgen` mode check. Sessions
+//! that idle past the configured timeout are evicted gracefully rather
+//! than wedging their shard.
 //!
 //! Sessions are additionally *crash-recoverable*: every applied event is
 //! write-ahead journaled ([`elm_runtime::EventJournal`]), the runtime is
@@ -26,9 +26,9 @@
 //! supervised restart budget ([`supervisor`]) — the session keeps its
 //! id and subscribers. Only budget exhaustion evicts, with the
 //! `recovery_failed` close reason. A deterministic fault-injection
-//! layer ([`elm_environment::FaultPlan`]) drives the `loadgen --chaos`
-//! harness that checks recovered outputs byte-for-byte against an
-//! uninterrupted synchronous replay.
+//! layer ([`elm_environment::FaultPlan`]) drives the seeded chaos test
+//! in `tests/recovery.rs`, which checks recovered outputs byte-for-byte
+//! against an uninterrupted synchronous replay.
 //!
 //! The server is also *overload-protected* against both hostile load
 //! and hostile programs: untrusted FElm sessions run under an
@@ -59,7 +59,7 @@ pub mod supervisor;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionController, MemoryGauge};
 pub use blackbox::{blackbox, Blackbox, BlackboxRecord};
-pub use client::{Client, ClusterClient, RetryPolicy, RetryStats};
+pub use client::{Client, ClusterClient, RetryStats};
 pub use cluster::{place, Cluster, ClusterConfig, RepMsg, ReplicationTap};
 pub use net::{NetConfig, NetCounters};
 pub use netfault::{Delivery, NetFault, NetFaultConfig, PartitionWindow};

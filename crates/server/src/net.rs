@@ -1155,5 +1155,17 @@ mod tests {
             thread::sleep(Duration::from_millis(10));
         }
         assert!(counters().slow_disconnects > before);
+        // The cut is visible to operators in the server's own scrape.
+        let disconnects: f64 = server
+            .metrics_text()
+            .lines()
+            .filter_map(|l| l.strip_prefix("elm_subscriber_disconnects_total"))
+            .filter_map(|rest| rest.rsplit_once(' '))
+            .filter_map(|(_, v)| v.parse::<f64>().ok())
+            .sum();
+        assert!(
+            disconnects >= 1.0,
+            "scrape reports no subscriber disconnects"
+        );
     }
 }

@@ -3,8 +3,12 @@
 //! subscribers, and its queryability; outputs under injected crashes
 //! match an uninterrupted synchronous replay; and only restart-budget
 //! exhaustion ends a session, with the `recovery_failed` close reason.
+//! A seeded 64-session chaos run holds every recovery verdict at once.
 
-use elm_environment::FaultPlan;
+use std::thread;
+use std::time::Duration;
+
+use elm_environment::{FaultPlan, Simulator};
 use elm_runtime::PlainValue;
 use elm_server::{
     BackpressurePolicy, ProgramSpec, RestartPolicy, Server, ServerConfig, SessionConfig, Update,
@@ -174,5 +178,125 @@ fn budget_exhaustion_closes_with_recovery_failed() {
 
     let (global, _) = server.stats();
     assert_eq!(global.recovery_failed, 1);
+    server.shutdown();
+}
+
+/// Sums every sample of one exactly-named Prometheus family.
+fn scraped_family_sum(text: &str, family: &str) -> u64 {
+    text.lines()
+        .filter(|l| !l.starts_with('#') && l.starts_with(family))
+        .filter(|l| matches!(l.as_bytes().get(family.len()), Some(b'{') | Some(b' ')))
+        .filter_map(|l| l.rsplit_once(' '))
+        .filter_map(|(_, v)| v.parse::<f64>().ok())
+        .sum::<f64>() as u64
+}
+
+#[test]
+fn seeded_chaos_across_64_sessions_recovers_every_session_exactly() {
+    // The full chaos mix (node-panic poison pills, runtime crashes,
+    // journal append failures, shard stalls, queue bursts) over 64
+    // observed `chaos` sessions of 2000 simulator events each, seed 7.
+    const SESSIONS: usize = 64;
+    const EVENTS: usize = 2000;
+    const SNAPSHOT_INTERVAL: u64 = 256;
+    let faults = FaultPlan::chaos(7);
+    let traces = Simulator::fan_out_with_faults(7, SESSIONS, EVENTS, &faults);
+    let server = Server::start(ServerConfig {
+        session: SessionConfig {
+            snapshot_interval: SNAPSHOT_INTERVAL,
+            journal_segment: SNAPSHOT_INTERVAL as usize,
+            // Fault volume alone must never exhaust the budget: a failed
+            // recovery is the defect this test looks for.
+            restart: RestartPolicy {
+                max_restarts: 100_000,
+                ..RestartPolicy::default()
+            },
+            faults,
+            observe: true,
+            ..SessionConfig::default()
+        },
+        ..ServerConfig::default()
+    });
+    let ids: Vec<u64> = (0..SESSIONS)
+        .map(|_| {
+            let info = server.open(ProgramSpec::Builtin("chaos"), None, None, true);
+            info.unwrap().session
+        })
+        .collect();
+
+    // One driver per session: 64-event batches, then wait for the drain.
+    thread::scope(|s| {
+        for (&sid, trace) in ids.iter().zip(&traces) {
+            let server = &server;
+            s.spawn(move || {
+                let events: Vec<(String, PlainValue)> = trace
+                    .events
+                    .iter()
+                    .map(|e| (e.input.clone(), e.value.clone()))
+                    .collect();
+                for chunk in events.chunks(64) {
+                    server.batch(sid, chunk).unwrap();
+                }
+                while server.query(sid).unwrap().queue_len > 0 {
+                    thread::sleep(Duration::from_millis(1));
+                }
+            });
+        }
+    });
+
+    let (global, per_session) = server.stats();
+    assert_eq!(global.recovery_failed, 0, "a session exhausted its budget");
+    assert!(
+        global.recovery.max_replay <= SNAPSHOT_INTERVAL,
+        "a recovery replayed {} events, above the snapshot interval",
+        global.recovery.max_replay
+    );
+    let panicked = per_session
+        .iter()
+        .filter(|s| s.runtime.node_panics > 0)
+        .count();
+    assert!(
+        panicked * 4 >= SESSIONS,
+        "only {panicked}/{SESSIONS} sessions saw a node panic"
+    );
+
+    // Every final equals an uninterrupted synchronous replay of the same
+    // laced trace, so recovery lost and duplicated nothing.
+    let (_, graph) = server
+        .registry()
+        .resolve(ProgramSpec::Builtin("chaos"))
+        .unwrap();
+    for (&sid, trace) in ids.iter().zip(&traces) {
+        let mut oracle = Program::from_dynamic_graph(graph.clone()).start(Engine::Synchronous);
+        for e in trace
+            .events
+            .iter()
+            .filter(|e| graph.input_named(&e.input).is_some())
+        {
+            oracle.send_named(&e.input, e.value.to_value()).unwrap();
+            oracle.drain_raw().unwrap();
+        }
+        let expected = PlainValue::from_value(oracle.current()).unwrap();
+        assert_eq!(server.query(sid).unwrap().value, expected, "session {sid}");
+    }
+
+    // The scrape tells the supervisor's story and carries the core
+    // families of an observed run.
+    let text = server.metrics_text();
+    assert_eq!(
+        scraped_family_sum(&text, "elm_restarts_total"),
+        global.recovery.restarts,
+        "scraped restarts disagree with the supervisor"
+    );
+    for family in [
+        "elm_events_total{",
+        "elm_node_compute_seconds_bucket{",
+        "elm_restarts_total{",
+    ] {
+        assert!(
+            text.lines().any(|l| l.starts_with(family)),
+            "scrape lacks {family}...}} samples"
+        );
+    }
     server.shutdown();
 }

@@ -64,20 +64,24 @@ fn check_topology(graph: &SignalGraph, trees: &[SpanTree]) -> Vec<(u64, BTreeSet
 
 #[test]
 fn seeded_workload_spans_match_topology_on_both_schedulers() {
-    let (_, graph) = Registry::standard()
-        .resolve(ProgramSpec::Builtin("dashboard"))
-        .unwrap();
-    let workload = Simulator::workload(0xE1, 400);
+    // `dashboard` is the FElm workhorse; `chaos` is the native graph the
+    // crash-recovery runs host.
+    for program in ["dashboard", "chaos"] {
+        let (_, graph) = Registry::standard()
+            .resolve(ProgramSpec::Builtin(program))
+            .unwrap();
+        let workload = Simulator::workload(0xE1, 400);
 
-    let sync_trees = traced_run(&graph, Engine::Synchronous, &workload);
-    let sync_shapes = check_topology(&graph, &sync_trees);
+        let sync_trees = traced_run(&graph, Engine::Synchronous, &workload);
+        let sync_shapes = check_topology(&graph, &sync_trees);
 
-    let conc_trees = traced_run(&graph, Engine::Concurrent, &workload);
-    let conc_shapes = check_topology(&graph, &conc_trees);
+        let conc_trees = traced_run(&graph, Engine::Concurrent, &workload);
+        let conc_shapes = check_topology(&graph, &conc_trees);
 
-    // Same seeded events, same deterministic Change/NoChange semantics:
-    // both schedulers must reconstruct structurally identical traces.
-    assert_eq!(sync_shapes, conc_shapes);
+        // Same seeded events, same deterministic Change/NoChange semantics:
+        // both schedulers must reconstruct structurally identical traces.
+        assert_eq!(sync_shapes, conc_shapes, "{program}");
+    }
 }
 
 #[test]
