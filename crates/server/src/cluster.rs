@@ -18,10 +18,15 @@
 //!
 //! Replication is asynchronous and fire-and-forget (the peer verbs
 //! produce no reply lines), so the primary's data plane never blocks on a
-//! peer. The cost is a bounded window of un-replicated suffix at the kill
-//! point; clients recover it exactly-once by reading the adopted
-//! session's `last_seq` high-water mark and re-sending their trace from
-//! `last_seq + 1`.
+//! peer. The shard thread that applies an event renders its
+//! `journal-append` line itself and queues it on the replica's link
+//! (reached through the server's [`ReplicationTap`]), so no shard takes a
+//! cluster lock and no other thread sits between a shard and the link.
+//! Each peer's outbound link thread takes every queued line per wakeup
+//! and sends them with one write. The cost is a bounded window of
+//! un-replicated suffix at the kill point; clients recover it
+//! exactly-once by reading the adopted session's `last_seq` high-water
+//! mark and re-sending their trace from `last_seq + 1`.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write as IoWrite};
@@ -77,81 +82,173 @@ impl ClusterConfig {
     }
 }
 
-/// One replication event, emitted by sessions and shards at the moment
-/// the primary's own state changes, and consumed by the cluster router.
-#[derive(Debug)]
-pub enum RepMsg {
-    /// A session opened (or was adopted): ship its metadata so the
-    /// replica can re-instantiate the program on takeover.
-    Open {
-        /// The session id (also its placement key).
-        session: u64,
-        /// Program identity and ingress configuration.
-        meta: SessionMeta,
-        /// The session's ownership epoch at emission time.
-        epoch: u64,
-    },
-    /// One event was applied and journaled; replicate it.
-    Append {
-        /// The session id.
-        session: u64,
-        /// The journaled event.
-        entry: JournalEntry,
-        /// The session's ownership epoch at emission time.
-        epoch: u64,
-    },
-    /// The primary snapshotted; ship the state so the replica can
-    /// truncate its replay suffix.
-    Snapshot {
-        /// The session id.
-        session: u64,
-        /// The sequence number the snapshot covers.
-        through: u64,
-        /// The portable state, when every value crossed the wire
-        /// boundary (`None` keeps the replica on full-journal replay).
-        wire: Option<Box<WireSnapshot>>,
-        /// Trace id of the last event folded into the snapshot (0 when
-        /// untraced).
-        trace: u64,
-        /// The session's ownership epoch at emission time.
-        epoch: u64,
-    },
-    /// The session closed; the replica forgets it.
-    Drop {
-        /// The session id.
-        session: u64,
-        /// The session's ownership epoch at emission time.
-        epoch: u64,
-    },
-}
-
-/// A late-bound replication sender, threaded into every [`Session`] and
-/// shard at server start. Until a [`Cluster`] installs its channel the
-/// tap is a no-op, so single-process servers pay one atomic load per
-/// emission and nothing else.
+/// A late-bound handle on the replication links, threaded into every
+/// [`Session`] and shard at server start. Until a [`Cluster`] installs its
+/// peer links, callers find none and build no replication message at
+/// all: a single-process server pays one atomic load per applied event
+/// and nothing else.
 ///
 /// [`Session`]: crate::session::Session
 #[derive(Debug, Default)]
 pub struct ReplicationTap {
-    tx: OnceLock<Sender<RepMsg>>,
+    links: OnceLock<Arc<PeerLinks>>,
 }
 
 impl ReplicationTap {
-    /// A disconnected tap (every send is a no-op until `install`).
+    /// A disconnected tap (no links until `install`).
     pub fn new() -> Arc<ReplicationTap> {
         Arc::new(ReplicationTap::default())
     }
 
-    /// Emits one replication event; silently dropped when no cluster is
-    /// attached or the router has shut down.
-    pub fn send(&self, msg: RepMsg) {
-        if let Some(tx) = self.tx.get() {
-            let _ = tx.send(msg);
+    /// The installed replication links; `None` outside cluster mode.
+    pub(crate) fn links(&self) -> Option<&PeerLinks> {
+        self.links.get().map(|l| &**l)
+    }
+
+    fn install(&self, links: Arc<PeerLinks>) {
+        let _ = self.links.set(links);
+    }
+}
+
+/// The sending half of replication: one line queue per peer, drained by
+/// that peer's outbound link thread. Shards and sessions render the peer
+/// verbs themselves and queue them here; nothing in this path takes a
+/// lock, so a shard never waits on the cluster layer. The counters are
+/// the ones `elm_cluster_*` reports.
+#[derive(Debug)]
+pub(crate) struct PeerLinks {
+    /// This process's peer index: the `from` of every rendered verb.
+    me: usize,
+    /// Pre-rendered NDJSON lines queued per peer (`None` at our own
+    /// index), in batches. A dead peer's queue grows until it returns —
+    /// acceptable for run-length-bounded workloads, and honest:
+    /// replication to a dead peer *is* unbounded deferred work.
+    outbound: Vec<Option<Sender<Vec<String>>>>,
+    /// Outbound lines queued across all peers (replication lag).
+    lag: AtomicI64,
+    journal_replicated: Counter,
+    snapshots_shipped: Counter,
+}
+
+/// Replication lines a session has rendered but not yet queued on its
+/// replica link. The shard queues each session's lines once per command
+/// burst: every queueing can wake the link thread, and on a busy host
+/// each wake costs the shard a preemption.
+#[derive(Debug, Default)]
+pub(crate) struct Staged {
+    lines: Vec<String>,
+    appends: u64,
+    snapshots: u64,
+}
+
+impl Staged {
+    /// Stages a line from [`PeerLinks::append_line`].
+    pub(crate) fn append(&mut self, line: String) {
+        self.lines.push(line);
+        self.appends += 1;
+    }
+}
+
+impl PeerLinks {
+    fn new(me: usize, outbound: Vec<Option<Sender<Vec<String>>>>) -> PeerLinks {
+        PeerLinks {
+            me,
+            outbound,
+            lag: AtomicI64::new(0),
+            journal_replicated: Counter::new(),
+            snapshots_shipped: Counter::new(),
         }
     }
 
-    fn install(&self, tx: Sender<RepMsg>) {
-        let _ = self.tx.set(tx);
+    /// The peer this process replicates `key` to: the highest-scored
+    /// peer other than itself. For a session this peer is primary for,
+    /// that is exactly the designated replica from [`place`].
+    fn replica_target(&self, key: u64) -> Option<usize> {
+        (0..self.outbound.len())
+            .filter(|&p| p != self.me)
+            .max_by_key(|&p| rendezvous_score(key, p))
+    }
+
+    fn queue(&self, peer: usize, lines: Vec<String>) -> bool {
+        let Some(Some(tx)) = self.outbound.get(peer) else {
+            return false;
+        };
+        let n = lines.len() as i64;
+        if tx.send(lines).is_ok() {
+            self.lag.fetch_add(n, Ordering::Relaxed);
+            true
+        } else {
+            false
+        }
+    }
+
+    fn ship(&self, key: u64, lines: Vec<String>) -> bool {
+        self.replica_target(key)
+            .is_some_and(|target| self.queue(target, lines))
+    }
+
+    fn broadcast(&self, line: &str) {
+        for (peer, link) in self.outbound.iter().enumerate() {
+            if link.is_some() {
+                self.queue(peer, vec![line.to_string()]);
+            }
+        }
+    }
+
+    /// Ships a session's metadata when it opens or is adopted, so the
+    /// replica can re-instantiate the program on takeover.
+    pub(crate) fn ship_open(&self, session: u64, meta: &SessionMeta, epoch: u64) {
+        let line = protocol::snapshot_ship_request(self.me, session, meta, None, 0, 0, epoch);
+        self.ship(session, vec![line]);
+    }
+
+    /// Renders the `journal-append` line for one journaled event. Built
+    /// before the event is applied; staged with [`Staged::append`] only
+    /// once it demonstrably applied.
+    pub(crate) fn append_line(&self, session: u64, entry: &JournalEntry, epoch: u64) -> String {
+        protocol::journal_append_request(self.me, session, entry, epoch)
+    }
+
+    /// Stages a snapshot ship so the replica can truncate its replay
+    /// suffix. `wire` is `None` when some value could not cross the wire;
+    /// the replica then stays on full-journal replay.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn stage_snapshot(
+        &self,
+        staged: &mut Staged,
+        session: u64,
+        meta: &SessionMeta,
+        wire: Option<&WireSnapshot>,
+        through: u64,
+        trace: u64,
+        epoch: u64,
+    ) {
+        staged.lines.push(protocol::snapshot_ship_request(
+            self.me, session, meta, wire, through, trace, epoch,
+        ));
+        staged.snapshots += 1;
+    }
+
+    /// Queues everything `session` has staged on its replica link, in
+    /// order, as one batch.
+    pub(crate) fn flush(&self, session: u64, staged: &mut Staged) {
+        if staged.lines.is_empty() {
+            return;
+        }
+        if self.ship(session, std::mem::take(&mut staged.lines)) {
+            self.journal_replicated.add(staged.appends);
+            self.snapshots_shipped.add(staged.snapshots);
+        }
+        staged.appends = 0;
+        staged.snapshots = 0;
+    }
+
+    /// Tells the replica the session closed, so it forgets it.
+    pub(crate) fn ship_drop(&self, session: u64, epoch: u64) {
+        self.ship(
+            session,
+            vec![protocol::snapshot_drop_request(self.me, session, epoch)],
+        );
     }
 }
 
@@ -306,11 +403,9 @@ impl ReplicaStore {
 pub struct Cluster {
     server: Arc<Server>,
     config: ClusterConfig,
-    /// Pre-rendered NDJSON lines queued per peer (`None` at our own
-    /// index). A dead peer's queue grows until it returns — acceptable
-    /// for run-length-bounded workloads, and honest: replication to a
-    /// dead peer *is* unbounded deferred work.
-    outbound: Vec<Option<Sender<String>>>,
+    /// The outbound peer links, shared with the shards through the
+    /// server's [`ReplicationTap`].
+    links: Arc<PeerLinks>,
     replicas: Mutex<ReplicaStore>,
     /// Session → (address, takeover trace, epoch) overrides learned from
     /// `takeover` broadcasts; consulted before static placement when
@@ -326,18 +421,14 @@ pub struct Cluster {
     last_heard: Mutex<Vec<Instant>>,
     peer_up: Vec<AtomicBool>,
     stop: AtomicBool,
-    /// Outbound lines queued across all peers (replication lag).
-    lag: AtomicI64,
     takeovers: Counter,
-    journal_replicated: Counter,
-    snapshots_shipped: Counter,
     fenced: Counter,
     takeover_last_ms: Gauge,
 }
 
 impl Cluster {
-    /// Starts the cluster layer: installs the replication tap on
-    /// `server`, spawns the router, one outbound link per peer, and the
+    /// Starts the cluster layer: installs the peer links in `server`'s
+    /// replication tap, spawns one outbound link thread per peer and the
     /// failure monitor, and attaches itself for `moved` redirects.
     pub fn start(server: Arc<Server>, config: ClusterConfig) -> Arc<Cluster> {
         assert!(
@@ -354,37 +445,30 @@ impl Cluster {
             if peer == me {
                 outbound.push(None);
             } else {
-                let (tx, rx) = mpsc::channel::<String>();
+                let (tx, rx) = mpsc::channel::<Vec<String>>();
                 outbound.push(Some(tx));
                 receivers.push((peer, rx));
             }
         }
+        let links = Arc::new(PeerLinks::new(me, outbound));
         let cluster = Arc::new(Cluster {
             server: Arc::clone(&server),
-            outbound,
+            links: Arc::clone(&links),
             replicas: Mutex::new(ReplicaStore::default()),
             routes: Mutex::new(HashMap::new()),
             fences: Mutex::new(HashMap::new()),
             last_heard: Mutex::new(vec![Instant::now(); n]),
             peer_up: (0..n).map(|_| AtomicBool::new(true)).collect(),
             stop: AtomicBool::new(false),
-            lag: AtomicI64::new(0),
             takeovers: Counter::new(),
-            journal_replicated: Counter::new(),
-            snapshots_shipped: Counter::new(),
             fenced: Counter::new(),
             takeover_last_ms: Gauge::new(),
             config,
         });
 
-        let (rep_tx, rep_rx) = mpsc::channel::<RepMsg>();
-        server.replication_tap().install(rep_tx);
+        server.replication_tap().install(links);
         server.attach_cluster(&cluster);
 
-        {
-            let cluster = Arc::clone(&cluster);
-            thread::spawn(move || run_router(cluster, rep_rx));
-        }
         for (peer, rx) in receivers {
             let cluster = Arc::clone(&cluster);
             thread::spawn(move || run_outbound(cluster, peer, rx));
@@ -404,32 +488,6 @@ impl Cluster {
     /// This peer's advertised address.
     pub fn my_addr(&self) -> &str {
         &self.config.peers[self.config.peer_index]
-    }
-
-    /// The peer this process replicates `key` to: the highest-scored
-    /// peer other than itself. For a session this peer is primary for,
-    /// that is exactly the designated replica from [`place`].
-    fn replica_target(&self, key: u64) -> Option<usize> {
-        let n = self.config.peers.len();
-        let me = self.config.peer_index;
-        (0..n)
-            .filter(|&p| p != me)
-            .max_by_key(|&p| rendezvous_score(key, p))
-    }
-
-    fn ship(&self, key: u64, line: String) -> bool {
-        let Some(target) = self.replica_target(key) else {
-            return false;
-        };
-        let Some(tx) = &self.outbound[target] else {
-            return false;
-        };
-        if tx.send(line).is_ok() {
-            self.lag.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
     }
 
     fn note_heard(&self, from: usize) {
@@ -764,11 +822,7 @@ impl Cluster {
             &traces,
             &epochs,
         );
-        for tx in self.outbound.iter().flatten() {
-            if tx.send(line.clone()).is_ok() {
-                self.lag.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.links.broadcast(&line);
         for (i, (sid, r)) in victims.into_iter().enumerate() {
             crate::blackbox::blackbox().record(
                 "takeover",
@@ -873,13 +927,13 @@ impl Cluster {
             "elm_cluster_journal_replicated_total",
             "Journal entries shipped to replica peers.",
             &[],
-            self.journal_replicated.get(),
+            self.links.journal_replicated.get(),
         );
         reg.counter(
             "elm_cluster_snapshots_shipped_total",
             "State snapshots shipped to replica peers.",
             &[],
-            self.snapshots_shipped.get(),
+            self.links.snapshots_shipped.get(),
         );
         reg.counter(
             "elm_cluster_replication_gaps_total",
@@ -916,7 +970,7 @@ impl Cluster {
             "elm_cluster_replication_lag_entries",
             "Outbound replication lines queued across all peer links.",
             &[],
-            self.lag.load(Ordering::Relaxed),
+            self.links.lag.load(Ordering::Relaxed),
         );
         reg.gauge(
             "elm_cluster_takeover_last_ms",
@@ -969,99 +1023,51 @@ fn fetch_peer_metrics(addr: &str) -> Option<String> {
         .map(str::to_string)
 }
 
-/// Consumes the replication tap, renders peer verbs, and enqueues them on
-/// the session's replica link. Remembers each session's metadata from its
-/// `Open` so snapshot ships stay self-contained.
-fn run_router(cluster: Arc<Cluster>, rx: Receiver<RepMsg>) {
-    let me = cluster.config.peer_index;
-    let mut meta: HashMap<u64, SessionMeta> = HashMap::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            RepMsg::Open {
-                session,
-                meta: m,
-                epoch,
-            } => {
-                let line = protocol::snapshot_ship_request(me, session, &m, None, 0, 0, epoch);
-                meta.insert(session, m);
-                cluster.ship(session, line);
-            }
-            RepMsg::Append {
-                session,
-                entry,
-                epoch,
-            } => {
-                let line = protocol::journal_append_request(me, session, &entry, epoch);
-                if cluster.ship(session, line) {
-                    cluster.journal_replicated.inc();
-                }
-            }
-            RepMsg::Snapshot {
-                session,
-                through,
-                wire,
-                trace,
-                epoch,
-            } => {
-                if let Some(m) = meta.get(&session) {
-                    let line = protocol::snapshot_ship_request(
-                        me,
-                        session,
-                        m,
-                        wire.as_deref(),
-                        through,
-                        trace,
-                        epoch,
-                    );
-                    if cluster.ship(session, line) {
-                        cluster.snapshots_shipped.inc();
-                    }
-                }
-            }
-            RepMsg::Drop { session, epoch } => {
-                meta.remove(&session);
-                cluster.ship(session, protocol::snapshot_drop_request(me, session, epoch));
-            }
-        }
-    }
-}
-
 /// One outbound replication link: connects (with jittered exponential
 /// backoff), introduces itself with `hello`, then forwards queued lines —
-/// injecting a `heartbeat` whenever the queue stays idle for a heartbeat
-/// interval, so the link doubles as the liveness signal.
+/// sending a `heartbeat` whenever the queue stays idle for a heartbeat
+/// interval, so the link doubles as the liveness signal. Each wakeup takes
+/// every line queued so far and sends them with one write.
 ///
 /// When a [`crate::netfault::NetFault`] proxy is configured, every line
-/// passes through it first. A scheduled partition *retains* the current
-/// line (the inner loop spins until the window closes), so the channel
-/// queues behind it exactly as it does for a dead peer — FIFO order
-/// survives the cut, and the backlog flushes in order at heal. Random
-/// faults (delay, drop, duplicate, reorder) shape individual deliveries.
-fn run_outbound(cluster: Arc<Cluster>, peer: usize, rx: Receiver<String>) {
+/// passes through it first, in queue order. A scheduled partition
+/// *retains* the lines taken (the loop spins until the window closes), so
+/// the queue backs up behind them exactly as it does for a dead peer —
+/// FIFO order survives the cut, and the backlog flushes in order at heal.
+/// Random faults (delay, drop, duplicate, reorder) shape individual
+/// deliveries; a delayed line holds back the lines taken with it.
+fn run_outbound(cluster: Arc<Cluster>, peer: usize, rx: Receiver<Vec<String>>) {
     let me = cluster.config.peer_index;
     let addr = cluster.config.peers[peer].clone();
-    let hello = protocol::hello_request(me, cluster.my_addr());
+    let hello = format!("{}\n", protocol::hello_request(me, cluster.my_addr()));
     let netfault = cluster.config.netfault.clone();
     let mut rng =
         StdRng::seed_from_u64(0x0063_6c75_7374_6572_u64 ^ ((me as u64) << 8) ^ peer as u64);
     let mut attempt = 0u32;
     let mut conn: Option<TcpStream> = None;
+    let mut lines: Vec<String> = Vec::new();
+    let mut buf: Vec<u8> = Vec::new();
     loop {
-        let line = match rx.recv_timeout(cluster.config.heartbeat) {
-            Ok(l) => {
-                cluster.lag.fetch_sub(1, Ordering::Relaxed);
-                l
+        match rx.recv_timeout(cluster.config.heartbeat) {
+            Ok(batch) => {
+                lines.extend(batch);
+                rx.try_iter().for_each(|batch| lines.extend(batch));
+                cluster
+                    .links
+                    .lag
+                    .fetch_sub(lines.len() as i64, Ordering::Relaxed);
             }
-            Err(RecvTimeoutError::Timeout) => protocol::heartbeat_request(me),
+            Err(RecvTimeoutError::Timeout) => lines.push(protocol::heartbeat_request(me)),
             Err(RecvTimeoutError::Disconnected) => return,
-        };
+        }
+        let mut shaped = false;
         loop {
             if cluster.stop.load(Ordering::Relaxed) {
                 return;
             }
             if let Some(nf) = &netfault {
                 if nf.partitioned(me, peer) {
-                    // Retain the line and retry after the window; also
+                    // Retain the lines and retry after the window; also
                     // drop the connection so the heal starts with a
                     // fresh hello'd link.
                     conn = None;
@@ -1071,16 +1077,15 @@ fn run_outbound(cluster: Arc<Cluster>, peer: usize, rx: Receiver<String>) {
             }
             if conn.is_none() {
                 match TcpStream::connect(&addr) {
-                    Ok(stream) => {
+                    Ok(mut stream) => {
                         let _ = stream.set_nodelay(true);
-                        conn = Some(stream);
                         attempt = 0;
                         // Introduce the link; replies (the hello ack) are
                         // never read — this direction only streams.
-                        if write_line(conn.as_mut().expect("just set"), &hello).is_err() {
-                            conn = None;
+                        if stream.write_all(hello.as_bytes()).is_err() {
                             continue;
                         }
+                        conn = Some(stream);
                     }
                     Err(_) => {
                         attempt = attempt.saturating_add(1);
@@ -1090,32 +1095,37 @@ fn run_outbound(cluster: Arc<Cluster>, peer: usize, rx: Receiver<String>) {
                     }
                 }
             }
-            let delivery = match &netfault {
-                Some(nf) => nf.process(me, peer, &line),
-                None => crate::netfault::Delivery::passthrough(&line),
-            };
-            if !delivery.delay.is_zero() {
-                thread::sleep(delivery.delay);
-            }
-            let stream = conn.as_mut().expect("connected");
-            let mut wrote = true;
-            for l in &delivery.lines {
-                if write_line(stream, l).is_err() {
-                    wrote = false;
-                    break;
+            if !shaped {
+                // Each line meets the fault plan exactly once, in order;
+                // a failed write resends the shaped bytes.
+                let mut delay = Duration::ZERO;
+                let mut push = |line: &str| {
+                    buf.extend_from_slice(line.as_bytes());
+                    buf.push(b'\n');
+                };
+                for line in lines.drain(..) {
+                    match &netfault {
+                        Some(nf) => {
+                            let delivery = nf.process(me, peer, &line);
+                            delay += delivery.delay;
+                            delivery.lines.iter().for_each(|l| push(l));
+                        }
+                        None => push(&line),
+                    }
+                }
+                shaped = true;
+                if !delay.is_zero() {
+                    thread::sleep(delay);
                 }
             }
-            if wrote {
+            let stream = conn.as_mut().expect("connected");
+            if buf.is_empty() || stream.write_all(&buf).is_ok() {
+                buf.clear();
                 break;
             }
-            conn = None; // reconnect and resend this line
+            conn = None; // reconnect and resend these lines
         }
     }
-}
-
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
 }
 
 /// Watches per-peer heartbeat recency and fires takeovers past the
@@ -1263,18 +1273,13 @@ mod tests {
     #[test]
     fn tap_is_a_no_op_until_installed() {
         let tap = ReplicationTap::new();
-        tap.send(RepMsg::Drop {
-            session: 1,
-            epoch: 1,
-        }); // must not panic or block
+        // Uninstalled: no links, so callers build and ship nothing.
+        assert!(tap.links().is_none());
         let (tx, rx) = mpsc::channel();
-        tap.install(tx);
-        tap.send(RepMsg::Drop {
-            session: 2,
-            epoch: 1,
-        });
-        match rx.try_recv() {
-            Ok(RepMsg::Drop { session: 2, .. }) => {}
+        tap.install(Arc::new(PeerLinks::new(0, vec![None, Some(tx)])));
+        tap.links().expect("installed").ship_drop(2, 1);
+        match rx.try_recv().as_deref() {
+            Ok([line]) if line.contains("\"dropped\":true") && line.contains("\"session\":2") => {}
             other => panic!("expected the installed tap to deliver, got {other:?}"),
         }
     }
@@ -1286,6 +1291,94 @@ mod tests {
         let mut config = ClusterConfig::new(0, vec!["127.0.0.1:1".to_string(); n]);
         config.takeover = Duration::from_secs(3600); // monitor never fires
         Cluster::start(server, config)
+    }
+
+    #[test]
+    fn pipelined_requests_for_remote_sessions_get_moved_redirects_in_order() {
+        use std::io::{BufRead, BufReader, Write};
+        // Peer 0 serves the wire; peer 1 is unreachable, so every session
+        // placed on it is redirected there.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let me = listener.local_addr().unwrap().to_string();
+        let remote_peer = "127.0.0.1:1".to_string();
+        let server = Arc::new(Server::start(crate::server::ServerConfig {
+            shards: 2,
+            ..crate::server::ServerConfig::default()
+        }));
+        let mut config = ClusterConfig::new(0, vec![me.clone(), remote_peer.clone()]);
+        config.takeover = Duration::from_secs(3600);
+        let cluster = Cluster::start(Arc::clone(&server), config);
+        let srv = Arc::clone(&server);
+        thread::spawn(move || crate::net::serve(srv, listener));
+        let hosted = (0..).find(|&k| place(k, 2).0 == 0).unwrap();
+        let remote = (0..).find(|&k| place(k, 2).0 == 1).unwrap();
+
+        let stream = TcpStream::connect(&me).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut recv = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            serde_json::from_str::<serde_json::Value>(line.trim()).unwrap()
+        };
+        writer
+            .write_all(
+                format!("{{\"cmd\":\"open\",\"program\":\"counter\",\"session\":{hosted}}}\n")
+                    .as_bytes(),
+            )
+            .unwrap();
+        assert_eq!(recv().get("ok"), Some(&serde_json::Value::Bool(true)));
+
+        // Events and batches for both sessions, interleaved, in one write.
+        let mut text = String::new();
+        let mut want = Vec::new();
+        for i in 0..64u64 {
+            let session = if i % 3 == 0 { hosted } else { remote };
+            if i % 2 == 0 {
+                text.push_str(&format!(
+                    "{{\"cmd\":\"event\",\"session\":{session},\"input\":\"Mouse.clicks\",\"value\":\"Unit\"}}\n"
+                ));
+            } else {
+                text.push_str(&format!(
+                    "{{\"cmd\":\"batch\",\"session\":{session},\"events\":[{{\"input\":\"Mouse.clicks\",\"value\":\"Unit\"}}]}}\n"
+                ));
+            }
+            want.push(session);
+        }
+        writer.write_all(text.as_bytes()).unwrap();
+        for (i, session) in want.into_iter().enumerate() {
+            let reply = recv();
+            let field = |k: &str| reply.get(k).cloned();
+            if session == hosted {
+                assert_eq!(
+                    field("ok"),
+                    Some(serde_json::Value::Bool(true)),
+                    "reply {i}: {reply:?}"
+                );
+            } else {
+                assert_eq!(
+                    field("error").as_ref().and_then(serde_json::Value::as_str),
+                    Some("moved"),
+                    "reply {i}: {reply:?}"
+                );
+                assert_eq!(
+                    field("peer").as_ref().and_then(serde_json::Value::as_str),
+                    Some(remote_peer.as_str()),
+                    "reply {i}: {reply:?}"
+                );
+                assert!(
+                    matches!(field("session"), Some(serde_json::Value::I64(n)) if n as u64 == remote)
+                        || matches!(field("session"), Some(serde_json::Value::U64(n)) if n == remote),
+                    "reply {i}: {reply:?}"
+                );
+            }
+        }
+        // Every hosted event applied: 11 events and 11 one-event batches.
+        assert_eq!(server.query(hosted).unwrap().value, PlainValue::Int(22),);
+        cluster.stop();
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod supervisor;
 pub use admission::{Admission, AdmissionConfig, AdmissionController, MemoryGauge};
 pub use blackbox::{blackbox, Blackbox, BlackboxRecord};
 pub use client::{Client, ClusterClient, RetryStats};
-pub use cluster::{place, Cluster, ClusterConfig, RepMsg, ReplicationTap};
+pub use cluster::{place, Cluster, ClusterConfig, ReplicationTap};
 pub use net::{NetConfig, NetCounters};
 pub use netfault::{Delivery, NetFault, NetFaultConfig, PartitionWindow};
 pub use protocol::{

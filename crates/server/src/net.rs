@@ -22,13 +22,23 @@
 //!   `event`'s ack precedes the `changed` update it produced, a `close`
 //!   reply precedes the final `closed` update).
 //!
-//! `event` and `batch` requests are handed to their shard without
-//! waiting; the reader keeps parsing while a complete line is already
-//! buffered, up to [`MAX_BURST`] requests in flight, then collects the
-//! answers in order and fills their slots. Every other verb first settles
-//! the answers in flight, then runs to completion. Events to one session
-//! are applied in request order; a `query` reflects every event sent
-//! before it on the same connection.
+//! `event` and `batch` requests travel to their shard together with
+//! their reserved slot (a [`ReplySlot`]), and the reader goes straight on
+//! to the next line: it never waits on their answers. The shard renders
+//! the ack and fills the slot itself, and wakes the writer once its
+//! burst of commands is handled (see `Wakes`); updates it pushes while
+//! pumping wake the writer at once. The outbound queue's capacity bounds
+//! how many slots can be waiting. An `unknown session` answer is left in
+//! the slot as a marker the writer resolves into a `moved` redirect, so
+//! no shard thread ever consults the cluster layer. A slot dropped
+//! unanswered (its shard died) fills itself with `shard is down`, and at
+//! end of input the writer stops only once every reserved slot is
+//! filled and sent.
+//!
+//! Every other verb runs to completion on the reader. Commands from the
+//! reader reach a shard in the order it posted them, so events to one
+//! session are applied in request order and a `query` reflects every
+//! event sent before it on the same connection.
 //!
 //! # Overload hardening
 //!
@@ -61,9 +71,9 @@ use std::time::{Duration, Instant};
 
 use crate::protocol::{self, BatchOutcome, EnqueueOutcome, Request, Update};
 use crate::registry::ProgramSpec;
-use crate::server::{Pending, Server};
+use crate::server::{Server, SHARD_DOWN};
 use crate::session::{SessionId, TracePop, UpdateSink};
-use crate::shard::MAX_BURST;
+use crate::shard::{Answer, Command};
 
 /// Read buffer per connection: room for a few hundred pipelined event
 /// lines per `read` call.
@@ -145,8 +155,6 @@ pub fn serve_with(server: Arc<Server>, listener: TcpListener, config: NetConfig)
 /// Why [`OutboundQueue::reserve`] gave no slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Refused {
-    /// At capacity, and the caller would not wait.
-    Full,
     /// Still at capacity at the deadline: the client is not draining its
     /// socket.
     TimedOut,
@@ -154,10 +162,27 @@ enum Refused {
     Closed,
 }
 
+/// One entry of the outbound queue.
+enum Slot {
+    /// Reserved for a reply still being answered; the writer never
+    /// passes it.
+    Reserved,
+    /// A rendered line.
+    Line(String),
+    /// A shard answered `unknown session`. The writer renders it as a
+    /// `moved` redirect when the cluster knows where the session lives,
+    /// else as the plain error, so the shard never takes a cluster lock.
+    Unknown {
+        /// The session the request named.
+        session: SessionId,
+        /// The shard's error text.
+        error: String,
+    },
+}
+
 struct OutboundState {
-    /// Lines in send order. `None` is a reply slot reserved for a request
-    /// still being answered; the writer never passes it.
-    slots: VecDeque<Option<String>>,
+    /// Entries in send order.
+    slots: VecDeque<Slot>,
     /// Ticket of `slots[0]`; tickets number every slot ever queued.
     head: u64,
     /// No further lines are accepted; the writer sends what is filled
@@ -167,6 +192,10 @@ struct OutboundState {
     /// a filled line waited for the client, and the session whose push
     /// first did.
     over: Option<(Instant, SessionId)>,
+    /// A shard filled the front slot without waking the writer (see
+    /// [`Wakes`]); the next update push, or the end of the shard's
+    /// command burst, wakes it.
+    owed: bool,
 }
 
 /// The line queue between a connection's producers (its reader, and the
@@ -191,6 +220,7 @@ impl OutboundQueue {
                 head: 0,
                 closed: false,
                 over: None,
+                owed: false,
             }),
             space: Condvar::new(),
             ready: Condvar::new(),
@@ -206,22 +236,31 @@ impl OutboundQueue {
     }
 
     /// Reserves the next slot for a reply and returns its ticket. At
-    /// capacity it waits for room until `deadline`, or refuses at once
-    /// with [`Refused::Full`] when there is none.
-    fn reserve(&self, deadline: Option<Instant>) -> Result<u64, Refused> {
+    /// capacity it waits for room. While a filled line heads the queue
+    /// the client is the one not reading, and that wait is bounded by
+    /// the write deadline; a reserved front slot, or one whose writer is
+    /// still owed its wake, is the server's own wait and does not count.
+    fn reserve(&self) -> Result<u64, Refused> {
         let mut st = self.lock();
+        let mut deadline = None;
         loop {
             if st.closed {
                 return Err(Refused::Closed);
             }
             if st.slots.len() < self.cap {
-                st.slots.push_back(None);
+                st.slots.push_back(Slot::Reserved);
                 return Ok(st.head + st.slots.len() as u64 - 1);
             }
-            let Some(deadline) = deadline else {
-                return Err(Refused::Full);
-            };
+            if st.owed || matches!(st.slots.front(), Some(Slot::Reserved)) {
+                deadline = None;
+                st = self
+                    .space
+                    .wait(st)
+                    .expect("no producer panics while holding the outbound queue");
+                continue;
+            }
             let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + self.deadline);
             if now >= deadline {
                 return Err(Refused::TimedOut);
             }
@@ -233,17 +272,44 @@ impl OutboundQueue {
         }
     }
 
-    /// Fills a reserved slot. A no-op once a cut dropped the slot.
-    fn fill(&self, ticket: u64, line: String) {
+    /// Fills a reserved slot, waking the writer when it is the front
+    /// one. A no-op once a cut dropped the slot.
+    fn fill(&self, ticket: u64, filled: Slot) {
+        self.place(ticket, filled, true);
+    }
+
+    /// Fills a reserved slot without waking the writer. Returns whether
+    /// it is the front slot, so the writer is owed a wake.
+    fn fill_quietly(&self, ticket: u64, filled: Slot) -> bool {
+        self.place(ticket, filled, false)
+    }
+
+    fn place(&self, ticket: u64, filled: Slot, wake: bool) -> bool {
         let mut st = self.lock();
         let Some(i) = ticket.checked_sub(st.head) else {
-            return;
+            return false;
         };
-        if let Some(slot) = st.slots.get_mut(i as usize) {
-            *slot = Some(line);
-            if i == 0 {
-                self.ready.notify_one();
-            }
+        let Some(slot) = st.slots.get_mut(i as usize) else {
+            return false;
+        };
+        *slot = filled;
+        if i != 0 {
+            return false;
+        }
+        if wake {
+            self.ready.notify_one();
+        } else {
+            st.owed = true;
+        }
+        true
+    }
+
+    /// Wakes the writer if a quiet fill still owes it a wake.
+    fn pay_owed_wake(&self) {
+        let mut st = self.lock();
+        if st.owed {
+            st.owed = false;
+            self.ready.notify_one();
         }
     }
 
@@ -257,13 +323,14 @@ impl OutboundQueue {
         if st.closed {
             return false;
         }
-        st.slots.push_back(Some(line));
-        if st.slots.len() == 1 {
+        st.slots.push_back(Slot::Line(line));
+        if st.slots.len() == 1 || st.owed {
+            st.owed = false;
             self.ready.notify_one();
         }
         // Only a filled line at the front means the client is the one
         // not keeping up; a reserved front slot is the server's own wait.
-        if st.slots.len() <= self.cap || !matches!(st.slots.front(), Some(Some(_))) {
+        if st.slots.len() <= self.cap || matches!(st.slots.front(), Some(Slot::Reserved)) {
             st.over = None;
             return true;
         }
@@ -280,26 +347,28 @@ impl OutboundQueue {
         true
     }
 
-    /// Waits for filled lines at the front and moves all of them into
-    /// `buf`, each followed by its newline. Returns `false` once the queue
-    /// is closed with nothing left to send.
-    fn take_ready(&self, buf: &mut Vec<u8>) -> bool {
+    /// Waits for filled entries at the front and moves all of them into
+    /// `ready`. Returns `false` once the queue is closed and every slot
+    /// reserved before the close has been filled and taken.
+    fn take_ready(&self, ready: &mut Vec<Slot>) -> bool {
         let mut st = self.lock();
         loop {
-            let filled = st.slots.iter().take_while(|s| s.is_some()).count();
+            let filled = st
+                .slots
+                .iter()
+                .take_while(|s| !matches!(s, Slot::Reserved))
+                .count();
             if filled > 0 {
-                for line in st.slots.drain(..filled).flatten() {
-                    buf.extend_from_slice(line.as_bytes());
-                    buf.push(b'\n');
-                }
+                ready.extend(st.slots.drain(..filled));
                 st.head += filled as u64;
+                st.owed = false;
                 if st.slots.len() <= self.cap {
                     st.over = None;
                 }
                 self.space.notify_all();
                 return true;
             }
-            if st.closed {
+            if st.closed && st.slots.is_empty() {
                 return false;
             }
             st = self
@@ -309,8 +378,8 @@ impl OutboundQueue {
         }
     }
 
-    /// Normal shutdown: accept nothing more; the writer drains what is
-    /// filled.
+    /// Normal shutdown: accept nothing more; the writer sends every slot
+    /// already reserved once it is filled.
     fn close(&self) {
         let mut st = self.lock();
         st.closed = true;
@@ -345,7 +414,7 @@ impl OutboundQueue {
     fn abandon(&self, st: &mut OutboundState, notice: Option<String>) {
         st.head += st.slots.len() as u64;
         st.slots.clear();
-        st.slots.extend(notice.map(Some));
+        st.slots.extend(notice.map(Slot::Line));
         st.closed = true;
         self.ready.notify_all();
         self.space.notify_all();
@@ -373,6 +442,105 @@ impl UpdateSink for WireSink {
         | Update::Closed { session, .. }
         | Update::Moved { session, .. }) = update;
         self.0.push_update(*session, protocol::update_line(update))
+    }
+}
+
+/// A shard's answer as the reply line a wire client gets.
+pub(crate) trait WireReply {
+    /// The reply line for a successful answer.
+    fn reply_line(&self) -> String;
+}
+
+impl WireReply for EnqueueOutcome {
+    fn reply_line(&self) -> String {
+        match *self {
+            EnqueueOutcome::Shed { retry_after_ms } => protocol::overloaded_line(retry_after_ms),
+            outcome => protocol::event_line(outcome),
+        }
+    }
+}
+
+impl WireReply for BatchOutcome {
+    fn reply_line(&self) -> String {
+        // Admission is all-or-nothing per batch: a shed batch had nothing
+        // enqueued, so the whole reply is the typed overload signal with
+        // its retry hint.
+        if self.shed > 0 {
+            protocol::overloaded_line(self.retry_after_ms)
+        } else {
+            protocol::batch_line(self)
+        }
+    }
+}
+
+/// A reply slot the reader reserved for an `event` or `batch`, handed to
+/// the session's shard inside [`Answer::Slot`]: the shard renders its
+/// answer and fills the slot. Dropped unanswered (the shard died with the
+/// request still queued), it fills the slot with `shard is down`, so the
+/// writer never waits on it forever.
+pub struct ReplySlot {
+    out: Option<Arc<OutboundQueue>>,
+    ticket: u64,
+    session: SessionId,
+}
+
+impl ReplySlot {
+    /// Fills the slot with the rendered answer, leaving the writer's wake
+    /// to `wakes`. An `unknown session` error stays a marker the writer
+    /// resolves.
+    pub(crate) fn answer<T: WireReply>(mut self, res: Result<T, String>, wakes: &mut Wakes) {
+        let filled = match res {
+            Ok(outcome) => Slot::Line(outcome.reply_line()),
+            Err(error) if error.starts_with("unknown session") => Slot::Unknown {
+                session: self.session,
+                error,
+            },
+            Err(error) => Slot::Line(protocol::err_line(&error)),
+        };
+        if let Some(out) = self.out.take() {
+            if out.fill_quietly(self.ticket, filled) {
+                wakes.add(out);
+            }
+        }
+    }
+}
+
+/// Writers a shard owes a wake: their front reply slot was filled during
+/// the shard's current command burst. The shard wakes each once when the
+/// burst's commands are handled, before it pumps, rather than once per
+/// ack: on a busy host every wake can cost the shard a preemption. An
+/// update pushed meanwhile (a `query` pumps inside the burst) pays the
+/// wake at once, so updates keep streaming through every pump. Dropped,
+/// it wakes what it holds.
+#[derive(Default)]
+pub(crate) struct Wakes(Vec<Arc<OutboundQueue>>);
+
+impl Wakes {
+    fn add(&mut self, out: Arc<OutboundQueue>) {
+        if !self.0.iter().any(|o| Arc::ptr_eq(o, &out)) {
+            self.0.push(out);
+        }
+    }
+
+    /// Wakes every writer still owed a wake.
+    pub(crate) fn wake_all(&mut self) {
+        for out in self.0.drain(..) {
+            out.pay_owed_wake();
+        }
+    }
+}
+
+impl Drop for Wakes {
+    fn drop(&mut self) {
+        self.wake_all();
+    }
+}
+
+impl Drop for ReplySlot {
+    fn drop(&mut self) {
+        if let Some(out) = self.out.take() {
+            out.fill(self.ticket, Slot::Line(protocol::err_line(SHARD_DOWN)));
+        }
     }
 }
 
@@ -490,10 +658,23 @@ pub fn handle_client_with(server: Arc<Server>, stream: TcpStream, config: NetCon
     let out = OutboundQueue::new(config);
 
     let writer_out = Arc::clone(&out);
+    let writer_server = Arc::clone(&server);
     let mut write_half = stream;
     let writer = thread::spawn(move || {
+        let mut ready = Vec::new();
         let mut buf = Vec::with_capacity(WRITE_BUFFER);
-        while writer_out.take_ready(&mut buf) {
+        while writer_out.take_ready(&mut ready) {
+            for slot in ready.drain(..) {
+                let line = match slot {
+                    Slot::Line(line) => line,
+                    Slot::Unknown { session, error } => {
+                        err_or_moved(&writer_server, session, error)
+                    }
+                    Slot::Reserved => unreachable!("take_ready stops at a reserved slot"),
+                };
+                buf.extend_from_slice(line.as_bytes());
+                buf.push(b'\n');
+            }
             if write_half.write_all(&buf).is_err() {
                 writer_out.write_failed();
                 break;
@@ -509,19 +690,9 @@ pub fn handle_client_with(server: Arc<Server>, stream: TcpStream, config: NetCon
     let mut conn = Conn {
         server,
         out: Arc::clone(&out),
-        config,
-        in_flight: VecDeque::new(),
     };
     let mut reader = BufReader::with_capacity(READ_BUFFER, read_half);
-    loop {
-        // Keep parsing while another request is already buffered; answer
-        // what is in flight before blocking on the socket.
-        if conn.in_flight.len() >= MAX_BURST || !reader.buffer().contains(&b'\n') {
-            conn.settle();
-        }
-        let Ok(frame) = read_frame(&mut reader, config.max_line_bytes) else {
-            break;
-        };
+    while let Ok(frame) = read_frame(&mut reader, config.max_line_bytes) {
         let more = match frame {
             Frame::Eof => false,
             Frame::Rejected(detail) => {
@@ -537,7 +708,6 @@ pub fn handle_client_with(server: Arc<Server>, stream: TcpStream, config: NetCon
                 // speaking plain HTTP gets one response and a closed
                 // connection.
                 if let Some(rest) = line.strip_prefix("GET ") {
-                    conn.settle();
                     conn.reply(http_response(&conn.server, rest));
                     false
                 } else {
@@ -549,47 +719,21 @@ pub fn handle_client_with(server: Arc<Server>, stream: TcpStream, config: NetCon
             break;
         }
     }
-    conn.settle();
     out.close();
     let _ = writer.join();
-}
-
-/// A shard's answer the reader still owes the client.
-enum Owed {
-    Event(Pending<EnqueueOutcome>),
-    Batch(Pending<BatchOutcome>),
-}
-
-/// A pipelined `event` or `batch`: handed to its shard, reply slot
-/// reserved, answer not yet collected.
-struct InFlight {
-    ticket: u64,
-    session: SessionId,
-    owed: Owed,
 }
 
 /// The reader side of one connection.
 struct Conn {
     server: Arc<Server>,
     out: Arc<OutboundQueue>,
-    config: NetConfig,
-    in_flight: VecDeque<InFlight>,
 }
 
 impl Conn {
-    /// Reserves the next reply slot. When the queue is full, the answers
-    /// in flight are settled first: their reserved slots are what the
-    /// writer is waiting on. `None` ends the connection.
+    /// Reserves the next reply slot, waiting up to the write deadline for
+    /// room. `None` ends the connection.
     fn reserve(&mut self) -> Option<u64> {
-        let ticket = match self.out.reserve(None) {
-            Err(Refused::Full) => {
-                self.settle();
-                self.out
-                    .reserve(Some(Instant::now() + self.config.write_deadline))
-            }
-            other => other,
-        };
-        match ticket {
+        match self.out.reserve() {
             Ok(ticket) => Some(ticket),
             Err(Refused::TimedOut) => {
                 // The client keeps sending requests but never reads the
@@ -597,8 +741,19 @@ impl Conn {
                 self.out.cut_slow(protocol::err_line("slow_consumer"));
                 None
             }
-            Err(_) => None,
+            Err(Refused::Closed) => None,
         }
+    }
+
+    /// Reserves the next reply slot as a [`ReplySlot`] for `session`'s
+    /// shard to fill.
+    fn reply_slot(&mut self, session: SessionId) -> Option<ReplySlot> {
+        let ticket = self.reserve()?;
+        Some(ReplySlot {
+            out: Some(Arc::clone(&self.out)),
+            ticket,
+            session,
+        })
     }
 
     /// Queues a reply that needs no shard. Returns `false` once the
@@ -607,36 +762,8 @@ impl Conn {
         let Some(ticket) = self.reserve() else {
             return false;
         };
-        self.out.fill(ticket, line);
+        self.out.fill(ticket, Slot::Line(line));
         true
-    }
-
-    /// Collects every answer in flight, in request order, and fills its
-    /// slot. Runs on the reader, so a `moved` redirect never makes a
-    /// shard call into the cluster.
-    fn settle(&mut self) {
-        while let Some(f) = self.in_flight.pop_front() {
-            let line = match f.owed {
-                Owed::Event(answer) => match answer.wait() {
-                    Ok(EnqueueOutcome::Shed { retry_after_ms }) => {
-                        protocol::overloaded_line(retry_after_ms)
-                    }
-                    Ok(outcome) => protocol::event_line(outcome),
-                    Err(e) => err_or_moved(&self.server, f.session, e),
-                },
-                Owed::Batch(answer) => match answer.wait() {
-                    // Admission is all-or-nothing per batch: a shed batch
-                    // had nothing enqueued, so the whole reply is the
-                    // typed overload signal with its retry hint.
-                    Ok(outcome) if outcome.shed > 0 => {
-                        protocol::overloaded_line(outcome.retry_after_ms)
-                    }
-                    Ok(outcome) => protocol::batch_line(&outcome),
-                    Err(e) => err_or_moved(&self.server, f.session, e),
-                },
-            };
-            self.out.fill(f.ticket, line);
-        }
     }
 
     /// Serves one request line. Returns `false` once the connection
@@ -653,19 +780,33 @@ impl Conn {
                 value,
                 trace,
             } => {
-                let Some(ticket) = self.reserve() else {
+                let Some(slot) = self.reply_slot(session) else {
                     return false;
                 };
-                let sent = self.server.send_event(session, input, value, trace);
-                self.owe(ticket, session, sent.map(Owed::Event));
+                self.server.post(
+                    session,
+                    Command::Event {
+                        session,
+                        input,
+                        value: value.to_value(),
+                        trace,
+                        answer: Answer::Slot(slot),
+                    },
+                );
             }
             Request::Batch { session, events } => {
-                let Some(ticket) = self.reserve() else {
+                let Some(slot) = self.reply_slot(session) else {
                     return false;
                 };
                 let events = events.into_iter().map(|(i, v)| (i, v.to_value())).collect();
-                let sent = self.server.send_batch(session, events);
-                self.owe(ticket, session, sent.map(Owed::Batch));
+                self.server.post(
+                    session,
+                    Command::Batch {
+                        session,
+                        events,
+                        answer: Answer::Slot(slot),
+                    },
+                );
             }
             // Streamed cluster verbs are silent even outside cluster mode:
             // they are fire-and-forget, so a reply would desynchronize the
@@ -676,7 +817,6 @@ impl Conn {
                 entry,
                 epoch,
             } => {
-                self.settle();
                 if let Some(cluster) = self.server.cluster() {
                     cluster.handle_journal_append(from, session, entry, epoch);
                 }
@@ -691,7 +831,6 @@ impl Conn {
                 trace,
                 epoch,
             } => {
-                self.settle();
                 if let Some(cluster) = self.server.cluster() {
                     cluster.handle_snapshot_ship(
                         from, session, meta, snapshot, through, dropped, trace, epoch,
@@ -699,32 +838,19 @@ impl Conn {
                 }
             }
             Request::Heartbeat { from } => {
-                self.settle();
                 if let Some(cluster) = self.server.cluster() {
                     cluster.handle_heartbeat(from);
                 }
             }
             request => {
-                self.settle();
                 let Some(ticket) = self.reserve() else {
                     return false;
                 };
                 let reply = dispatch(&self.server, request, &self.out);
-                self.out.fill(ticket, reply);
+                self.out.fill(ticket, Slot::Line(reply));
             }
         }
         true
-    }
-
-    fn owe(&mut self, ticket: u64, session: SessionId, sent: Result<Owed, String>) {
-        match sent {
-            Ok(owed) => self.in_flight.push_back(InFlight {
-                ticket,
-                session,
-                owed,
-            }),
-            Err(e) => self.out.fill(ticket, protocol::err_line(&e)),
-        }
     }
 }
 
@@ -926,6 +1052,154 @@ mod tests {
                 continue; // trace keepalive blank line
             }
             return line.trim().to_string();
+        }
+    }
+
+    #[test]
+    fn a_reply_slot_dropped_unanswered_fills_with_shard_is_down() {
+        let out = OutboundQueue::new(NetConfig::default());
+        let slot = |out: &Arc<OutboundQueue>| ReplySlot {
+            out: Some(Arc::clone(out)),
+            ticket: out.reserve().unwrap(),
+            session: 7,
+        };
+        // A shard that is already gone: the command, and the slot inside
+        // its answer sink, is dropped on the failed send.
+        let (tx, rx) = crossbeam::channel::unbounded();
+        drop(rx);
+        let dead = tx.send(Command::Event {
+            session: 7,
+            input: "Mouse.clicks".to_string(),
+            value: elm_runtime::Value::Unit,
+            trace: 0,
+            answer: Answer::Slot(slot(&out)),
+        });
+        assert!(dead.is_err());
+        drop(dead);
+        // A slot answered normally behind it, and one a dying shard
+        // drops after the connection's input ended.
+        let mut wakes = Wakes::default();
+        slot(&out).answer(Ok(EnqueueOutcome::Accepted), &mut wakes);
+        wakes.wake_all();
+        let last = slot(&out);
+        out.close();
+        drop(last);
+
+        // The writer gets all three in order, then stops instead of
+        // waiting on a slot nobody will fill.
+        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+        let writer_out = Arc::clone(&out);
+        thread::spawn(move || {
+            let mut ready = Vec::new();
+            let mut lines = Vec::new();
+            while writer_out.take_ready(&mut ready) {
+                lines.extend(ready.drain(..).map(|slot| match slot {
+                    Slot::Line(line) => line,
+                    _ => panic!("expected rendered lines"),
+                }));
+            }
+            let _ = done_tx.send(lines);
+        });
+        let lines = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the writer wedged on an unfilled slot");
+        let down = protocol::err_line(SHARD_DOWN);
+        assert_eq!(
+            lines,
+            vec![
+                down.clone(),
+                protocol::event_line(EnqueueOutcome::Accepted),
+                down
+            ]
+        );
+    }
+
+    #[test]
+    fn a_quiet_ack_goes_out_with_the_next_update_or_at_the_end_of_the_burst() {
+        // A writer thread reporting how many lines it has taken.
+        let out = OutboundQueue::new(NetConfig::default());
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let writer_out = Arc::clone(&out);
+        thread::spawn(move || {
+            let mut ready = Vec::new();
+            while writer_out.take_ready(&mut ready) {
+                for _ in ready.drain(..) {
+                    let _ = tx.send(());
+                }
+            }
+        });
+        let quiet_ack = |wakes: &mut Wakes| {
+            let slot = ReplySlot {
+                out: Some(Arc::clone(&out)),
+                ticket: out.reserve().unwrap(),
+                session: 1,
+            };
+            slot.answer(Ok(EnqueueOutcome::Accepted), wakes);
+        };
+        let expect_lines = |n: usize| {
+            for _ in 0..n {
+                rx.recv_timeout(Duration::from_secs(10))
+                    .expect("the writer was never woken");
+            }
+        };
+        // Let the writer park, so only a wake can move the lines.
+        let park = || thread::sleep(Duration::from_millis(50));
+
+        // An ack filled inside a command burst goes out with the next
+        // update pushed, before the burst ends...
+        let mut wakes = Wakes::default();
+        park();
+        quiet_ack(&mut wakes);
+        assert!(out.push_update(1, "update".to_string()));
+        expect_lines(2);
+        wakes.wake_all();
+
+        // ...or, with no update, when the burst ends.
+        park();
+        quiet_ack(&mut wakes);
+        wakes.wake_all();
+        expect_lines(1);
+        out.close();
+    }
+
+    #[test]
+    fn a_stalled_shard_is_not_mistaken_for_a_slow_consumer() {
+        // Every command burst stalls the shard far past the write
+        // deadline, so the reader finds the queue full of slots the shard
+        // has not answered yet. That wait is the server's own: the client
+        // is reading, and must get every reply rather than a cut.
+        let mut session = crate::session::SessionConfig::default();
+        session.faults.stall = 1.0;
+        session.faults.stall_ms = 60;
+        let server = Arc::new(Server::start(ServerConfig {
+            shards: 1,
+            session,
+            ..ServerConfig::default()
+        }));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = NetConfig {
+            outbound_queue: 4,
+            write_deadline: Duration::from_millis(20),
+            ..NetConfig::default()
+        };
+        let srv = Arc::clone(&server);
+        thread::spawn(move || serve_with(srv, listener, config));
+        let sid = server
+            .open(ProgramSpec::Builtin("counter"), None, None, false)
+            .unwrap()
+            .session;
+
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let event = format!(
+            "{{\"cmd\":\"event\",\"session\":{sid},\"input\":\"Mouse.clicks\",\"value\":\"Unit\"}}\n"
+        );
+        writer.write_all(event.repeat(12).as_bytes()).unwrap();
+        for i in 0..12 {
+            let reply = read_line(&mut reader);
+            assert!(reply.contains("\"accepted\""), "reply {i}: {reply}");
         }
     }
 

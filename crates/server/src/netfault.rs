@@ -142,16 +142,6 @@ pub struct Delivery {
     pub lines: Vec<String>,
 }
 
-impl Delivery {
-    /// The identity delivery: write `line` once, immediately.
-    pub fn passthrough(line: &str) -> Delivery {
-        Delivery {
-            delay: Duration::ZERO,
-            lines: vec![line.to_string()],
-        }
-    }
-}
-
 #[derive(Debug)]
 struct LinkState {
     rng: StdRng,
@@ -370,7 +360,13 @@ mod tests {
         assert_eq!(d.lines[0], d.lines[1]);
         // Control verbs pass through untouched.
         let takeover = "{\"cmd\":\"takeover\",\"from\":0,\"addr\":\"x\",\"sessions\":[1]}";
-        assert_eq!(nf.process(0, 1, takeover), Delivery::passthrough(takeover));
+        assert_eq!(
+            nf.process(0, 1, takeover),
+            Delivery {
+                delay: Duration::ZERO,
+                lines: vec![takeover.to_string()],
+            }
+        );
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! [`Server`] is the in-process API the TCP front end ([`crate::net`]),
 //! the load generator, and tests all share. It owns the shard pool and
 //! the program [`Registry`]; every per-session operation is forwarded to
-//! the owning shard over its command channel and answered on a one-shot
-//! reply channel.
+//! the owning shard over its command channel. An in-process caller waits
+//! on a one-shot reply channel; the wire front end instead hands `event`
+//! and `batch` requests over with their reserved reply slot and never
+//! waits (see [`crate::net`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, Weak};
 use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver};
-use elm_runtime::{JournalEntry, PlainValue, StatsSnapshot, Value, WireSnapshot};
+use elm_runtime::{JournalEntry, PlainValue, StatsSnapshot, WireSnapshot};
 
 use crate::admission::{AdmissionConfig, MemoryGauge};
 use crate::cluster::{Cluster, ReplicationTap};
@@ -22,7 +24,7 @@ use crate::protocol::{
 };
 use crate::registry::{ProgramSpec, Registry};
 use crate::session::{SessionConfig, SessionId, TraceMailbox, UpdateSink};
-use crate::shard::{Command, ShardHandle, ShardStats};
+use crate::shard::{Answer, Command, ShardHandle, ShardStats};
 use std::sync::Arc;
 
 /// Server-wide configuration.
@@ -52,24 +54,7 @@ impl Default for ServerConfig {
     }
 }
 
-const SHARD_DOWN: &str = "shard is down";
-
-/// The answer a shard owes for a request already handed to it (see
-/// [`Server::send_event`]). Commands from one thread reach a shard in the
-/// order they were sent, so answers can be collected later without
-/// reordering the requests themselves.
-pub(crate) struct Pending<T>(Receiver<Result<T, String>>);
-
-impl<T> Pending<T> {
-    /// Blocks for the shard's answer.
-    ///
-    /// # Errors
-    ///
-    /// The request's own error, or `shard is down`.
-    pub(crate) fn wait(self) -> Result<T, String> {
-        self.0.recv().map_err(|_| SHARD_DOWN.to_string())?
-    }
-}
+pub(crate) const SHARD_DOWN: &str = "shard is down";
 
 /// A running multi-session server (see module docs).
 pub struct Server {
@@ -149,17 +134,12 @@ impl Server {
     }
 
     /// Hands a command to `session`'s shard without waiting for it.
-    fn send<R>(
-        &self,
-        session: SessionId,
-        make: impl FnOnce(channel::Sender<R>) -> Command,
-    ) -> Result<Receiver<R>, String> {
-        let (tx, rx) = channel::bounded(1);
-        self.shard_for(session)
-            .sender()
-            .send(make(tx))
-            .map_err(|_| SHARD_DOWN.to_string())?;
-        Ok(rx)
+    /// Commands from one thread reach a shard in the order they were
+    /// posted. If the shard is down the command is dropped, and with it
+    /// its answer sink (a dropped [`crate::net::ReplySlot`] answers
+    /// `shard is down`).
+    pub(crate) fn post(&self, session: SessionId, cmd: Command) {
+        let _ = self.shard_for(session).sender().send(cmd);
     }
 
     fn ask<R>(
@@ -167,9 +147,9 @@ impl Server {
         session: SessionId,
         make: impl FnOnce(channel::Sender<R>) -> Command,
     ) -> Result<R, String> {
-        self.send(session, make)?
-            .recv()
-            .map_err(|_| SHARD_DOWN.to_string())
+        let (tx, rx) = channel::bounded(1);
+        self.post(session, make(tx));
+        rx.recv().map_err(|_| SHARD_DOWN.to_string())
     }
 
     /// Compiles/looks up a program and hosts it as a new session.
@@ -329,32 +309,13 @@ impl Server {
         value: PlainValue,
         trace: u64,
     ) -> Result<EnqueueOutcome, String> {
-        self.send_event(session, input.to_string(), value, trace)?
-            .wait()
-    }
-
-    /// Hands one event to its session's shard and returns without waiting
-    /// for the outcome: the send half of [`Server::event_traced`], which
-    /// lets a caller keep several requests in flight.
-    ///
-    /// # Errors
-    ///
-    /// Fails only when the shard is down.
-    pub(crate) fn send_event(
-        &self,
-        session: SessionId,
-        input: String,
-        value: PlainValue,
-        trace: u64,
-    ) -> Result<Pending<EnqueueOutcome>, String> {
-        self.send(session, |reply| Command::Event {
+        self.ask(session, |tx| Command::Event {
             session,
-            input,
+            input: input.to_string(),
             value: value.to_value(),
             trace,
-            reply,
-        })
-        .map(Pending)
+            answer: Answer::Channel(tx),
+        })?
     }
 
     /// Sends many events, enqueued in order.
@@ -371,25 +332,11 @@ impl Server {
             .iter()
             .map(|(i, v)| (i.clone(), v.to_value()))
             .collect();
-        self.send_batch(session, events)?.wait()
-    }
-
-    /// The send half of [`Server::batch`] (see [`Server::send_event`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails only when the shard is down.
-    pub(crate) fn send_batch(
-        &self,
-        session: SessionId,
-        events: Vec<(String, Value)>,
-    ) -> Result<Pending<BatchOutcome>, String> {
-        self.send(session, |reply| Command::Batch {
+        self.ask(session, |tx| Command::Batch {
             session,
             events,
-            reply,
-        })
-        .map(Pending)
+            answer: Answer::Channel(tx),
+        })?
     }
 
     /// Current output value and queue depth (pumps pending events first,
@@ -680,6 +627,44 @@ mod tests {
             }
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn single_process_server_ships_no_snapshots() {
+        // Snapshots `key` after one snapshot interval of events and
+        // returns whether the flight recorder saw it shipped.
+        fn snapshot_shipped(server: &Server, key: SessionId) -> bool {
+            server
+                .open_with_key(key, ProgramSpec::Builtin("counter"), None, None, false)
+                .unwrap();
+            let interval = server.config().session.snapshot_interval as usize;
+            let events = vec![("Mouse.clicks".to_string(), PlainValue::Unit); interval];
+            server.batch(key, &events).unwrap();
+            server.query(key).unwrap();
+            let stats = server.session_stats(key).unwrap();
+            assert_eq!(stats.recovery.snapshot_count, 1);
+            crate::blackbox::blackbox()
+                .snapshot_for(&[key])
+                .iter()
+                .any(|r| r.kind == "snapshot" && r.detail == "shipped")
+        }
+        let single = Server::start(ServerConfig {
+            shards: 1,
+            ..ServerConfig::default()
+        });
+        assert!(!snapshot_shipped(&single, 0x51_0001));
+        single.shutdown();
+
+        // The same session on a cluster peer ships its snapshot.
+        let clustered = Arc::new(Server::start(ServerConfig {
+            shards: 1,
+            ..ServerConfig::default()
+        }));
+        let mut config = crate::cluster::ClusterConfig::new(0, vec!["127.0.0.1:1".to_string(); 2]);
+        config.takeover = Duration::from_secs(3600);
+        let cluster = Cluster::start(Arc::clone(&clustered), config);
+        assert!(snapshot_shipped(&clustered, 0x51_0002));
+        cluster.stop();
     }
 
     #[test]

@@ -40,6 +40,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::admission::MemoryGauge;
+use crate::cluster::{ReplicationTap, Staged};
 use crate::protocol::{
     BackpressurePolicy, EnqueueOutcome, IngressStats, LatencySummary, QueryInfo, RecoveryStats,
     SessionStats, TrapStats, Update,
@@ -289,9 +290,12 @@ pub struct Session {
     // into, and the last figure it reported (for delta accounting).
     memory: Option<Arc<MemoryGauge>>,
     reported_cells: i64,
-    // Cluster replication tap: applied events and snapshots stream to
-    // the session's replica peer through it. None outside cluster mode.
-    replication: Option<Arc<crate::cluster::ReplicationTap>>,
+    // Cluster replication tap: once a cluster installs its links, applied
+    // events and snapshots stream to the session's replica peer through
+    // it. Until then nothing is rendered for replication.
+    replication: Option<Arc<ReplicationTap>>,
+    // Replication lines rendered since the shard last queued them.
+    rep_staged: Staged,
     // Mergeable log2 histogram of ingest-to-output latency (µs). The
     // `latencies` sample vector serves exact percentile summaries; this
     // serves cross-peer federation and SLO burn rates, which need
@@ -372,6 +376,7 @@ impl Session {
             memory: None,
             reported_cells: 0,
             replication: None,
+            rep_staged: Staged::default(),
             ingest_hist: Histogram::new(),
             last_trace: 0,
             epoch: 1,
@@ -395,7 +400,7 @@ impl Session {
     /// event and every snapshot also streams to the session's replica
     /// peer. Set *after* [`Session::restore_shipped`] on adoption, so
     /// the restore itself is not re-replicated.
-    pub fn set_replication(&mut self, tap: Arc<crate::cluster::ReplicationTap>) {
+    pub fn set_replication(&mut self, tap: Arc<ReplicationTap>) {
         self.replication = Some(tap);
     }
 
@@ -405,6 +410,15 @@ impl Session {
     /// there and keeps the append stream that follows contiguous.
     pub fn snapshot_now(&mut self) {
         self.take_snapshot();
+    }
+
+    /// Queues the replication lines staged since the last flush on the
+    /// replica link, as one batch. The shard calls it once per command
+    /// burst; [`Session::stop`] flushes what is left.
+    pub(crate) fn flush_replication(&mut self) {
+        if let Some(links) = self.replication.as_deref().and_then(ReplicationTap::links) {
+            links.flush(self.id, &mut self.rep_staged);
+        }
     }
 
     /// The metadata a replica needs to re-instantiate this session on
@@ -704,37 +718,43 @@ impl Session {
             let seq = self.applied_seq + 1;
             // Write-ahead append: the entry hits the journal before the
             // runtime sees the event, so a crash can never lose an
-            // applied-but-unjournaled event.
-            let plain = PlainValue::from_value(&q.value);
-            let journal_ok = match plain.clone() {
-                Some(pv) => match self.journal.append_owned(
-                    self.epoch,
-                    JournalEntry {
+            // applied-but-unjournaled event. In cluster mode the
+            // replication line is rendered from the same entry.
+            let mut rep_line = None;
+            let journal_ok = match PlainValue::from_value(&q.value) {
+                Some(pv) => {
+                    let entry = JournalEntry {
                         seq,
                         input: q.input.clone(),
                         value: pv,
                         trace: q.trace,
-                    },
-                ) {
-                    Ok(_) => true,
-                    Err(JournalError::Fenced { writer, fence }) => {
-                        // Ownership moved under us (a takeover at a
-                        // higher epoch fenced the journal): this
-                        // incarnation must not extend history. Skip the
-                        // event entirely — the new owner serves it.
-                        crate::blackbox::blackbox().record(
-                            "fenced",
-                            self.id,
-                            seq,
-                            q.trace,
-                            -1,
-                            &format!("local append at stale epoch {writer} < {fence}"),
-                        );
-                        self.ignored += 1;
-                        continue;
+                    };
+                    rep_line = self
+                        .replication
+                        .as_deref()
+                        .and_then(ReplicationTap::links)
+                        .map(|links| links.append_line(self.id, &entry, self.epoch));
+                    match self.journal.append_owned(self.epoch, entry) {
+                        Ok(_) => true,
+                        Err(JournalError::Fenced { writer, fence }) => {
+                            // Ownership moved under us (a takeover at a
+                            // higher epoch fenced the journal): this
+                            // incarnation must not extend history. Skip
+                            // the event entirely — the new owner serves it.
+                            crate::blackbox::blackbox().record(
+                                "fenced",
+                                self.id,
+                                seq,
+                                q.trace,
+                                -1,
+                                &format!("local append at stale epoch {writer} < {fence}"),
+                            );
+                            self.ignored += 1;
+                            continue;
+                        }
+                        Err(_) => false,
                     }
-                    Err(_) => false,
-                },
+                }
                 None => false,
             };
             if journal_ok {
@@ -761,17 +781,8 @@ impl Session {
             crate::blackbox::blackbox().record("applied", self.id, seq, q.trace, -1, &q.input);
             // Replicate exactly once, only after the event demonstrably
             // applied: the engine-error branch above never reaches here.
-            if let (Some(tap), Some(pv)) = (self.replication.as_ref(), plain) {
-                tap.send(crate::cluster::RepMsg::Append {
-                    session: self.id,
-                    entry: JournalEntry {
-                        seq,
-                        input: q.input.clone(),
-                        value: pv,
-                        trace: q.trace,
-                    },
-                    epoch: self.epoch,
-                });
+            if let Some(line) = rep_line {
+                self.rep_staged.append(line);
             }
             for ev in &outs {
                 let Some(v) = ev.value() else { continue };
@@ -891,16 +902,19 @@ impl Session {
 
     fn take_snapshot(&mut self) {
         if let Some(snap) = self.running.snapshot() {
-            if let Some(tap) = self.replication.as_ref() {
+            let meta = self.replica_meta();
+            if let Some(links) = self.replication.as_deref().and_then(ReplicationTap::links) {
                 // Ship the snapshot so the replica can truncate its copy
                 // of the journal the same way we truncate ours below.
-                tap.send(crate::cluster::RepMsg::Snapshot {
-                    session: self.id,
-                    through: self.applied_seq,
-                    wire: snap.to_wire().map(Box::new),
-                    trace: self.last_trace,
-                    epoch: self.epoch,
-                });
+                links.stage_snapshot(
+                    &mut self.rep_staged,
+                    self.id,
+                    &meta,
+                    snap.to_wire().as_ref(),
+                    self.applied_seq,
+                    self.last_trace,
+                    self.epoch,
+                );
                 crate::blackbox::blackbox().record(
                     "snapshot",
                     self.id,
@@ -1136,7 +1150,8 @@ impl Session {
 
     /// Stops the underlying runtime and withdraws the session's memory
     /// contribution from the gauge.
-    pub fn stop(self) {
+    pub fn stop(mut self) {
+        self.flush_replication();
         if let Some(gauge) = self.memory.as_ref() {
             gauge.add(-self.reported_cells);
         }

@@ -4,8 +4,14 @@
 //! Sessions are pinned to a shard at open time (`session id % shard
 //! count`), so all mutation of a session happens on one thread and the
 //! shard needs no locks around session state. Commands arrive on a
-//! channel with per-request reply channels; after each burst of commands
-//! the shard pumps every session with queued events, then sweeps for
+//! channel, each carrying where its answer goes: a reply channel, or for
+//! `event` and `batch` an [`Answer`] sink, which a wire connection makes
+//! from its reserved reply slot. The shard thus completes each event
+//! itself: it renders the ack into the connection's slot, and its
+//! sessions render replication lines onto the replica link (see
+//! [`crate::cluster::ReplicationTap`]), without waiting on another
+//! thread or taking a cluster lock. After each burst of commands the
+//! shard pumps every session with queued events, then sweeps for
 //! evictions (idle timeout, exhausted restart budget). Sessions whose
 //! runtimes crash are *not* evicted — they recover in place from
 //! snapshot + journal (see [`crate::session`]); only a session that
@@ -24,7 +30,8 @@ use rand::Rng;
 use std::sync::Arc;
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController, MemoryGauge};
-use crate::cluster::{RepMsg, ReplicationTap};
+use crate::cluster::ReplicationTap;
+use crate::net::{ReplySlot, Wakes};
 use crate::protocol::{
     AdmissionStats, BatchOutcome, DescribeInfo, EnqueueOutcome, OpenInfo, QueryInfo, SessionStats,
 };
@@ -37,7 +44,7 @@ const TICK: Duration = Duration::from_millis(5);
 
 /// How many commands a shard absorbs back-to-back before it pumps the
 /// affected sessions — bounds ingest-to-output latency under a firehose.
-pub(crate) const MAX_BURST: usize = 256;
+const MAX_BURST: usize = 256;
 
 /// Lifecycle counters owned by one shard.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -72,7 +79,27 @@ pub struct ShardStats {
     pub cmd_backlog: u64,
 }
 
-/// One request to a shard. Every variant carries its own reply channel.
+/// Where a shard delivers its answer to an `event` or `batch`.
+pub enum Answer<T> {
+    /// An in-process caller blocked on a channel.
+    Channel(Sender<Result<T, String>>),
+    /// A wire connection's reserved reply slot: the shard renders the
+    /// reply line and fills the slot itself.
+    Slot(ReplySlot),
+}
+
+/// Hands an `event`/`batch` answer to its sink; a filled wire slot's
+/// writer is woken with `wakes` once the command burst is handled.
+fn deliver<T: crate::net::WireReply>(answer: Answer<T>, res: Result<T, String>, wakes: &mut Wakes) {
+    match answer {
+        Answer::Channel(tx) => {
+            let _ = tx.send(res);
+        }
+        Answer::Slot(slot) => slot.answer(res, wakes),
+    }
+}
+
+/// One request to a shard. Every variant carries where its answer goes.
 pub enum Command {
     /// Host a new session.
     Open {
@@ -139,8 +166,8 @@ pub enum Command {
         value: Value,
         /// Causal trace id riding the event (0 = untraced).
         trace: u64,
-        /// Replies with the queue outcome.
-        reply: Sender<Result<EnqueueOutcome, String>>,
+        /// Receives the queue outcome.
+        answer: Answer<EnqueueOutcome>,
     },
     /// Many input events, enqueued in order.
     Batch {
@@ -148,8 +175,8 @@ pub enum Command {
         session: SessionId,
         /// `(input, value)` pairs.
         events: Vec<(String, Value)>,
-        /// Replies with the per-category tally.
-        reply: Sender<Result<BatchOutcome, String>>,
+        /// Receives the per-category tally.
+        answer: Answer<BatchOutcome>,
     },
     /// The hosted program's source and graph fingerprint.
     Describe {
@@ -260,6 +287,8 @@ struct Shard {
     memory: Arc<MemoryGauge>,
     cmd_backlog: u64,
     tap: Arc<ReplicationTap>,
+    /// Connection writers owed a wake for acks filled this burst.
+    wakes: Wakes,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -280,6 +309,7 @@ fn run(
         memory,
         cmd_backlog: 0,
         tap,
+        wakes: Wakes::default(),
     };
     // Worker-stall injection: one roll per handled command burst. Stalls
     // only delay the worker (sessions must tolerate a frozen shard); they
@@ -302,6 +332,7 @@ fn run(
                         Err(_) => break,
                     }
                 }
+                shard.wakes.wake_all();
                 if let Some(rng) = stall_rng.as_mut() {
                     if rng.gen_bool(faults.stall) {
                         thread::sleep(Duration::from_millis(faults.stall_ms));
@@ -316,6 +347,7 @@ fn run(
     }
     // Drain whatever is queued so clients that already got an "accepted"
     // see their events applied, then tell subscribers we're gone.
+    shard.wakes.wake_all();
     shard.pump_all();
     for (_, mut s) in shard.sessions.drain() {
         s.notify_closed("shutdown");
@@ -349,16 +381,12 @@ impl Shard {
                 let mut session = Session::new(id, name, graph, *config);
                 session.set_source(source);
                 session.set_memory_gauge(self.memory.clone());
-                let meta = session.replica_meta();
-                let epoch = session.epoch();
+                if let Some(links) = self.tap.links() {
+                    links.ship_open(id, &session.replica_meta(), session.epoch());
+                }
                 session.set_replication(self.tap.clone());
                 self.sessions.insert(id, session);
                 self.counters.opened += 1;
-                self.tap.send(RepMsg::Open {
-                    session: id,
-                    meta,
-                    epoch,
-                });
                 let _ = reply.send(Ok(info));
             }
             Command::Adopt {
@@ -385,16 +413,13 @@ impl Shard {
                 session.set_epoch(epoch);
                 match session.restore_shipped(snapshot, entries) {
                     Ok(last_seq) => {
-                        let meta = session.replica_meta();
                         // The tap attaches only after the restore, so the
                         // replayed history is not re-replicated; from here
                         // the adopted session streams to *its* replica.
+                        if let Some(links) = self.tap.links() {
+                            links.ship_open(id, &session.replica_meta(), session.epoch());
+                        }
                         session.set_replication(self.tap.clone());
-                        self.tap.send(RepMsg::Open {
-                            session: id,
-                            meta,
-                            epoch: session.epoch(),
-                        });
                         // Re-protect immediately: a snapshot at the
                         // adoption high-water mark re-bases this
                         // session's *new* replica so the append stream
@@ -419,7 +444,7 @@ impl Shard {
                 reply,
             } => {
                 // Split-brain guard: a stale primary drops its copy when a
-                // peer announces a takeover. Deliberately no RepMsg::Drop —
+                // peer announces a takeover. Deliberately no replica drop —
                 // the new primary may share our replica target, and a drop
                 // from us must not erase the replica it is now feeding.
                 let hosted = match self.sessions.remove(&session) {
@@ -461,7 +486,7 @@ impl Shard {
                 input,
                 value,
                 trace,
-                reply,
+                answer,
             } => {
                 let res = if !self.sessions.contains_key(&session) {
                     Err(format!("unknown session {session}"))
@@ -486,12 +511,12 @@ impl Shard {
                         }
                     }
                 };
-                let _ = reply.send(res);
+                deliver(answer, res, &mut self.wakes);
             }
             Command::Batch {
                 session,
                 events,
-                reply,
+                answer,
             } => {
                 let res = if !self.sessions.contains_key(&session) {
                     Err(format!("unknown session {session}"))
@@ -517,7 +542,7 @@ impl Shard {
                         }),
                     }
                 };
-                let _ = reply.send(res);
+                deliver(answer, res, &mut self.wakes);
             }
             Command::Describe { session, reply } => {
                 let _ = reply.send(self.with_session(session, |s| s.describe()));
@@ -581,7 +606,9 @@ impl Shard {
                         s.stop();
                         self.admission.forget(session);
                         self.counters.closed += 1;
-                        self.tap.send(RepMsg::Drop { session, epoch });
+                        if let Some(links) = self.tap.links() {
+                            links.ship_drop(session, epoch);
+                        }
                         Ok(())
                     }
                     None => Err(format!("unknown session {session}")),
@@ -604,9 +631,12 @@ impl Shard {
         }
     }
 
+    /// Pumps every session, then queues each one's replication lines
+    /// from this burst in one batch.
     fn pump_all(&mut self) {
         for s in self.sessions.values_mut() {
             s.pump();
+            s.flush_replication();
         }
     }
 
@@ -634,7 +664,9 @@ impl Shard {
                 let epoch = s.epoch();
                 s.stop();
                 self.admission.forget(id);
-                self.tap.send(RepMsg::Drop { session: id, epoch });
+                if let Some(links) = self.tap.links() {
+                    links.ship_drop(id, epoch);
+                }
                 match reason {
                     "recovery_failed" => self.counters.recovery_failed += 1,
                     _ => self.counters.evicted_idle += 1,
@@ -713,7 +745,7 @@ mod tests {
                 input: "Mouse.clicks".to_string(),
                 value: Value::Unit,
                 trace: 0,
-                reply: tx,
+                answer: Answer::Channel(tx),
             })
             .unwrap();
         assert_eq!(rx.recv().unwrap(), Ok(EnqueueOutcome::Accepted));
@@ -828,7 +860,7 @@ mod tests {
                     input: "Mouse.x".to_string(),
                     value: Value::Int(v),
                     trace: 0,
-                    reply: tx,
+                    answer: Answer::Channel(tx),
                 })
                 .unwrap();
             rx.recv().unwrap().unwrap();
@@ -896,7 +928,7 @@ mod tests {
                 input: "Mouse.x".to_string(),
                 value: Value::Int(-5),
                 trace: 0,
-                reply: tx,
+                answer: Answer::Channel(tx),
             })
             .unwrap();
         rx.recv().unwrap().unwrap();

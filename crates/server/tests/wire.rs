@@ -339,3 +339,45 @@ fn pipelined_replies_keep_request_order_and_precede_their_updates() {
         last_update.insert(b, seq);
     }
 }
+
+#[test]
+fn half_closed_pipeline_gets_every_reply_in_order_before_eof() {
+    let addr = start_server();
+    let mut c = Client::connect(addr);
+    let s = as_u64(field(
+        &c.round_trip(r#"{"cmd":"open","program":"counter"}"#),
+        "session",
+    ));
+
+    // N events and one batch in one write, then end of input: the server
+    // must still answer every request it read before it closes.
+    const N: usize = 300;
+    let mut text = String::new();
+    for _ in 0..N {
+        text.push_str(&format!(
+            r#"{{"cmd":"event","session":{s},"input":"Mouse.clicks","value":"Unit"}}"#
+        ));
+        text.push('\n');
+    }
+    text.push_str(&format!(
+        r#"{{"cmd":"batch","session":{s},"events":[{{"input":"Mouse.clicks","value":"Unit"}},{{"input":"Mouse.clicks","value":"Unit"}}]}}"#
+    ));
+    text.push('\n');
+    c.stream.write_all(text.as_bytes()).unwrap();
+    c.stream.shutdown(std::net::Shutdown::Write).unwrap();
+
+    for i in 0..N {
+        let reply = c.recv();
+        assert_ok(&reply);
+        assert_eq!(
+            field(&reply, "outcome"),
+            &Json::Str("accepted".into()),
+            "reply {i}: {reply:?}"
+        );
+    }
+    let batch = c.recv();
+    assert_ok(&batch);
+    assert_eq!(as_u64(field(field(&batch, "outcome"), "accepted")), 2);
+    let mut rest = String::new();
+    assert_eq!(c.reader.read_line(&mut rest).unwrap(), 0, "{rest}");
+}
