@@ -19,14 +19,19 @@
 //! Replication is asynchronous and fire-and-forget (the peer verbs
 //! produce no reply lines), so the primary's data plane never blocks on a
 //! peer. The shard thread that applies an event renders its
-//! `journal-append` line itself and queues it on the replica's link
-//! (reached through the server's [`ReplicationTap`]), so no shard takes a
-//! cluster lock and no other thread sits between a shard and the link.
-//! Each peer's outbound link thread takes every queued line per wakeup
-//! and sends them with one write. The cost is a bounded window of
-//! un-replicated suffix at the kill point; clients recover it
-//! exactly-once by reading the adopted session's `last_seq` high-water
-//! mark and re-sending their trace from `last_seq + 1`.
+//! `journal-append` line itself and stages it in the session
+//! ([`Staged`]); no shard takes a cluster lock and no other thread sits
+//! between a shard and the link. The shard group-commits: once its oldest
+//! staged line is one tick old it queues every session's lines on the
+//! replica links (reached through the server's [`ReplicationTap`]), and
+//! each peer's outbound link thread takes every queued line per wakeup
+//! and sends them with one write. Under steady traffic the link thread
+//! and the replica's reader thus wake once per tick, not once per event.
+//! The cost is a bounded window of un-replicated suffix at the kill
+//! point (the link's own delay plus up to one tick of staging and one
+//! command burst); clients recover it exactly-once by reading the
+//! adopted session's `last_seq` high-water mark and re-sending their
+//! trace from `last_seq + 1`.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write as IoWrite};
@@ -112,9 +117,9 @@ impl ReplicationTap {
 
 /// The sending half of replication: one line queue per peer, drained by
 /// that peer's outbound link thread. Shards and sessions render the peer
-/// verbs themselves and queue them here; nothing in this path takes a
-/// lock, so a shard never waits on the cluster layer. The counters are
-/// the ones `elm_cluster_*` reports.
+/// verbs themselves and stage or queue them here; nothing in this path
+/// takes a lock, so a shard never waits on the cluster layer. The
+/// counters are the ones `elm_cluster_*` reports.
 #[derive(Debug)]
 pub(crate) struct PeerLinks {
     /// This process's peer index: the `from` of every rendered verb.
@@ -124,16 +129,19 @@ pub(crate) struct PeerLinks {
     /// acceptable for run-length-bounded workloads, and honest:
     /// replication to a dead peer *is* unbounded deferred work.
     outbound: Vec<Option<Sender<Vec<String>>>>,
-    /// Outbound lines queued across all peers (replication lag).
+    /// Replication lines staged in sessions or queued on a link and not
+    /// yet taken by the link thread, across all peers (replication lag).
     lag: AtomicI64,
     journal_replicated: Counter,
     snapshots_shipped: Counter,
 }
 
 /// Replication lines a session has rendered but not yet queued on its
-/// replica link. The shard queues each session's lines once per command
-/// burst: every queueing can wake the link thread, and on a busy host
-/// each wake costs the shard a preemption.
+/// replica link. The shard queues every session's lines once its oldest
+/// staged line is one tick old (group commit): every queueing can wake
+/// the link thread, whose write wakes the replica's reader, and on a busy
+/// host each wake costs the shard a preemption. Staged lines already
+/// count toward the replication lag gauge.
 #[derive(Debug, Default)]
 pub(crate) struct Staged {
     lines: Vec<String>,
@@ -142,10 +150,9 @@ pub(crate) struct Staged {
 }
 
 impl Staged {
-    /// Stages a line from [`PeerLinks::append_line`].
-    pub(crate) fn append(&mut self, line: String) {
-        self.lines.push(line);
-        self.appends += 1;
+    /// True when no line waits for the next flush.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lines.is_empty()
     }
 }
 
@@ -169,28 +176,32 @@ impl PeerLinks {
             .max_by_key(|&p| rendezvous_score(key, p))
     }
 
-    fn queue(&self, peer: usize, lines: Vec<String>) -> bool {
-        let Some(Some(tx)) = self.outbound.get(peer) else {
-            return false;
-        };
+    /// Queues `lines` on `peer`'s link. They must already count toward
+    /// the lag; the count is given back when they cannot be queued.
+    fn queue(&self, peer: Option<usize>, lines: Vec<String>) -> bool {
         let n = lines.len() as i64;
-        if tx.send(lines).is_ok() {
-            self.lag.fetch_add(n, Ordering::Relaxed);
-            true
-        } else {
-            false
+        let queued = match peer.and_then(|p| self.outbound.get(p)) {
+            Some(Some(tx)) => tx.send(lines).is_ok(),
+            _ => false,
+        };
+        if !queued {
+            self.lag.fetch_sub(n, Ordering::Relaxed);
         }
+        queued
     }
 
+    /// Counts `lines` toward the lag and queues them on the replica link
+    /// of `key` at once, bypassing staging.
     fn ship(&self, key: u64, lines: Vec<String>) -> bool {
-        self.replica_target(key)
-            .is_some_and(|target| self.queue(target, lines))
+        self.lag.fetch_add(lines.len() as i64, Ordering::Relaxed);
+        self.queue(self.replica_target(key), lines)
     }
 
     fn broadcast(&self, line: &str) {
         for (peer, link) in self.outbound.iter().enumerate() {
             if link.is_some() {
-                self.queue(peer, vec![line.to_string()]);
+                self.lag.fetch_add(1, Ordering::Relaxed);
+                self.queue(Some(peer), vec![line.to_string()]);
             }
         }
     }
@@ -203,10 +214,17 @@ impl PeerLinks {
     }
 
     /// Renders the `journal-append` line for one journaled event. Built
-    /// before the event is applied; staged with [`Staged::append`] only
-    /// once it demonstrably applied.
+    /// before the event is applied; staged with [`PeerLinks::stage_append`]
+    /// only once it demonstrably applied.
     pub(crate) fn append_line(&self, session: u64, entry: &JournalEntry, epoch: u64) -> String {
         protocol::journal_append_request(self.me, session, entry, epoch)
+    }
+
+    /// Stages a line from [`PeerLinks::append_line`].
+    pub(crate) fn stage_append(&self, staged: &mut Staged, line: String) {
+        staged.lines.push(line);
+        staged.appends += 1;
+        self.lag.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Stages a snapshot ship so the replica can truncate its replay
@@ -227,6 +245,7 @@ impl PeerLinks {
             self.me, session, meta, wire, through, trace, epoch,
         ));
         staged.snapshots += 1;
+        self.lag.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Queues everything `session` has staged on its replica link, in
@@ -235,7 +254,8 @@ impl PeerLinks {
         if staged.lines.is_empty() {
             return;
         }
-        if self.ship(session, std::mem::take(&mut staged.lines)) {
+        let lines = std::mem::take(&mut staged.lines);
+        if self.queue(self.replica_target(session), lines) {
             self.journal_replicated.add(staged.appends);
             self.snapshots_shipped.add(staged.snapshots);
         }
@@ -471,11 +491,17 @@ impl Cluster {
 
         for (peer, rx) in receivers {
             let cluster = Arc::clone(&cluster);
-            thread::spawn(move || run_outbound(cluster, peer, rx));
+            thread::Builder::new()
+                .name(format!("elm-link-{peer}"))
+                .spawn(move || run_outbound(cluster, peer, rx))
+                .expect("spawning a replication link thread");
         }
         {
             let cluster = Arc::clone(&cluster);
-            thread::spawn(move || run_monitor(cluster));
+            thread::Builder::new()
+                .name("elm-monitor".to_string())
+                .spawn(move || run_monitor(cluster))
+                .expect("spawning the cluster monitor thread");
         }
         cluster
     }
@@ -968,7 +994,7 @@ impl Cluster {
         }
         reg.gauge(
             "elm_cluster_replication_lag_entries",
-            "Outbound replication lines queued across all peer links.",
+            "Outbound replication lines staged in shards or queued on peer links, not yet taken by a link.",
             &[],
             self.links.lag.load(Ordering::Relaxed),
         );
@@ -1282,6 +1308,221 @@ mod tests {
             Ok([line]) if line.contains("\"dropped\":true") && line.contains("\"session\":2") => {}
             other => panic!("expected the installed tap to deliver, got {other:?}"),
         }
+    }
+
+    /// What a replica link carried for one session, in order.
+    #[derive(Debug, PartialEq)]
+    enum Shipped {
+        Meta,
+        Append(u64),
+        Snapshot(u64),
+        Drop,
+    }
+
+    /// Applies captured replica-link lines to `store` as the replica's
+    /// reader would, and returns each session's verbs in arrival order.
+    fn replay_link(store: &mut ReplicaStore, lines: &[String]) -> HashMap<u64, Vec<Shipped>> {
+        let mut log: HashMap<u64, Vec<Shipped>> = HashMap::new();
+        for line in lines {
+            match protocol::Request::parse(line).expect("a peer verb") {
+                protocol::Request::JournalAppend { session, entry, .. } => {
+                    log.entry(session)
+                        .or_default()
+                        .push(Shipped::Append(entry.seq));
+                    store.append(session, entry);
+                }
+                protocol::Request::SnapshotShip {
+                    from,
+                    session,
+                    meta,
+                    snapshot,
+                    through,
+                    dropped,
+                    trace,
+                    epoch,
+                } => {
+                    let verb = if dropped {
+                        Shipped::Drop
+                    } else if snapshot.is_some() {
+                        Shipped::Snapshot(through)
+                    } else {
+                        Shipped::Meta
+                    };
+                    log.entry(session).or_default().push(verb);
+                    if dropped {
+                        store.drop_session(session);
+                    } else {
+                        store.upsert_meta(from, session, meta, epoch);
+                        store.snapshot(session, through, snapshot, trace);
+                    }
+                }
+                other => panic!("unexpected verb on a replica link: {other:?}"),
+            }
+        }
+        log
+    }
+
+    #[test]
+    fn replication_lag_counts_staged_lines_until_the_link_takes_them() {
+        // A bare listener stands in for the replica: the link connects
+        // and streams into its backlog; nobody reads.
+        let replica = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = Arc::new(Server::start(crate::server::ServerConfig::default()));
+        let peers = vec![
+            "127.0.0.1:1".to_string(),
+            replica.local_addr().unwrap().to_string(),
+        ];
+        let mut config = ClusterConfig::new(0, peers);
+        config.takeover = Duration::from_secs(3600);
+        let cluster = Cluster::start(server, config);
+        let lag = || -> i64 {
+            cluster
+                .render_metrics(0)
+                .lines()
+                .find_map(|l| l.strip_prefix("elm_cluster_replication_lag_entries "))
+                .expect("the lag gauge is rendered")
+                .parse()
+                .unwrap()
+        };
+        assert_eq!(lag(), 0);
+        let mut staged = Staged::default();
+        let line = cluster.links.append_line(5, &entry(1), 1);
+        cluster.links.stage_append(&mut staged, line);
+        assert_eq!(lag(), 1, "a staged line is lag");
+        cluster.links.flush(5, &mut staged);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while lag() != 0 {
+            assert!(Instant::now() < deadline, "the link never took the line");
+            thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(cluster.links.journal_replicated.get(), 1);
+        cluster.stop();
+    }
+
+    #[test]
+    fn staged_appends_reach_the_replica_before_the_sessions_drop() {
+        use crate::registry::ProgramSpec;
+        let server = Server::start(crate::server::ServerConfig {
+            shards: 1,
+            session: crate::session::SessionConfig {
+                restart: crate::supervisor::RestartPolicy {
+                    max_restarts: 0,
+                    ..crate::supervisor::RestartPolicy::default()
+                },
+                ..crate::session::SessionConfig::default()
+            },
+            ..crate::server::ServerConfig::default()
+        });
+        let (tx, rx) = mpsc::channel();
+        server
+            .replication_tap()
+            .install(Arc::new(PeerLinks::new(0, vec![None, Some(tx)])));
+        let open = |key, program| {
+            server
+                .open_with_key(key, ProgramSpec::Builtin(program), None, None, false)
+                .unwrap()
+        };
+        let clicks = |n| vec![("Mouse.clicks".to_string(), PlainValue::Unit); n];
+
+        // Each session is torn down within microseconds of its batch,
+        // while its appends are still staged (a flush waits one tick).
+        // Closed: the close pumps, flushes, then ships the drop.
+        open(1, "counter");
+        server.batch(1, &clicks(5)).unwrap();
+        server.close(1).unwrap();
+        // Demoted: a takeover close flushes and ships no drop.
+        open(2, "counter");
+        server.batch(2, &clicks(4)).unwrap();
+        assert!(server.close_moved(2, "127.0.0.1:9", 0, 2));
+        // Evicted: the batch's last event exhausts the restart budget,
+        // and the eviction sweep follows the very pump that staged it.
+        open(3, "crashy");
+        let xs = [1, 2, -5].map(|x| ("Mouse.x".to_string(), PlainValue::Int(x)));
+        server.batch(3, &xs).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.query(3).is_ok() {
+            assert!(Instant::now() < deadline, "crashy session never evicted");
+            thread::sleep(Duration::from_millis(2));
+        }
+        server.shutdown();
+
+        let lines: Vec<String> = rx.try_iter().flatten().collect();
+        let mut store = ReplicaStore::default();
+        let log = replay_link(&mut store, &lines);
+        let appends = |n: u64| (1..=n).map(Shipped::Append);
+        let want = |n, dropped: bool| -> Vec<Shipped> {
+            std::iter::once(Shipped::Meta)
+                .chain(appends(n))
+                .chain(dropped.then_some(Shipped::Drop))
+                .collect()
+        };
+        assert_eq!(log[&1], want(5, true), "closed session");
+        assert_eq!(log[&2], want(4, false), "demoted session");
+        assert_eq!(log[&3], want(3, true), "evicted session");
+        assert_eq!(store.gaps, 0);
+    }
+
+    #[test]
+    fn a_quiet_shard_still_ships_its_staged_suffix() {
+        use crate::registry::ProgramSpec;
+        let listeners: Vec<std::net::TcpListener> = (0..2)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let peers: Vec<String> = listeners
+            .iter()
+            .map(|l| l.local_addr().unwrap().to_string())
+            .collect();
+        let group: Vec<(Arc<Server>, Arc<Cluster>)> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(i, listener)| {
+                let server = Arc::new(Server::start(crate::server::ServerConfig::default()));
+                let mut config = ClusterConfig::new(i, peers.clone());
+                config.takeover = Duration::from_secs(3600);
+                let cluster = Cluster::start(Arc::clone(&server), config);
+                let srv = Arc::clone(&server);
+                thread::spawn(move || crate::net::serve(srv, listener));
+                (server, cluster)
+            })
+            .collect();
+        let (primary, cluster) = &group[0];
+        let replica = &group[1].1;
+        let key = (0..).find(|&k| place(k, 2).0 == 0).unwrap();
+        primary
+            .open_with_key(key, ProgramSpec::Builtin("counter"), None, None, false)
+            .unwrap();
+        primary
+            .event(key, "Mouse.clicks", PlainValue::Unit)
+            .unwrap();
+        let applied = primary.query(key).unwrap().last_seq;
+        assert_eq!(applied, 1);
+
+        // No further traffic: only the shard's own deadline can flush.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        loop {
+            let replicated = cluster.links.journal_replicated.get();
+            let held = replica
+                .replicas
+                .lock()
+                .unwrap()
+                .sessions
+                .get(&key)
+                .map_or(0, |r| r.entries.len() as u64);
+            if replicated == applied && held == applied {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "stranded suffix: {replicated} shipped, {held} held, {applied} applied"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+        let text = cluster.render_metrics(1);
+        assert!(
+            text.contains(&format!("elm_cluster_journal_replicated_total {applied}")),
+            "{text}"
+        );
+        group.iter().for_each(|(_, c)| c.stop());
     }
 
     /// A cluster whose peers point at an unroutable port: outbound links

@@ -141,7 +141,10 @@ pub fn serve_with(server: Arc<Server>, listener: TcpListener, config: NetConfig)
         match stream {
             Ok(stream) => {
                 let server = Arc::clone(&server);
-                thread::spawn(move || handle_client_with(server, stream, config));
+                thread::Builder::new()
+                    .name("elm-conn-rd".to_string())
+                    .spawn(move || handle_client_with(server, stream, config))
+                    .expect("spawning a connection reader thread");
             }
             Err(_) => break,
         }
@@ -660,7 +663,7 @@ pub fn handle_client_with(server: Arc<Server>, stream: TcpStream, config: NetCon
     let writer_out = Arc::clone(&out);
     let writer_server = Arc::clone(&server);
     let mut write_half = stream;
-    let writer = thread::spawn(move || {
+    let write_loop = move || {
         let mut ready = Vec::new();
         let mut buf = Vec::with_capacity(WRITE_BUFFER);
         while writer_out.take_ready(&mut ready) {
@@ -685,7 +688,11 @@ pub fn handle_client_with(server: Arc<Server>, stream: TcpStream, config: NetCon
         // Unblocks a reader parked in fill_buf and tells the peer the
         // stream is over even if it never reads another byte.
         let _ = write_half.shutdown(Shutdown::Both);
-    });
+    };
+    let writer = thread::Builder::new()
+        .name("elm-conn-wr".to_string())
+        .spawn(write_loop)
+        .expect("spawning a connection writer thread");
 
     let mut conn = Conn {
         server,

@@ -294,7 +294,7 @@ pub struct Session {
     // events and snapshots stream to the session's replica peer through
     // it. Until then nothing is rendered for replication.
     replication: Option<Arc<ReplicationTap>>,
-    // Replication lines rendered since the shard last queued them.
+    // Replication lines rendered since the shard last flushed them.
     rep_staged: Staged,
     // Mergeable log2 histogram of ingest-to-output latency (µs). The
     // `latencies` sample vector serves exact percentile summaries; this
@@ -413,12 +413,19 @@ impl Session {
     }
 
     /// Queues the replication lines staged since the last flush on the
-    /// replica link, as one batch. The shard calls it once per command
-    /// burst; [`Session::stop`] flushes what is left.
+    /// replica link, as one batch. The shard calls it for every session
+    /// once its oldest staged line is one tick old; [`Session::stop`]
+    /// flushes what is left, so a replica drop shipped after `stop`
+    /// always follows the session's appends.
     pub(crate) fn flush_replication(&mut self) {
         if let Some(links) = self.replication.as_deref().and_then(ReplicationTap::links) {
             links.flush(self.id, &mut self.rep_staged);
         }
+    }
+
+    /// True when replication lines wait for the shard's next flush.
+    pub(crate) fn has_staged_replication(&self) -> bool {
+        !self.rep_staged.is_empty()
     }
 
     /// The metadata a replica needs to re-instantiate this session on
@@ -733,7 +740,7 @@ impl Session {
                         .replication
                         .as_deref()
                         .and_then(ReplicationTap::links)
-                        .map(|links| links.append_line(self.id, &entry, self.epoch));
+                        .map(|links| (links, links.append_line(self.id, &entry, self.epoch)));
                     match self.journal.append_owned(self.epoch, entry) {
                         Ok(_) => true,
                         Err(JournalError::Fenced { writer, fence }) => {
@@ -781,8 +788,8 @@ impl Session {
             crate::blackbox::blackbox().record("applied", self.id, seq, q.trace, -1, &q.input);
             // Replicate exactly once, only after the event demonstrably
             // applied: the engine-error branch above never reaches here.
-            if let Some(line) = rep_line {
-                self.rep_staged.append(line);
+            if let Some((links, line)) = rep_line {
+                links.stage_append(&mut self.rep_staged, line);
             }
             for ev in &outs {
                 let Some(v) = ev.value() else { continue };

@@ -8,12 +8,16 @@
 //! `event` and `batch` an [`Answer`] sink, which a wire connection makes
 //! from its reserved reply slot. The shard thus completes each event
 //! itself: it renders the ack into the connection's slot, and its
-//! sessions render replication lines onto the replica link (see
+//! sessions render and stage replication lines (see
 //! [`crate::cluster::ReplicationTap`]), without waiting on another
 //! thread or taking a cluster lock. After each burst of commands the
 //! shard pumps every session with queued events, then sweeps for
-//! evictions (idle timeout, exhausted restart budget). Sessions whose
-//! runtimes crash are *not* evicted — they recover in place from
+//! evictions (idle timeout, exhausted restart budget). In cluster mode
+//! it group-commits replication: once the oldest staged line is one
+//! [`TICK`] old it queues every session's staged lines on the replica
+//! links, and while lines are staged its idle wait ends at that
+//! deadline, so a quiet shard still ships its suffix on time. Sessions
+//! whose runtimes crash are *not* evicted — they recover in place from
 //! snapshot + journal (see [`crate::session`]); only a session that
 //! exhausts its [`crate::supervisor::RestartBudget`] is removed, with
 //! the `recovery_failed` close reason.
@@ -39,7 +43,8 @@ use crate::session::{Session, SessionConfig, SessionId, TraceMailbox, UpdateSink
 use elm_runtime::{JournalEntry, WireSnapshot};
 
 /// How long a shard sleeps when no commands arrive before re-checking
-/// eviction deadlines.
+/// eviction deadlines; also how long staged replication lines linger
+/// before the shard queues them on the replica links.
 const TICK: Duration = Duration::from_millis(5);
 
 /// How many commands a shard absorbs back-to-back before it pumps the
@@ -289,6 +294,9 @@ struct Shard {
     tap: Arc<ReplicationTap>,
     /// Connection writers owed a wake for acks filled this burst.
     wakes: Wakes,
+    /// When the shard first saw replication lines staged since its last
+    /// flush (cluster mode only).
+    staged_since: Option<Instant>,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -310,13 +318,17 @@ fn run(
         cmd_backlog: 0,
         tap,
         wakes: Wakes::default(),
+        staged_since: None,
     };
     // Worker-stall injection: one roll per handled command burst. Stalls
     // only delay the worker (sessions must tolerate a frozen shard); they
     // never change what gets applied.
     let mut stall_rng = (faults.stall > 0.0).then(|| faults.rng(fault::STREAM_STALL, index as u64));
     'outer: loop {
-        match rx.recv_timeout(TICK) {
+        let wait = shard.staged_since.map_or(TICK, |since| {
+            (since + TICK).saturating_duration_since(Instant::now())
+        });
+        match rx.recv_timeout(wait) {
             Ok(cmd) => {
                 shard.cmd_backlog = rx.len() as u64;
                 if shard.handle(cmd) {
@@ -631,12 +643,30 @@ impl Shard {
         }
     }
 
-    /// Pumps every session, then queues each one's replication lines
-    /// from this burst in one batch.
+    /// Pumps every session. In cluster mode, once the oldest staged
+    /// replication line is one [`TICK`] old, queues every session's
+    /// staged lines on the replica links, one batch per session.
     fn pump_all(&mut self) {
         for s in self.sessions.values_mut() {
             s.pump();
-            s.flush_replication();
+        }
+        if self.tap.links().is_none() {
+            return;
+        }
+        let now = Instant::now();
+        match self.staged_since {
+            Some(since) if now.duration_since(since) >= TICK => {
+                self.sessions
+                    .values_mut()
+                    .for_each(Session::flush_replication);
+                self.staged_since = None;
+            }
+            Some(_) => {}
+            None => {
+                if self.sessions.values().any(Session::has_staged_replication) {
+                    self.staged_since = Some(now);
+                }
+            }
         }
     }
 
