@@ -50,6 +50,7 @@ pub mod cluster;
 pub mod metrics;
 pub mod net;
 pub mod netfault;
+mod ownership;
 pub mod protocol;
 pub mod registry;
 pub mod server;

@@ -483,6 +483,10 @@ impl Shard {
                                 &format!("moved to {peer}"),
                             );
                         }
+                        // Like a plain close, apply what was answered
+                        // `accepted` first: a batch queued in this very
+                        // burst would otherwise vanish unapplied.
+                        s.pump();
                         s.notify_moved(&peer);
                         s.stop();
                         self.admission.forget(session);
@@ -872,6 +876,67 @@ mod tests {
                 peer: "127.0.0.1:7777".to_string()
             }
         );
+        shard.shutdown();
+    }
+
+    #[test]
+    fn a_takeover_close_applies_the_batch_accepted_in_its_burst() {
+        let shard = spawn_shard(None);
+        open_on(&shard, 9, "counter", SessionConfig::default());
+        let (sub_tx, sub_rx) = channel::unbounded();
+        let (tx, rx) = channel::bounded(1);
+        shard
+            .sender()
+            .send(Command::Subscribe {
+                session: 9,
+                sink: Box::new(sub_tx),
+                reply: tx,
+            })
+            .unwrap();
+        rx.recv().unwrap().unwrap();
+
+        // A query answered on a full channel holds the shard until the
+        // batch and the takeover close are both queued behind it, so the
+        // two land in one burst, before any pump.
+        let (held_tx, held_rx) = channel::bounded(1);
+        held_tx.send(Err("placeholder".to_string())).unwrap();
+        let held = Command::Query {
+            session: 9,
+            reply: held_tx,
+        };
+        shard.sender().send(held).unwrap();
+        let (batch_tx, batch_rx) = channel::bounded(1);
+        let clicks = vec![("Mouse.clicks".to_string(), Value::Unit); 4];
+        shard
+            .sender()
+            .send(Command::Batch {
+                session: 9,
+                events: clicks,
+                answer: Answer::Channel(batch_tx),
+            })
+            .unwrap();
+        let (tx, rx) = channel::bounded(1);
+        shard
+            .sender()
+            .send(Command::CloseMoved {
+                session: 9,
+                peer: "127.0.0.1:7777".to_string(),
+                trace: 0,
+                epoch: 2,
+                reply: tx,
+            })
+            .unwrap();
+        assert!(held_rx.recv().unwrap().is_err());
+        held_rx.recv().unwrap().unwrap();
+        assert_eq!(batch_rx.recv().unwrap().unwrap().accepted, 4);
+        assert!(rx.recv().unwrap());
+
+        // The accepted clicks were applied before the session yielded.
+        let updates: Vec<Update> = sub_rx.try_iter().collect();
+        let [.., Update::Changed { value, .. }, Update::Moved { .. }] = &updates[..] else {
+            panic!("expected the batch's changes, then the move: {updates:?}");
+        };
+        assert_eq!(value, &PlainValue::Int(4));
         shard.shutdown();
     }
 
