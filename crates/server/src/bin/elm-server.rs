@@ -135,6 +135,8 @@ fn main() {
         }));
     }
 
+    // With port 0 the system picks one: report the address actually bound.
+    let addr = listener.local_addr().map_or(addr, |a| a.to_string());
     let server = Arc::new(Server::start(config));
     let _cluster = peer_id.map(|id| {
         elm_server::blackbox().set_peer(id);

@@ -751,6 +751,48 @@ fn fetch_texts(
         .collect()
 }
 
+/// The families the cluster verdict sums over the per-peer scrapes and
+/// compares, exactly, with the federated scrape.
+const FEDERATED_SUMS: [&str; 5] = [
+    "elm_events_total",
+    "elm_journal_appends_total",
+    "elm_snapshots_total",
+    "elm_cluster_takeovers_total",
+    "elm_cluster_journal_replicated_total",
+];
+
+/// Every client's `metrics` once the [`FEDERATED_SUMS`] stop moving. A
+/// shard counts replication lines as replicated only when it queues them
+/// on a link, up to one group-commit tick after the pump that staged
+/// them, so the drivers' last pumps still move these families for a few
+/// milliseconds after every driver has quiesced. Scrapes repeat until two
+/// of them, 50 ms apart, agree (for at most 5 s; the verdict then judges
+/// the last one).
+fn settled_metrics(
+    clients: &mut [(usize, Client)],
+    failures: &mut Vec<String>,
+) -> Vec<(usize, String)> {
+    let sums = |texts: &[(usize, String)]| -> Vec<u64> {
+        FEDERATED_SUMS
+            .iter()
+            .map(|name| texts.iter().map(|(_, t)| scraped_family_sum(t, name)).sum())
+            .collect()
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut texts = fetch_texts(clients, Client::metrics_text, "metrics", failures);
+    loop {
+        thread::sleep(Duration::from_millis(50));
+        let mut errors = Vec::new();
+        let next = fetch_texts(clients, Client::metrics_text, "metrics", &mut errors);
+        let settled = errors.is_empty() && sums(&next) == sums(&texts);
+        if settled || !errors.is_empty() || Instant::now() >= deadline {
+            failures.extend(errors);
+            return next;
+        }
+        texts = next;
+    }
+}
+
 /// The cluster-federated scrape through the first client: it must carry
 /// every `needles` sample prefix, and lands in `path`. Empty when no
 /// scrape came back.
@@ -1731,7 +1773,7 @@ fn run_cluster(args: &Args) -> Result<i32, String> {
 
     // --- verdict 3: the survivors' metric families account for the
     // takeover, and replication stayed gap-free ---
-    let peer_texts = fetch_texts(&mut clients, Client::metrics_text, "metrics", &mut failures);
+    let peer_texts = settled_metrics(&mut clients, &mut failures);
     let family = |name: &str| -> u64 {
         peer_texts
             .iter()
@@ -1806,16 +1848,11 @@ fn run_cluster(args: &Args) -> Result<i32, String> {
         &mut failures,
     );
     if !federated_text.is_empty() {
-        // Every driver has quiesced and the scrapes themselves move none
-        // of these families, so the federated value must equal the sum
-        // of the per-peer scrapes exactly.
-        for name in [
-            "elm_events_total",
-            "elm_journal_appends_total",
-            "elm_snapshots_total",
-            "elm_cluster_takeovers_total",
-            "elm_cluster_journal_replicated_total",
-        ] {
+        // Every driver has quiesced, the per-peer scrapes saw these
+        // families settle, and the scrapes themselves move none of them,
+        // so the federated value must equal the sum of the per-peer
+        // scrapes exactly.
+        for name in FEDERATED_SUMS {
             let (fed, per_peer) = (scraped_family_sum(&federated_text, name), family(name));
             if fed != per_peer {
                 failures.push(format!(

@@ -20,13 +20,17 @@
 //! produce no reply lines), so the primary's data plane never blocks on a
 //! peer. The shard thread that applies an event renders its
 //! `journal-append` line itself and stages it in the session
-//! ([`Staged`]); no shard takes a cluster lock and no other thread sits
+//! ([`Staged`]) without taking a cluster lock, and no other thread sits
 //! between a shard and the link. The shard group-commits: once its oldest
 //! staged line is one tick old it queues every session's lines on the
 //! replica links (reached through the server's [`ReplicationTap`]), and
 //! each peer's outbound link thread takes every queued line per wakeup
 //! and sends them with one write. Under steady traffic the link thread
-//! and the replica's reader thus wake once per tick, not once per event.
+//! and the replica's shard thus wake once per tick, not once per event.
+//! (On the replica an inbound link is a connection like any other: its
+//! home shard applies the streamed peer verbs inline, taking the
+//! ownership lock briefly. That is safe because no code holds that lock
+//! while it calls the server, so nothing holding it waits on a shard.)
 //! The cost is a bounded window of un-replicated suffix at the kill
 //! point (the link's own delay plus up to one tick of staging and one
 //! command burst); clients recover it exactly-once by reading the
@@ -53,7 +57,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::ownership::{Effect, Ownership};
-use crate::protocol::{self, SessionMeta};
+use crate::protocol::{self, Request, SessionMeta};
 use crate::server::Server;
 
 /// Static description of the peer group, shared (index-aligned) by every
@@ -146,7 +150,7 @@ pub(crate) struct PeerLinks {
 /// Replication lines a session has rendered but not yet queued on its
 /// replica link. The shard queues every session's lines once its oldest
 /// staged line is one tick old (group commit): every queueing can wake
-/// the link thread, whose write wakes the replica's reader, and on a busy
+/// the link thread, whose write wakes the replica's shard, and on a busy
 /// host each wake costs the shard a preemption. Staged lines already
 /// count toward the replication lag gauge.
 #[derive(Debug, Default)]
@@ -459,6 +463,53 @@ impl Cluster {
                     }
                 }
             }
+        }
+    }
+
+    /// Handles one peer verb arriving on the wire. Returns the reply line
+    /// of `hello`, `place` and `takeover`; the streamed verbs
+    /// (`journal-append`, `snapshot-ship`, `heartbeat`) are silent, as is
+    /// any request that is not a peer verb.
+    pub fn handle_request(&self, request: Request) -> Option<String> {
+        match request {
+            Request::Hello { from, addr } => Some(self.handle_hello(from, &addr)),
+            Request::Place { key } => Some(self.handle_place(key)),
+            Request::Takeover {
+                from,
+                addr,
+                sessions,
+                traces,
+                epochs,
+            } => Some(self.handle_takeover(from, &addr, &sessions, &traces, &epochs)),
+            Request::JournalAppend {
+                from,
+                session,
+                entry,
+                epoch,
+            } => {
+                self.handle_journal_append(from, session, entry, epoch);
+                None
+            }
+            Request::SnapshotShip {
+                from,
+                session,
+                meta,
+                snapshot,
+                through,
+                dropped,
+                trace,
+                epoch,
+            } => {
+                self.handle_snapshot_ship(
+                    from, session, meta, snapshot, through, dropped, trace, epoch,
+                );
+                None
+            }
+            Request::Heartbeat { from } => {
+                self.handle_heartbeat(from);
+                None
+            }
+            _ => None,
         }
     }
 
@@ -976,7 +1027,7 @@ mod tests {
     }
 
     /// Applies captured replica-link lines to `store` as the replica's
-    /// reader would, and returns each session's verbs in arrival order.
+    /// shard would, and returns each session's verbs in arrival order.
     fn replay_link(store: &mut ReplicaStore, lines: &[String]) -> HashMap<u64, Vec<Shipped>> {
         let mut log: HashMap<u64, Vec<Shipped>> = HashMap::new();
         for line in lines {
@@ -1180,6 +1231,58 @@ mod tests {
             "{text}"
         );
         group.iter().for_each(|(_, c)| c.stop());
+    }
+
+    #[test]
+    fn peers_scraping_each_other_at_once_each_see_the_other() {
+        let listeners: Vec<std::net::TcpListener> = (0..2)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let peers: Vec<String> = listeners
+            .iter()
+            .map(|l| l.local_addr().unwrap().to_string())
+            .collect();
+        let group: Vec<Arc<Cluster>> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(i, listener)| {
+                let server = Arc::new(Server::start(crate::server::ServerConfig::default()));
+                let mut config = ClusterConfig::new(i, peers.clone());
+                config.takeover = Duration::from_secs(3600);
+                let cluster = Cluster::start(Arc::clone(&server), config);
+                thread::spawn(move || crate::net::serve(server, listener));
+                cluster
+            })
+            .collect();
+        // Each peer's federated scrape asks the other for its exposition
+        // while the other is running its own federated scrape.
+        for round in 0..3 {
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let scrapes: Vec<_> = peers
+                .iter()
+                .map(|addr| {
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    let start = Arc::clone(&start);
+                    thread::spawn(move || {
+                        start.wait();
+                        stream
+                            .write_all(b"{\"cmd\":\"metrics\",\"scope\":\"cluster\"}\n")
+                            .unwrap();
+                        let mut line = String::new();
+                        BufReader::new(stream).read_line(&mut line).unwrap();
+                        let reply: serde_json::Value = serde_json::from_str(&line).unwrap();
+                        let text = reply.get("metrics").and_then(serde_json::Value::as_str);
+                        text.unwrap().to_string()
+                    })
+                })
+                .collect();
+            for (me, scrape) in scrapes.into_iter().enumerate() {
+                let text = scrape.join().unwrap();
+                let other = format!("elm_cluster_federation_peer_up{{peer=\"{}\"}} 1", 1 - me);
+                assert!(text.contains(&other), "round {round}, peer {me}:\n{text}");
+            }
+        }
+        group.iter().for_each(|c| c.stop());
     }
 
     /// A cluster whose peers point at an unroutable port: outbound links

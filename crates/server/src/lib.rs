@@ -42,6 +42,7 @@
 //! requests with jittered exponential backoff.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod admission;
 pub mod blackbox;
@@ -57,6 +58,9 @@ pub mod server;
 pub mod session;
 pub mod shard;
 pub mod supervisor;
+#[allow(unsafe_code)]
+#[warn(clippy::undocumented_unsafe_blocks)]
+mod sys;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionController, MemoryGauge};
 pub use blackbox::{blackbox, Blackbox, BlackboxRecord};
@@ -72,5 +76,5 @@ pub use protocol::{
 pub use registry::{ProgramSpec, Registry};
 pub use server::{Server, ServerConfig};
 pub use session::{Session, SessionConfig, SessionId, TraceMailbox, TracePop, UpdateSink};
-pub use shard::{Command, ShardCounters, ShardHandle, ShardStats};
+pub use shard::{Command, ShardCounters, ShardHandle, ShardSender, ShardStats};
 pub use supervisor::{RestartBudget, RestartDecision, RestartPolicy};

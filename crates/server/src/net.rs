@@ -2,43 +2,69 @@
 //!
 //! # Thread model
 //!
-//! Each connection runs exactly two threads. The *reader* parses request
-//! lines and hands them to the shared [`Server`]; the *writer* sends
-//! everything queued on the connection's outbound queue. Subscriptions
-//! add no thread: a wire subscriber is a sink the session's shard pushes
-//! rendered `update` lines into directly, without ever blocking. (Only a
-//! `trace` subscription keeps a forwarder thread.) The writer takes every
-//! ready line at each wakeup and sends them with one `write_all`.
+//! No thread belongs to a connection. The *acceptor* (the thread that
+//! calls [`serve`]) gives each accepted connection a home shard,
+//! round-robin, and hands it over. From then on the home shard's loop
+//! (see [`crate::shard`]) polls the socket, reads and parses the request
+//! lines, applies each request for one of its own sessions itself, and
+//! writes the replies. An unkeyed `open` takes the next free session id
+//! congruent to the home shard, so the sessions a client opens live on
+//! the thread that serves it: each of their requests is read, applied
+//! and answered there, with one `read` and one `write`. A request for
+//! another shard's session (a keyed open placed elsewhere, or a session
+//! another connection opened) travels to that shard with its reserved
+//! reply slot, and that shard answers it. Subscriptions add no thread: a
+//! wire subscriber is a sink the session's shard writes rendered
+//! `update` lines through. The server's thread count is thus its shards,
+//! the acceptor and, in cluster mode, one link per peer and the monitor,
+//! however many clients connect. Only a `trace` subscription keeps a
+//! forwarder thread, and a request that may take long gets a short-lived
+//! one (below).
+//!
+//! Every other verb (server-wide `stats`, `metrics`, HTTP `GET`,
+//! `blackbox`, `trace` and the cluster verbs `hello`, `place` and
+//! `takeover`) may wait on every shard, so the acceptor runs it; the home
+//! shard reads nothing more from that connection until it is answered.
+//! Two requests would stall the acceptor itself, so it runs each on a
+//! short-lived thread: a federated scrape (`metrics` with
+//! `"scope":"cluster"`, `GET /metrics?federate=1`) waits on every peer,
+//! which may be scraping this one at the same time, and an `open` of a
+//! client's source compiles it, which no shard does either. The streamed
+//! peer verbs (`journal-append`, `snapshot-ship`, `heartbeat`) run on the
+//! home shard and take the cluster's ownership lock briefly: no code
+//! holds that lock while it waits on a shard, so this cannot deadlock.
 //!
 //! # Pipelining and ordering
 //!
 //! Clients may pipeline: send many requests without waiting for replies.
-//! For every request line the reader reserves the line's reply slot on
-//! the outbound queue *before* the request reaches a shard, and the
-//! writer only ever sends the filled prefix of the queue. So:
+//! For every request line the home shard reserves the line's reply slot
+//! on the connection's outbound queue *before* the request is applied
+//! anywhere, and only the filled prefix of the queue is ever written.
+//! So:
 //!
 //! * replies come back in request order, even across shards;
 //! * a request's reply always precedes every update it caused (an
 //!   `event`'s ack precedes the `changed` update it produced, a `close`
 //!   reply precedes the final `closed` update).
 //!
-//! `event` and `batch` requests travel to their shard together with
-//! their reserved slot (a [`ReplySlot`]), and the reader goes straight on
-//! to the next line: it never waits on their answers. The shard renders
-//! the ack and fills the slot itself, and wakes the writer once its
-//! burst of commands is handled (see `Wakes`); updates it pushes while
-//! pumping wake the writer at once. The outbound queue's capacity bounds
-//! how many slots can be waiting. An `unknown session` answer is left in
-//! the slot as a marker the writer resolves into a `moved` redirect, so
-//! no shard thread ever consults the cluster layer. A slot dropped
-//! unanswered (its shard died) fills itself with `shard is down`, and at
-//! end of input the writer stops only once every reserved slot is
-//! filled and sent.
-//!
-//! Every other verb runs to completion on the reader. Commands from the
-//! reader reach a shard in the order it posted them, so events to one
+//! Requests from one connection for one session all take the same path
+//! (applied inline, or posted to the same shard in order), so events to a
 //! session are applied in request order and a `query` reflects every
 //! event sent before it on the same connection.
+//!
+//! # Writes
+//!
+//! The outbound queue owns the nonblocking socket, and whoever fills its
+//! front slot writes, under the queue's lock. A shard writes the replies
+//! it filled during a burst once, when the burst is handled (see
+//! [`Flushes`]); an `event` or `batch` ack whose events are queued waits
+//! for the pump that applies them and leaves with the first update that
+//! pump writes to the connection. Update pushes are written at once. A
+//! write the socket refuses (`EAGAIN`) parks the unsent lines, and the
+//! home shard polls the socket for `POLLOUT` until they are written. A
+//! slot whose answerer died fills itself with `shard is down`, and at end
+//! of input the connection closes only once every reserved slot is filled
+//! and sent.
 //!
 //! # Overload hardening
 //!
@@ -46,13 +72,16 @@
 //!   1 MiB by default). An oversized or non-UTF-8 line is discarded up
 //!   to its terminating newline and answered with a typed
 //!   `protocol_error`; the connection itself survives.
-//! * The outbound queue is bounded ([`NetConfig::outbound_queue`]).
-//!   Replies wait for room up to the write deadline; shard pushes never
-//!   wait. If pushed updates hold the queue over capacity for longer than
-//!   the deadline, the client is a slow consumer: its backlog is dropped,
-//!   it gets a final `{"update":"closed","reason":"slow_consumer"}`
-//!   best-effort notice, and it is disconnected — without stalling the
-//!   shard or any other connection.
+//! * The outbound queue is bounded ([`NetConfig::outbound_queue`]). At
+//!   capacity the home shard stops reading the connection, so TCP holds
+//!   the client back; shard pushes never wait. A client whose socket
+//!   refuses bytes for longer than the write deadline, or whose pushed
+//!   updates hold the queue over capacity that long, is a slow consumer:
+//!   its backlog is dropped, it gets a best-effort final notice
+//!   (`{"update":"closed","reason":"slow_consumer"}`, or a
+//!   `slow_consumer` error when its requests were waiting), and it is
+//!   disconnected — without stalling the shard or any other connection.
+//!   The home shard's loop timer enforces the deadline.
 //!
 //! Try it with `nc` (see the README quick-start):
 //!
@@ -62,26 +91,35 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::ops::Range;
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::protocol::{self, BatchOutcome, EnqueueOutcome, Request, Update};
+use crossbeam::channel::{self, Sender};
+
+use crate::protocol::{self, Request, Update};
 use crate::registry::ProgramSpec;
 use crate::server::{Server, SHARD_DOWN};
 use crate::session::{SessionId, TracePop, UpdateSink};
-use crate::shard::{Answer, Command};
+use crate::shard::{Command, Shard, MAX_BURST};
+use crate::sys::{self, Doorbell, PollFd, POLLIN, POLLOUT};
 
 /// Read buffer per connection: room for a few hundred pipelined event
-/// lines per `read` call.
+/// lines per `read` call. It grows only to hold one longer line.
 const READ_BUFFER: usize = 64 * 1024;
 
-/// Write buffer the writer keeps between wakeups; a larger one (after a
+/// Write buffer a connection keeps between writes; a larger one (after a
 /// big reply) is given back.
 const WRITE_BUFFER: usize = 64 * 1024;
+
+/// How long the acceptor pauses when the process is out of file
+/// descriptors before it accepts again.
+const FD_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Tuning knobs for the TCP front end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,14 +127,13 @@ pub struct NetConfig {
     /// Longest accepted request line in bytes (excluding the newline).
     /// Longer lines are discarded and answered with `protocol_error`.
     pub max_line_bytes: usize,
-    /// Outbound queue capacity in lines. A reply waits up to
-    /// `write_deadline` for room; pushed updates never wait, but holding
-    /// the queue over capacity for longer than `write_deadline` marks the
+    /// Outbound queue capacity in lines. At capacity the connection's
+    /// requests are not read; pushed updates never wait, but holding the
+    /// queue over capacity for longer than `write_deadline` marks the
     /// client a slow consumer.
     pub outbound_queue: usize,
-    /// How long a reply may wait on a full outbound queue, how long
-    /// pushed updates may hold it over capacity, and how long a blocked
-    /// socket write may take, before the connection is cut.
+    /// How long the socket may refuse bytes, and how long pushed updates
+    /// may hold the queue over capacity, before the connection is cut.
     pub write_deadline: Duration,
 }
 
@@ -130,829 +167,194 @@ pub fn counters() -> NetCounters {
     }
 }
 
-/// Accepts connections forever, one handler thread per client.
+// ---------------------------------------------------------------------------
+// The acceptor
+// ---------------------------------------------------------------------------
+
+/// Accepts connections, handing each to a home shard, and runs the
+/// requests that wait on every shard or on a peer. Returns only once the
+/// listener itself fails.
 pub fn serve(server: Arc<Server>, listener: TcpListener) {
     serve_with(server, listener, NetConfig::default());
 }
 
 /// [`serve`] with explicit front-end tuning.
 pub fn serve_with(server: Arc<Server>, listener: TcpListener, config: NetConfig) {
-    for stream in listener.incoming() {
-        match stream {
-            Ok(stream) => {
-                let server = Arc::clone(&server);
-                thread::Builder::new()
-                    .name("elm-conn-rd".to_string())
-                    .spawn(move || handle_client_with(server, stream, config))
-                    .expect("spawning a connection reader thread");
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Outbound queue with reserved reply slots
-// ---------------------------------------------------------------------------
-
-/// Why [`OutboundQueue::reserve`] gave no slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Refused {
-    /// Still at capacity at the deadline: the client is not draining its
-    /// socket.
-    TimedOut,
-    /// The connection is closing.
-    Closed,
-}
-
-/// One entry of the outbound queue.
-enum Slot {
-    /// Reserved for a reply still being answered; the writer never
-    /// passes it.
-    Reserved,
-    /// A rendered line.
-    Line(String),
-    /// A shard answered `unknown session`. The writer renders it as a
-    /// `moved` redirect when the cluster knows where the session lives,
-    /// else as the plain error, so the shard never takes a cluster lock.
-    Unknown {
-        /// The session the request named.
-        session: SessionId,
-        /// The shard's error text.
-        error: String,
-    },
-}
-
-struct OutboundState {
-    /// Entries in send order.
-    slots: VecDeque<Slot>,
-    /// Ticket of `slots[0]`; tickets number every slot ever queued.
-    head: u64,
-    /// No further lines are accepted; the writer sends what is filled
-    /// (usually nothing, or one final notice) and shuts the socket down.
-    closed: bool,
-    /// Since when pushed updates have held the queue over capacity while
-    /// a filled line waited for the client, and the session whose push
-    /// first did.
-    over: Option<(Instant, SessionId)>,
-    /// A shard filled the front slot without waking the writer (see
-    /// [`Wakes`]); the next update push, or the end of the shard's
-    /// command burst, wakes it.
-    owed: bool,
-}
-
-/// The line queue between a connection's producers (its reader, and the
-/// shards pushing its subscriptions' updates) and its writer thread.
-struct OutboundQueue {
-    inner: Mutex<OutboundState>,
-    /// Signalled when the writer takes lines (the reader waits here for
-    /// room).
-    space: Condvar,
-    /// Signalled when the front slot fills or the queue closes (the
-    /// writer waits here).
-    ready: Condvar,
-    cap: usize,
-    deadline: Duration,
-}
-
-impl OutboundQueue {
-    fn new(config: NetConfig) -> Arc<Self> {
-        Arc::new(OutboundQueue {
-            inner: Mutex::new(OutboundState {
-                slots: VecDeque::new(),
-                head: 0,
-                closed: false,
-                over: None,
-                owed: false,
-            }),
-            space: Condvar::new(),
-            ready: Condvar::new(),
-            cap: config.outbound_queue.max(1),
-            deadline: config.write_deadline,
-        })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, OutboundState> {
-        self.inner
-            .lock()
-            .expect("no producer panics while holding the outbound queue")
-    }
-
-    /// Reserves the next slot for a reply and returns its ticket. At
-    /// capacity it waits for room. While a filled line heads the queue
-    /// the client is the one not reading, and that wait is bounded by
-    /// the write deadline; a reserved front slot, or one whose writer is
-    /// still owed its wake, is the server's own wait and does not count.
-    fn reserve(&self) -> Result<u64, Refused> {
-        let mut st = self.lock();
-        let mut deadline = None;
-        loop {
-            if st.closed {
-                return Err(Refused::Closed);
-            }
-            if st.slots.len() < self.cap {
-                st.slots.push_back(Slot::Reserved);
-                return Ok(st.head + st.slots.len() as u64 - 1);
-            }
-            if st.owed || matches!(st.slots.front(), Some(Slot::Reserved)) {
-                deadline = None;
-                st = self
-                    .space
-                    .wait(st)
-                    .expect("no producer panics while holding the outbound queue");
-                continue;
-            }
-            let now = Instant::now();
-            let deadline = *deadline.get_or_insert(now + self.deadline);
-            if now >= deadline {
-                return Err(Refused::TimedOut);
-            }
-            st = self
-                .space
-                .wait_timeout(st, deadline - now)
-                .expect("no producer panics while holding the outbound queue")
-                .0;
-        }
-    }
-
-    /// Fills a reserved slot, waking the writer when it is the front
-    /// one. A no-op once a cut dropped the slot.
-    fn fill(&self, ticket: u64, filled: Slot) {
-        self.place(ticket, filled, true);
-    }
-
-    /// Fills a reserved slot without waking the writer. Returns whether
-    /// it is the front slot, so the writer is owed a wake.
-    fn fill_quietly(&self, ticket: u64, filled: Slot) -> bool {
-        self.place(ticket, filled, false)
-    }
-
-    fn place(&self, ticket: u64, filled: Slot, wake: bool) -> bool {
-        let mut st = self.lock();
-        let Some(i) = ticket.checked_sub(st.head) else {
-            return false;
-        };
-        let Some(slot) = st.slots.get_mut(i as usize) else {
-            return false;
-        };
-        *slot = filled;
-        if i != 0 {
-            return false;
-        }
-        if wake {
-            self.ready.notify_one();
-        } else {
-            st.owed = true;
-        }
-        true
-    }
-
-    /// Wakes the writer if a quiet fill still owes it a wake.
-    fn pay_owed_wake(&self) {
-        let mut st = self.lock();
-        if st.owed {
-            st.owed = false;
-            self.ready.notify_one();
-        }
-    }
-
-    /// Queues a pushed update line without ever blocking: the caller is a
-    /// shard thread. Returns `false` once the connection is closing, and
-    /// when this push cuts the connection because updates have held the
-    /// queue over capacity, with the client not reading, for longer than
-    /// the write deadline.
-    fn push_update(&self, session: SessionId, line: String) -> bool {
-        let mut st = self.lock();
-        if st.closed {
-            return false;
-        }
-        st.slots.push_back(Slot::Line(line));
-        if st.slots.len() == 1 || st.owed {
-            st.owed = false;
-            self.ready.notify_one();
-        }
-        // Only a filled line at the front means the client is the one
-        // not keeping up; a reserved front slot is the server's own wait.
-        if st.slots.len() <= self.cap || matches!(st.slots.front(), Some(Slot::Reserved)) {
-            st.over = None;
-            return true;
-        }
-        let now = Instant::now();
-        match st.over {
-            None => st.over = Some((now, session)),
-            Some((since, first)) if now.duration_since(since) >= self.deadline => {
-                SLOW_DISCONNECTS.fetch_add(1, Ordering::Relaxed);
-                self.abandon(&mut st, Some(slow_notice(first)));
-                return false;
-            }
-            Some(_) => {}
-        }
-        true
-    }
-
-    /// Waits for filled entries at the front and moves all of them into
-    /// `ready`. Returns `false` once the queue is closed and every slot
-    /// reserved before the close has been filled and taken.
-    fn take_ready(&self, ready: &mut Vec<Slot>) -> bool {
-        let mut st = self.lock();
-        loop {
-            let filled = st
-                .slots
-                .iter()
-                .take_while(|s| !matches!(s, Slot::Reserved))
-                .count();
-            if filled > 0 {
-                ready.extend(st.slots.drain(..filled));
-                st.head += filled as u64;
-                st.owed = false;
-                if st.slots.len() <= self.cap {
-                    st.over = None;
-                }
-                self.space.notify_all();
-                return true;
-            }
-            if st.closed && st.slots.is_empty() {
-                return false;
-            }
-            st = self
-                .ready
-                .wait(st)
-                .expect("no producer panics while holding the outbound queue");
-        }
-    }
-
-    /// Normal shutdown: accept nothing more; the writer sends every slot
-    /// already reserved once it is filled.
-    fn close(&self) {
-        let mut st = self.lock();
-        st.closed = true;
-        self.ready.notify_all();
-        self.space.notify_all();
-    }
-
-    /// Slow-consumer cut: counted, the backlog dropped, and `notice`
-    /// queued as the last line.
-    fn cut_slow(&self, notice: String) {
-        let mut st = self.lock();
-        if !st.closed {
-            SLOW_DISCONNECTS.fetch_add(1, Ordering::Relaxed);
-            self.abandon(&mut st, Some(notice));
-        }
-    }
-
-    /// The writer could not send (the socket write timed out or failed):
-    /// close, counting a slow consumer when pushed updates were holding
-    /// the queue over capacity.
-    fn write_failed(&self) {
-        let mut st = self.lock();
-        if !st.closed && st.over.is_some() {
-            SLOW_DISCONNECTS.fetch_add(1, Ordering::Relaxed);
-        }
-        self.abandon(&mut st, None);
-    }
-
-    /// Closes the queue, dropping every line the client will never read
-    /// (pending tickets fall behind `head`, so their fills are no-ops),
-    /// with `notice` as the one line left to send.
-    fn abandon(&self, st: &mut OutboundState, notice: Option<String>) {
-        st.head += st.slots.len() as u64;
-        st.slots.clear();
-        st.slots.extend(notice.map(Slot::Line));
-        st.closed = true;
-        self.ready.notify_all();
-        self.space.notify_all();
-    }
-
-    fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-}
-
-fn slow_notice(session: SessionId) -> String {
-    protocol::update_line(&Update::Closed {
-        session,
-        reason: "slow_consumer".to_string(),
-    })
-}
-
-/// A wire subscription: the session's shard renders each update and
-/// queues it on the connection itself.
-struct WireSink(Arc<OutboundQueue>);
-
-impl UpdateSink for WireSink {
-    fn push(&self, update: &Update) -> bool {
-        let (Update::Changed { session, .. }
-        | Update::Closed { session, .. }
-        | Update::Moved { session, .. }) = update;
-        self.0.push_update(*session, protocol::update_line(update))
-    }
-}
-
-/// A shard's answer as the reply line a wire client gets.
-pub(crate) trait WireReply {
-    /// The reply line for a successful answer.
-    fn reply_line(&self) -> String;
-}
-
-impl WireReply for EnqueueOutcome {
-    fn reply_line(&self) -> String {
-        match *self {
-            EnqueueOutcome::Shed { retry_after_ms } => protocol::overloaded_line(retry_after_ms),
-            outcome => protocol::event_line(outcome),
-        }
-    }
-}
-
-impl WireReply for BatchOutcome {
-    fn reply_line(&self) -> String {
-        // Admission is all-or-nothing per batch: a shed batch had nothing
-        // enqueued, so the whole reply is the typed overload signal with
-        // its retry hint.
-        if self.shed > 0 {
-            protocol::overloaded_line(self.retry_after_ms)
-        } else {
-            protocol::batch_line(self)
-        }
-    }
-}
-
-/// A reply slot the reader reserved for an `event` or `batch`, handed to
-/// the session's shard inside [`Answer::Slot`]: the shard renders its
-/// answer and fills the slot. Dropped unanswered (the shard died with the
-/// request still queued), it fills the slot with `shard is down`, so the
-/// writer never waits on it forever.
-pub struct ReplySlot {
-    out: Option<Arc<OutboundQueue>>,
-    ticket: u64,
-    session: SessionId,
-}
-
-impl ReplySlot {
-    /// Fills the slot with the rendered answer, leaving the writer's wake
-    /// to `wakes`. An `unknown session` error stays a marker the writer
-    /// resolves.
-    pub(crate) fn answer<T: WireReply>(mut self, res: Result<T, String>, wakes: &mut Wakes) {
-        let filled = match res {
-            Ok(outcome) => Slot::Line(outcome.reply_line()),
-            Err(error) if error.starts_with("unknown session") => Slot::Unknown {
-                session: self.session,
-                error,
-            },
-            Err(error) => Slot::Line(protocol::err_line(&error)),
-        };
-        if let Some(out) = self.out.take() {
-            if out.fill_quietly(self.ticket, filled) {
-                wakes.add(out);
-            }
-        }
-    }
-}
-
-/// Writers a shard owes a wake: their front reply slot was filled during
-/// the shard's current command burst. The shard wakes each once when the
-/// burst's commands are handled, before it pumps, rather than once per
-/// ack: on a busy host every wake can cost the shard a preemption. An
-/// update pushed meanwhile (a `query` pumps inside the burst) pays the
-/// wake at once, so updates keep streaming through every pump. Dropped,
-/// it wakes what it holds.
-#[derive(Default)]
-pub(crate) struct Wakes(Vec<Arc<OutboundQueue>>);
-
-impl Wakes {
-    fn add(&mut self, out: Arc<OutboundQueue>) {
-        if !self.0.iter().any(|o| Arc::ptr_eq(o, &out)) {
-            self.0.push(out);
-        }
-    }
-
-    /// Wakes every writer still owed a wake.
-    pub(crate) fn wake_all(&mut self) {
-        for out in self.0.drain(..) {
-            out.pay_owed_wake();
-        }
-    }
-}
-
-impl Drop for Wakes {
-    fn drop(&mut self) {
-        self.wake_all();
-    }
-}
-
-impl Drop for ReplySlot {
-    fn drop(&mut self) {
-        if let Some(out) = self.out.take() {
-            out.fill(self.ticket, Slot::Line(protocol::err_line(SHARD_DOWN)));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Capped frame reader
-// ---------------------------------------------------------------------------
-
-enum Frame {
-    /// A complete line within the cap (newline stripped).
-    Line(String),
-    /// The line was discarded; `0` is a typed error detail.
-    Rejected(String),
-    /// Clean end of stream.
-    Eof,
-}
-
-/// Reads one newline-terminated frame without ever buffering more than
-/// `max` payload bytes: once a line exceeds the cap, the remainder is
-/// consumed and thrown away up to the newline, so a 100 MiB line costs
-/// streaming reads but no proportional memory.
-fn read_frame(reader: &mut BufReader<TcpStream>, max: usize) -> io::Result<Frame> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let (newline_at, chunk_len, overflow) = {
-            let chunk = reader.fill_buf()?;
-            if chunk.is_empty() {
-                // EOF. A partial unterminated line is treated as final.
-                if buf.is_empty() {
-                    return Ok(Frame::Eof);
-                }
-                break;
-            }
-            match chunk.iter().position(|&b| b == b'\n') {
-                Some(pos) => (Some(pos), chunk.len(), buf.len() + pos > max),
-                None => (None, chunk.len(), buf.len() + chunk.len() > max),
-            }
-        };
-        match (newline_at, overflow) {
-            (Some(pos), false) => {
-                let chunk = reader.fill_buf()?;
-                buf.extend_from_slice(&chunk[..pos]);
-                reader.consume(pos + 1);
-                break;
-            }
-            (Some(pos), true) => {
-                let dropped = buf.len() + pos;
-                reader.consume(pos + 1);
-                return Ok(Frame::Rejected(format!(
-                    "line of {dropped} bytes exceeds the {max} byte limit"
-                )));
-            }
-            (None, false) => {
-                let chunk = reader.fill_buf()?;
-                buf.extend_from_slice(chunk);
-                reader.consume(chunk_len);
-            }
-            (None, true) => {
-                // Discard mode: swallow the rest of this line without
-                // accumulating it, then reject.
-                let mut dropped = buf.len() + chunk_len;
-                buf.clear();
-                reader.consume(chunk_len);
-                loop {
-                    let (pos, len) = {
-                        let chunk = reader.fill_buf()?;
-                        if chunk.is_empty() {
-                            // EOF inside an oversized line.
-                            return Ok(Frame::Eof);
-                        }
-                        (chunk.iter().position(|&b| b == b'\n'), chunk.len())
-                    };
-                    match pos {
-                        Some(p) => {
-                            dropped += p;
-                            reader.consume(p + 1);
-                            return Ok(Frame::Rejected(format!(
-                                "line of {dropped} bytes exceeds the {max} byte limit"
-                            )));
-                        }
-                        None => {
-                            dropped += len;
-                            reader.consume(len);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    match String::from_utf8(buf) {
-        Ok(s) => Ok(Frame::Line(s)),
-        Err(_) => Ok(Frame::Rejected("request line is not valid UTF-8".into())),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Connection handler
-// ---------------------------------------------------------------------------
-
-/// Runs one client connection to completion (EOF or socket error) with
-/// default tuning.
-pub fn handle_client(server: Arc<Server>, stream: TcpStream) {
-    handle_client_with(server, stream, NetConfig::default());
-}
-
-/// [`handle_client`] with explicit front-end tuning.
-pub fn handle_client_with(server: Arc<Server>, stream: TcpStream, config: NetConfig) {
-    let Ok(read_half) = stream.try_clone() else {
+    if let Err(e) = listener.set_nonblocking(true) {
+        eprintln!("elm-server: cannot serve the listener: {e}");
         return;
-    };
+    }
+    let (tx, jobs) = channel::unbounded();
+    let acceptor = Arc::new(Acceptor {
+        jobs: tx,
+        bell: Doorbell::new(),
+    });
+    let mut next_home = 0;
+    loop {
+        acceptor.bell.park();
+        let mut fds = [
+            PollFd::new(listener.as_raw_fd(), POLLIN),
+            PollFd::new(acceptor.bell.fd(), POLLIN),
+        ];
+        let wait = if jobs.is_empty() {
+            Duration::MAX
+        } else {
+            Duration::ZERO
+        };
+        let _ = sys::wait(&mut fds, wait);
+        acceptor.bell.unpark(fds[1].revents != 0);
+        for (job, slot) in jobs.try_iter() {
+            if job.slow() {
+                let server = Arc::clone(&server);
+                thread::spawn(move || run_job(&server, job, slot));
+            } else {
+                run_job(&server, job, slot);
+            }
+        }
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    connect(&server, stream, next_home, config, &acceptor);
+                    next_home = (next_home + 1) % server.shard_count();
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => match accept_error(&e) {
+                    AcceptError::Retry => {}
+                    AcceptError::Backoff => {
+                        thread::sleep(FD_BACKOFF);
+                        break;
+                    }
+                    AcceptError::Stop => {
+                        eprintln!("elm-server: the listener failed: {e}");
+                        return;
+                    }
+                },
+            }
+        }
+    }
+}
+
+/// What the acceptor does after `accept` fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcceptError {
+    /// One pending connection failed (it reset before `accept`), or the
+    /// call was interrupted: accept the next.
+    Retry,
+    /// The process or the system is out of file descriptors or socket
+    /// memory for now: pause briefly, then accept again.
+    Backoff,
+    /// The listener itself is unusable: stop serving.
+    Stop,
+}
+
+/// Classifies a failed `accept` by its (Linux) error number.
+fn accept_error(e: &io::Error) -> AcceptError {
+    match e.raw_os_error() {
+        // ENOMEM, ENFILE, EMFILE, ENOBUFS
+        Some(12 | 23 | 24 | 105) => AcceptError::Backoff,
+        // EBADF, EFAULT, EINVAL (not listening), ENOTSOCK, EOPNOTSUPP
+        Some(9 | 14 | 22 | 88 | 95) => AcceptError::Stop,
+        // ECONNABORTED, EINTR, EPROTO, EPERM, and the pending
+        // connection's network errors, which Linux passes on
+        _ => AcceptError::Retry,
+    }
+}
+
+/// Sets an accepted socket up and hands it to its home shard.
+fn connect(
+    server: &Arc<Server>,
+    stream: TcpStream,
+    home: usize,
+    config: NetConfig,
+    acceptor: &Arc<Acceptor>,
+) {
     // Request/reply ping-pong must not pay Nagle latency.
     let _ = stream.set_nodelay(true);
-    // A blocked socket write is bounded by the same deadline as queue
-    // waits, so a stuffed kernel buffer cannot wedge the writer thread.
-    let _ = stream.set_write_timeout(Some(config.write_deadline.max(Duration::from_millis(1))));
-    let out = OutboundQueue::new(config);
-
-    let writer_out = Arc::clone(&out);
-    let writer_server = Arc::clone(&server);
-    let mut write_half = stream;
-    let write_loop = move || {
-        let mut ready = Vec::new();
-        let mut buf = Vec::with_capacity(WRITE_BUFFER);
-        while writer_out.take_ready(&mut ready) {
-            for slot in ready.drain(..) {
-                let line = match slot {
-                    Slot::Line(line) => line,
-                    Slot::Unknown { session, error } => {
-                        err_or_moved(&writer_server, session, error)
-                    }
-                    Slot::Reserved => unreachable!("take_ready stops at a reserved slot"),
-                };
-                buf.extend_from_slice(line.as_bytes());
-                buf.push(b'\n');
-            }
-            if write_half.write_all(&buf).is_err() {
-                writer_out.write_failed();
-                break;
-            }
-            buf.clear();
-            buf.shrink_to(WRITE_BUFFER);
-        }
-        // Unblocks a reader parked in fill_buf and tells the peer the
-        // stream is over even if it never reads another byte.
-        let _ = write_half.shutdown(Shutdown::Both);
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let conn = Connection {
+        out: Arc::new(OutboundQueue::new(stream, server, home, config)),
+        acceptor: Arc::clone(acceptor),
+        buf: vec![0; READ_BUFFER],
+        start: 0,
+        end: 0,
+        scanned: 0,
+        dropped: None,
+        max_line: config.max_line_bytes,
+        eof: false,
+        awaiting: None,
+        stalled: false,
     };
-    let writer = thread::Builder::new()
-        .name("elm-conn-wr".to_string())
-        .spawn(write_loop)
-        .expect("spawning a connection writer thread");
+    server.send_to_shard(home, Command::Connect(Box::new(conn)));
+}
 
-    let mut conn = Conn {
-        server,
-        out: Arc::clone(&out),
+/// A request the acceptor runs for a connection's home shard. An `open`
+/// of a client's source names the id it takes as its key.
+enum Job {
+    Request(Request),
+    /// A plain-HTTP `GET` line, after the `GET `.
+    Http(String),
+}
+
+impl Job {
+    /// Whether the job may take long: it compiles a client's source, or
+    /// it is a federated scrape, which waits on every peer.
+    fn slow(&self) -> bool {
+        match self {
+            Job::Request(request) => matches!(
+                request,
+                Request::Open { .. } | Request::Metrics { cluster: true }
+            ),
+            Job::Http(rest) => rest.split_whitespace().next() == Some("/metrics?federate=1"),
+        }
+    }
+}
+
+/// The acceptor's queue of [`Job`]s.
+struct Acceptor {
+    jobs: Sender<(Job, ReplySlot)>,
+    bell: Doorbell,
+}
+
+impl Acceptor {
+    /// Queues a job and wakes the acceptor. Once the acceptor has stopped,
+    /// the job is dropped, and its slot answers `shard is down`.
+    fn submit(&self, job: Job, slot: ReplySlot) {
+        if self.jobs.send((job, slot)).is_ok() {
+            self.bell.ring();
+        }
+    }
+}
+
+/// Runs one acceptor job to completion and fills its reply slot.
+fn run_job(server: &Arc<Server>, job: Job, slot: ReplySlot) {
+    let request = match job {
+        Job::Http(rest) => return slot.fill(http_response(server, &rest)),
+        Job::Request(request) => request,
     };
-    let mut reader = BufReader::with_capacity(READ_BUFFER, read_half);
-    while let Ok(frame) = read_frame(&mut reader, config.max_line_bytes) {
-        let more = match frame {
-            Frame::Eof => false,
-            Frame::Rejected(detail) => {
-                FRAMES_REJECTED.fetch_add(1, Ordering::Relaxed);
-                conn.reply(protocol::protocol_error_line(&detail))
-            }
-            Frame::Line(line) => {
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                // HTTP-ish escape hatch: a Prometheus scraper (or curl)
-                // speaking plain HTTP gets one response and a closed
-                // connection.
-                if let Some(rest) = line.strip_prefix("GET ") {
-                    conn.reply(http_response(&conn.server, rest));
-                    false
-                } else {
-                    conn.serve(line)
-                }
-            }
-        };
-        if !more {
-            break;
+    let line = match request {
+        Request::Stats { .. } => {
+            let (global, sessions) = server.stats();
+            protocol::stats_line(&global, &sessions)
         }
-    }
-    out.close();
-    let _ = writer.join();
-}
-
-/// The reader side of one connection.
-struct Conn {
-    server: Arc<Server>,
-    out: Arc<OutboundQueue>,
-}
-
-impl Conn {
-    /// Reserves the next reply slot, waiting up to the write deadline for
-    /// room. `None` ends the connection.
-    fn reserve(&mut self) -> Option<u64> {
-        match self.out.reserve() {
-            Ok(ticket) => Some(ticket),
-            Err(Refused::TimedOut) => {
-                // The client keeps sending requests but never reads the
-                // replies: same pathology as a slow subscriber.
-                self.out.cut_slow(protocol::err_line("slow_consumer"));
-                None
-            }
-            Err(Refused::Closed) => None,
+        Request::Metrics { cluster: true } => {
+            protocol::metrics_line(&server.federated_metrics_text())
         }
-    }
-
-    /// Reserves the next reply slot as a [`ReplySlot`] for `session`'s
-    /// shard to fill.
-    fn reply_slot(&mut self, session: SessionId) -> Option<ReplySlot> {
-        let ticket = self.reserve()?;
-        Some(ReplySlot {
-            out: Some(Arc::clone(&self.out)),
-            ticket,
-            session,
-        })
-    }
-
-    /// Queues a reply that needs no shard. Returns `false` once the
-    /// connection should end.
-    fn reply(&mut self, line: String) -> bool {
-        let Some(ticket) = self.reserve() else {
-            return false;
-        };
-        self.out.fill(ticket, Slot::Line(line));
-        true
-    }
-
-    /// Serves one request line. Returns `false` once the connection
-    /// should end.
-    fn serve(&mut self, line: &str) -> bool {
-        let request = match Request::parse(line) {
-            Ok(r) => r,
-            Err(e) => return self.reply(protocol::err_line(&e)),
-        };
-        match request {
-            Request::Event {
-                session,
-                input,
-                value,
-                trace,
-            } => {
-                let Some(slot) = self.reply_slot(session) else {
-                    return false;
-                };
-                self.server.post(
-                    session,
-                    Command::Event {
-                        session,
-                        input,
-                        value: value.to_value(),
-                        trace,
-                        answer: Answer::Slot(slot),
-                    },
-                );
-            }
-            Request::Batch { session, events } => {
-                let Some(slot) = self.reply_slot(session) else {
-                    return false;
-                };
-                let events = events.into_iter().map(|(i, v)| (i, v.to_value())).collect();
-                self.server.post(
-                    session,
-                    Command::Batch {
-                        session,
-                        events,
-                        answer: Answer::Slot(slot),
-                    },
-                );
-            }
-            // Streamed cluster verbs are silent even outside cluster mode:
-            // they are fire-and-forget, so a reply would desynchronize the
-            // sender's framing. They get no slot.
-            Request::JournalAppend {
-                from,
-                session,
-                entry,
-                epoch,
-            } => {
-                if let Some(cluster) = self.server.cluster() {
-                    cluster.handle_journal_append(from, session, entry, epoch);
-                }
-            }
-            Request::SnapshotShip {
-                from,
-                session,
-                meta,
-                snapshot,
-                through,
-                dropped,
-                trace,
-                epoch,
-            } => {
-                if let Some(cluster) = self.server.cluster() {
-                    cluster.handle_snapshot_ship(
-                        from, session, meta, snapshot, through, dropped, trace, epoch,
-                    );
-                }
-            }
-            Request::Heartbeat { from } => {
-                if let Some(cluster) = self.server.cluster() {
-                    cluster.handle_heartbeat(from);
-                }
-            }
-            request => {
-                let Some(ticket) = self.reserve() else {
-                    return false;
-                };
-                let reply = dispatch(&self.server, request, &self.out);
-                self.out.fill(ticket, Slot::Line(reply));
-            }
-        }
-        true
-    }
-}
-
-/// Builds a minimal HTTP/1.0 response for `GET <path> ...` request lines.
-/// Only `/metrics` (this peer) and `/metrics?federate=1` (the whole
-/// cluster, `peer`-labelled) exist. The writer thread appends one `\n` to
-/// every outbound line, so the advertised `Content-Length` counts it.
-fn http_response(server: &Arc<Server>, request_rest: &str) -> String {
-    let path = request_rest.split_whitespace().next().unwrap_or("");
-    let (status, content_type, body) = if path == "/metrics" {
-        (
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            server.metrics_text(),
-        )
-    } else if path == "/metrics?federate=1" {
-        (
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            server.federated_metrics_text(),
-        )
-    } else {
-        (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            format!("no such path {path}\n"),
-        )
-    };
-    format!(
-        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len() + 1,
-    )
-}
-
-/// Runs one request that is neither pipelined nor silent, to completion.
-fn dispatch(server: &Arc<Server>, request: Request, out: &Arc<OutboundQueue>) -> String {
-    match request {
+        Request::Metrics { cluster: false } => protocol::metrics_line(&server.metrics_text()),
         Request::Open {
-            program,
-            source,
+            session: Some(id),
+            source: Some(source),
             queue,
             policy,
             observe,
-            session,
-        } => {
-            let spec = match (&program, &source) {
-                (Some(p), None) => ProgramSpec::Builtin(p),
-                (None, Some(s)) => ProgramSpec::Source(s),
-                _ => {
-                    return protocol::err_line(
-                        "open needs exactly one of \"program\" or \"source\"",
-                    )
-                }
-            };
-            let opened = match session {
-                // Cluster-keyed open: placement chose the id.
-                Some(key) => server.open_with_key(key, spec, queue, policy, observe),
-                None => server.open(spec, queue, policy, observe),
-            };
-            match opened {
-                Ok(info) => protocol::opened_line(&info),
-                Err(e) => protocol::err_line(&e),
-            }
-        }
-        Request::Query { session } => match server.query(session) {
-            Ok(info) => protocol::query_line(&info),
-            Err(e) => err_or_moved(server, session, e),
-        },
-        // The shard pushes this session's updates straight onto the
-        // connection's queue, behind this request's reserved reply slot,
-        // until the session closes (a `closed` or `moved` update is the
-        // stream's final message) or the connection goes away.
-        Request::Subscribe { session } => {
-            match server.subscribe_sink(session, Box::new(WireSink(Arc::clone(out)))) {
-                Ok(()) => protocol::subscribed_line(session),
-                Err(e) => err_or_moved(server, session, e),
-            }
-        }
-        Request::Stats { session } => match session {
-            Some(id) => match server.session_stats(id) {
-                Ok(stats) => protocol::session_stats_line(&stats),
-                Err(e) => protocol::err_line(&e),
-            },
-            None => {
-                let (global, sessions) = server.stats();
-                protocol::stats_line(&global, &sessions)
-            }
-        },
-        Request::Metrics { cluster } => {
-            if cluster {
-                protocol::metrics_line(&server.federated_metrics_text())
-            } else {
-                protocol::metrics_line(&server.metrics_text())
-            }
-        }
+            ..
+        } => server
+            .open_with_key(id, ProgramSpec::Source(&source), queue, policy, observe)
+            .map_or_else(
+                |e| protocol::err_line(&e),
+                |info| protocol::opened_line(&info),
+            ),
         Request::Blackbox => {
             let bb = crate::blackbox::blackbox();
             protocol::blackbox_line(&crate::blackbox::Blackbox::render_ndjson(&bb.snapshot()))
@@ -962,7 +364,7 @@ fn dispatch(server: &Arc<Server>, request: Request, out: &Arc<OutboundQueue>) ->
                 // Forward rendered trace lines until the session closes
                 // the mailbox or the client goes away. Waits are bounded
                 // so a dead connection is noticed within a second.
-                let out = Arc::clone(out);
+                let out = Arc::clone(slot.queue());
                 thread::spawn(move || loop {
                     match mailbox.recv_timeout(Duration::from_secs(1)) {
                         TracePop::Line(line) => {
@@ -971,10 +373,10 @@ fn dispatch(server: &Arc<Server>, request: Request, out: &Arc<OutboundQueue>) ->
                                 break;
                             }
                         }
+                        // Keepalive probe; also notices a closed
+                        // connection so the mailbox gets released.
                         TracePop::Empty => {
-                            // Keepalive probe; also notices a closed
-                            // connection so the mailbox gets released.
-                            if out.is_closed() {
+                            if out.lock().closed {
                                 mailbox.close();
                                 break;
                             }
@@ -986,44 +388,444 @@ fn dispatch(server: &Arc<Server>, request: Request, out: &Arc<OutboundQueue>) ->
             }
             Err(e) => protocol::err_line(&e),
         },
-        Request::Describe { session } => match server.describe(session) {
-            Ok(info) => protocol::describe_line(&info),
-            Err(e) => err_or_moved(server, session, e),
-        },
-        Request::Close { session } => match server.close(session) {
-            Ok(()) => protocol::closed_line(session),
-            Err(e) => err_or_moved(server, session, e),
-        },
-        // --- cluster peer verbs -------------------------------------
-        Request::Hello { from, addr } => match server.cluster() {
-            Some(cluster) => cluster.handle_hello(from, &addr),
-            None => protocol::err_line("not in cluster mode"),
-        },
-        Request::Place { key } => match server.cluster() {
-            Some(cluster) => cluster.handle_place(key),
-            None => protocol::err_line("not in cluster mode"),
-        },
-        Request::Takeover {
-            from,
-            addr,
-            sessions,
-            traces,
-            epochs,
-        } => match server.cluster() {
-            Some(cluster) => cluster.handle_takeover(from, &addr, &sessions, &traces, &epochs),
-            None => protocol::err_line("not in cluster mode"),
-        },
-        Request::Event { .. }
-        | Request::Batch { .. }
-        | Request::JournalAppend { .. }
-        | Request::SnapshotShip { .. }
-        | Request::Heartbeat { .. } => unreachable!("served by Conn::serve"),
+        // `hello`, `place`, `takeover`: the takeover's close of a moved
+        // session waits on its shard.
+        request => server
+            .cluster()
+            .and_then(|c| c.handle_request(request))
+            .unwrap_or_else(|| protocol::err_line("not in cluster mode")),
+    };
+    slot.fill(line);
+}
+
+/// Builds a minimal HTTP/1.0 response for `GET <path> ...` request lines.
+/// Only `/metrics` (this peer) and `/metrics?federate=1` (the whole
+/// cluster, `peer`-labelled) exist. Every outbound line is sent with one
+/// `\n` appended, so the advertised `Content-Length` counts it.
+fn http_response(server: &Arc<Server>, request_rest: &str) -> String {
+    let path = request_rest.split_whitespace().next().unwrap_or("");
+    let prometheus = "text/plain; version=0.0.4; charset=utf-8";
+    let (status, content_type, body) = match path {
+        "/metrics" => ("200 OK", prometheus, server.metrics_text()),
+        "/metrics?federate=1" => ("200 OK", prometheus, server.federated_metrics_text()),
+        _ => (
+            "404 Not Found",
+            "text/plain; charset=utf-8",
+            format!("no such path {path}\n"),
+        ),
+    };
+    format!(
+        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len() + 1,
+    )
+}
+
+// ---------------------------------------------------------------------------
+// Outbound queue with reserved reply slots
+// ---------------------------------------------------------------------------
+
+#[derive(Default)]
+struct OutboundState {
+    /// Entries in send order. `None` is a slot reserved for a reply still
+    /// being answered, which no write passes.
+    slots: VecDeque<Option<String>>,
+    /// Ticket of `slots[0]`; tickets number every slot ever queued.
+    head: u64,
+    /// Rendered bytes the socket has not taken yet. While any wait, the
+    /// filled lines behind them stay in `slots`.
+    unsent: Vec<u8>,
+    /// Since when the socket has refused bytes without taking any.
+    blocked_since: Option<Instant>,
+    /// No further lines are accepted; the queue sends what is reserved
+    /// once it is filled (usually nothing, or one final notice) and shuts
+    /// the socket down.
+    closed: bool,
+    /// The nonblocking socket, until it is shut down. It is closed then,
+    /// though subscriptions may keep the queue for as long as their
+    /// sessions live.
+    stream: Option<TcpStream>,
+    /// Since when pushed updates have held the queue over capacity while
+    /// a filled line waited for the client, and the session whose push
+    /// first did.
+    over: Option<(Instant, SessionId)>,
+    /// The home shard is parked until another thread changes this queue.
+    home_waits: bool,
+}
+
+impl OutboundState {
+    /// Whether the slot with `ticket` is filled (or already sent).
+    fn filled(&self, ticket: u64) -> bool {
+        ticket
+            .checked_sub(self.head)
+            .and_then(|i| self.slots.get(i as usize))
+            .is_none_or(Option::is_some)
+    }
+}
+
+/// The line queue between a connection's producers (its home shard, the
+/// shards answering its requests and pushing its subscriptions' updates,
+/// the acceptor) and its socket, which it owns.
+pub(crate) struct OutboundQueue {
+    inner: Mutex<OutboundState>,
+    /// The home shard's doorbell.
+    home: Arc<Doorbell>,
+    server: Arc<Server>,
+    cap: usize,
+    deadline: Duration,
+}
+
+impl OutboundQueue {
+    fn new(stream: TcpStream, server: &Arc<Server>, home: usize, config: NetConfig) -> Self {
+        OutboundQueue {
+            inner: Mutex::new(OutboundState {
+                stream: Some(stream),
+                ..OutboundState::default()
+            }),
+            home: Arc::clone(server.shard_bell(home)),
+            server: Arc::clone(server),
+            cap: config.outbound_queue.max(1),
+            deadline: config.write_deadline,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, OutboundState> {
+        self.inner
+            .lock()
+            .expect("no producer panics while holding the outbound queue")
+    }
+
+    /// Rings the home shard if it is parked waiting on this queue.
+    fn poke(&self, st: &mut OutboundState) {
+        if st.home_waits {
+            st.home_waits = false;
+            self.home.ring();
+        }
+    }
+
+    /// Reserves the next slot for a reply and returns its ticket; `None`
+    /// once the connection is closing. Never waits: the home shard stops
+    /// reading before the queue is full.
+    fn reserve(&self) -> Option<u64> {
+        let mut st = self.lock();
+        if st.closed {
+            return None;
+        }
+        st.slots.push_back(None);
+        Some(st.head + st.slots.len() as u64 - 1)
+    }
+
+    /// Fills a reserved slot without writing. Returns whether it is the
+    /// front slot, so a write is owed. A no-op once a cut dropped the
+    /// slot.
+    fn place(&self, ticket: u64, line: String) -> bool {
+        let mut st = self.lock();
+        let Some(i) = ticket.checked_sub(st.head) else {
+            return false;
+        };
+        let Some(slot) = st.slots.get_mut(i as usize) else {
+            return false;
+        };
+        *slot = Some(line);
+        self.poke(&mut st);
+        i == 0
+    }
+
+    /// Fills a reserved slot and writes at once.
+    fn fill(&self, ticket: u64, line: String) {
+        if self.place(ticket, line) {
+            self.write();
+        }
+    }
+
+    /// Writes the filled prefix.
+    fn write(&self) {
+        let mut st = self.lock();
+        self.send_ready(&mut st);
+    }
+
+    /// Moves the filled prefix into the socket until none is left or the
+    /// socket refuses bytes. Shuts the socket down once a closed queue
+    /// has sent everything.
+    fn send_ready(&self, st: &mut OutboundState) {
+        if st.stream.is_none() {
+            return;
+        }
+        loop {
+            if st.unsent.is_empty() {
+                let filled = st.slots.iter().take_while(|s| s.is_some()).count();
+                if filled == 0 {
+                    break;
+                }
+                for line in st.slots.drain(..filled).flatten() {
+                    st.unsent.extend_from_slice(line.as_bytes());
+                    st.unsent.push(b'\n');
+                }
+                st.head += filled as u64;
+                if st.slots.len() <= self.cap {
+                    st.over = None;
+                }
+                self.poke(st);
+            }
+            let Some(stream) = &st.stream else { return };
+            match (&*stream).write(&st.unsent) {
+                Ok(n) if n > 0 => {
+                    st.unsent.drain(..n);
+                    st.blocked_since = None;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if st.blocked_since.is_none() {
+                        st.blocked_since = Some(Instant::now());
+                        // The home shard polls for POLLOUT from now on.
+                        self.home.ring();
+                    }
+                    return;
+                }
+                _ => {
+                    // The client is gone (or the write failed): close,
+                    // counting a slow consumer when pushed updates were
+                    // holding the queue over capacity.
+                    if st.over.is_some() {
+                        SLOW_DISCONNECTS.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.abandon(st, None);
+                    return;
+                }
+            }
+        }
+        st.unsent.shrink_to(WRITE_BUFFER);
+        if st.closed && st.slots.is_empty() {
+            self.finish(st);
+        }
+    }
+
+    /// Queues a pushed update line and writes it without ever blocking:
+    /// the caller is a shard thread. Returns `false` once the connection
+    /// is closing. Notes when updates start to hold the queue over
+    /// capacity, for the loop timer's deadline check.
+    fn push_update(&self, session: SessionId, line: String) -> bool {
+        let mut st = self.lock();
+        if st.closed {
+            return false;
+        }
+        st.slots.push_back(Some(line));
+        self.send_ready(&mut st);
+        // Only a filled line at the front means the client is the one
+        // not keeping up; a reserved front slot is the server's own wait.
+        if st.slots.len() <= self.cap || matches!(st.slots.front(), Some(None)) {
+            st.over = None;
+        } else if st.over.is_none() {
+            st.over = Some((Instant::now(), session));
+        }
+        !st.closed
+    }
+
+    /// Normal shutdown: accept nothing more; every slot already reserved
+    /// is sent once it is filled, then the socket is shut down.
+    fn close(&self) {
+        let mut st = self.lock();
+        st.closed = true;
+        self.send_ready(&mut st);
+    }
+
+    /// The loop timer's write-deadline check. A client whose socket has
+    /// refused bytes, or whose pushed updates have held the queue over
+    /// capacity, for the whole deadline is a slow consumer. It is cut with
+    /// the subscriber's `slow_consumer` notice when pushed updates hold
+    /// the queue over capacity, with a `slow_consumer` error when its own
+    /// requests wait for room (both counted), else silently. Returns
+    /// whether the socket is shut down.
+    fn check_deadline(&self, now: Instant) -> bool {
+        let mut st = self.lock();
+        let late =
+            |since: Option<Instant>| since.is_some_and(|t| now.duration_since(t) >= self.deadline);
+        if st.stream.is_some() && (late(st.blocked_since) || late(st.over.map(|(t, _)| t))) {
+            let notice = match st.over {
+                Some((_, session)) => Some(slow_notice(session)),
+                None => (st.slots.len() >= self.cap).then(|| protocol::err_line("slow_consumer")),
+            };
+            if notice.is_some() {
+                SLOW_DISCONNECTS.fetch_add(1, Ordering::Relaxed);
+            }
+            self.abandon(&mut st, notice);
+        }
+        st.stream.is_none()
+    }
+
+    /// Closes the queue, dropping every line the client will never read
+    /// (pending tickets fall behind `head`, so their fills are no-ops),
+    /// makes one attempt to send `notice`, and shuts the socket down.
+    fn abandon(&self, st: &mut OutboundState, notice: Option<String>) {
+        st.head += st.slots.len() as u64;
+        st.slots.clear();
+        st.closed = true;
+        if let (Some(notice), Some(stream)) = (notice, &st.stream) {
+            st.unsent.extend_from_slice(notice.as_bytes());
+            st.unsent.push(b'\n');
+            let _ = (&*stream).write(&st.unsent);
+        }
+        self.finish(st);
+    }
+
+    fn finish(&self, st: &mut OutboundState) {
+        if let Some(stream) = st.stream.take() {
+            // Tells the peer the stream is over even if it never reads
+            // another byte, and wakes a poll on the socket; the drop
+            // closes it.
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        st.closed = true;
+        st.unsent = Vec::new();
+        self.poke(st);
+    }
+}
+
+fn slow_notice(session: SessionId) -> String {
+    protocol::update_line(&Update::Closed {
+        session,
+        reason: "slow_consumer".to_string(),
+    })
+}
+
+/// A wire subscription: the session's shard renders each update and
+/// writes it through the connection's queue itself.
+struct WireSink(Arc<OutboundQueue>);
+
+impl UpdateSink for WireSink {
+    fn push(&self, update: &Update) -> bool {
+        let (Update::Changed { session, .. }
+        | Update::Closed { session, .. }
+        | Update::Moved { session, .. }) = update;
+        self.0.push_update(*session, protocol::update_line(update))
+    }
+}
+
+/// A reply slot reserved for one request, handed to whoever answers it:
+/// that thread renders its answer and fills the slot. Dropped unanswered
+/// (its shard died with the request still queued), it fills the slot
+/// with `shard is down`, so the connection never waits on it forever.
+pub struct ReplySlot {
+    out: Option<Arc<OutboundQueue>>,
+    ticket: u64,
+    session: SessionId,
+}
+
+impl ReplySlot {
+    /// Reserves the next slot on `out` for a request about `session`;
+    /// `None` once the connection is closing.
+    fn reserve(out: &Arc<OutboundQueue>, session: SessionId) -> Option<ReplySlot> {
+        Some(ReplySlot {
+            ticket: out.reserve()?,
+            out: Some(Arc::clone(out)),
+            session,
+        })
+    }
+
+    fn queue(&self) -> &Arc<OutboundQueue> {
+        self.out
+            .as_ref()
+            .expect("an unanswered slot keeps its queue")
+    }
+
+    /// The server the slot's connection talks to.
+    pub(crate) fn server(&self) -> &Server {
+        &self.queue().server
+    }
+
+    /// A subscription sink that writes through the slot's connection.
+    pub(crate) fn sink(&self) -> Box<dyn UpdateSink> {
+        Box::new(WireSink(Arc::clone(self.queue())))
+    }
+
+    /// Fills the slot with a reply line, or with the error line, leaving
+    /// the write to `flushes` at `when`. An `unknown session` error
+    /// becomes a `moved` redirect when the cluster knows where the
+    /// session lives.
+    pub(crate) fn answer(
+        mut self,
+        res: Result<String, String>,
+        flushes: &mut Flushes,
+        when: Flush,
+    ) {
+        let Some(out) = self.out.take() else {
+            return;
+        };
+        let line = res.unwrap_or_else(|e| err_or_moved(&out.server, self.session, e));
+        if out.place(self.ticket, line) {
+            flushes.add(out, when);
+        }
+    }
+
+    /// Fills the slot with `line` and writes at once.
+    fn fill(mut self, line: String) {
+        if let Some(out) = self.out.take() {
+            out.fill(self.ticket, line);
+        }
+    }
+}
+
+impl Drop for ReplySlot {
+    fn drop(&mut self) {
+        if let Some(out) = self.out.take() {
+            out.fill(self.ticket, protocol::err_line(SHARD_DOWN));
+        }
+    }
+}
+
+/// When a shard writes a reply slot it filled during a burst.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Flush {
+    /// Once the burst is handled, before the pump.
+    Burst,
+    /// With the first update the pump writes to the connection, else
+    /// after the pump: the request queued events for that pump.
+    Pump,
+}
+
+/// Connections a shard owes a write: their front reply slot was filled
+/// during the shard's current burst. The shard writes each once per loop
+/// turn rather than once per reply: most when the burst is handled,
+/// before it pumps; a connection whose only owed replies are acks of
+/// events the pump is about to apply, after the pump, so an ack and the
+/// update it caused usually leave in one write. An update pushed
+/// meanwhile writes the filled prefix with it, so updates keep streaming
+/// through every pump.
+#[derive(Default)]
+pub(crate) struct Flushes {
+    burst: Vec<Arc<OutboundQueue>>,
+    pump: Vec<Arc<OutboundQueue>>,
+}
+
+impl Flushes {
+    fn add(&mut self, out: Arc<OutboundQueue>, when: Flush) {
+        let list = match when {
+            Flush::Burst => &mut self.burst,
+            Flush::Pump => &mut self.pump,
+        };
+        if !list.iter().any(|o| Arc::ptr_eq(o, &out)) {
+            list.push(out);
+        }
+    }
+
+    /// Writes the connections owed a write when the burst is handled.
+    pub(crate) fn flush_burst(&mut self) {
+        for out in self.burst.drain(..) {
+            out.write();
+        }
+    }
+
+    /// Writes every connection still owed a write.
+    pub(crate) fn flush_all(&mut self) {
+        self.flush_burst();
+        for out in self.pump.drain(..) {
+            out.write();
+        }
     }
 }
 
 /// An `unknown session` error becomes a typed `moved` redirect when the
 /// cluster knows (or can compute) where the session lives now.
-fn err_or_moved(server: &Arc<Server>, session: u64, e: String) -> String {
+fn err_or_moved(server: &Server, session: SessionId, e: String) -> String {
     if e.starts_with("unknown session") {
         if let Some((peer, trace, epoch)) = server.cluster().and_then(|c| c.redirect_for(session)) {
             return protocol::moved_line(session, &peer, trace, epoch);
@@ -1032,11 +834,333 @@ fn err_or_moved(server: &Arc<Server>, session: u64, e: String) -> String {
     protocol::err_line(&e)
 }
 
+// ---------------------------------------------------------------------------
+// The home shard's side of a connection
+// ---------------------------------------------------------------------------
+
+/// One request frame, cut from the read buffer.
+enum Frame {
+    /// A complete line within the cap (newline stripped), as a range of
+    /// the read buffer.
+    Line(Range<usize>),
+    /// The line was discarded; `0` is a typed error detail.
+    Rejected(String),
+    /// Clean end of stream.
+    Eof,
+}
+
+/// A client connection, owned by its home shard's loop: the read side
+/// lives here, the write side in its [`OutboundQueue`].
+pub struct Connection {
+    out: Arc<OutboundQueue>,
+    acceptor: Arc<Acceptor>,
+    /// Received bytes; `start..end` is not consumed yet.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// How far past `start` holds no newline.
+    scanned: usize,
+    /// Bytes of an oversized line discarded so far.
+    dropped: Option<usize>,
+    max_line: usize,
+    /// No more input will be read (end of stream, a read error, or a
+    /// plain-HTTP request).
+    eof: bool,
+    /// The slot of a request handed to the acceptor; no further request
+    /// is read until it is filled.
+    awaiting: Option<u64>,
+    /// The last [`Connection::serve`] stopped with whole lines still
+    /// buffered.
+    stalled: bool,
+}
+
+impl Connection {
+    /// What to poll this connection's socket for, and whether it has
+    /// buffered requests it can serve right away (so the loop must not
+    /// wait). Also tells the queue when the loop will wait for another
+    /// thread to change it (room, the awaited reply, the last slot before
+    /// closing).
+    pub(crate) fn interest(&mut self) -> (Option<PollFd>, bool) {
+        let mut st = self.out.lock();
+        let Some(fd) = st.stream.as_ref().map(AsRawFd::as_raw_fd) else {
+            return (None, true);
+        };
+        let awaiting = self.awaiting.is_some_and(|t| !st.filled(t));
+        let room = st.slots.len() < self.out.cap;
+        let serving = !awaiting && room;
+        let mut events = 0;
+        // Whole lines still buffered are served before more is read, so
+        // the buffer never grows past one line.
+        if serving && !self.eof && !self.stalled {
+            events |= POLLIN;
+        }
+        if !st.unsent.is_empty() {
+            events |= POLLOUT;
+        }
+        st.home_waits = !room || awaiting || st.closed;
+        let poll = (events != 0).then(|| PollFd::new(fd, events));
+        (poll, serving && self.stalled)
+    }
+
+    /// Handles readiness: writes parked lines, reads once.
+    pub(crate) fn on_ready(&mut self, revents: i16) {
+        if revents & POLLOUT != 0 {
+            self.out.write();
+        }
+        if revents & !POLLOUT != 0 && !self.stalled && !self.eof {
+            self.read_input();
+        }
+    }
+
+    fn read_input(&mut self) {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+            if self.buf.len() > READ_BUFFER {
+                self.buf = vec![0; READ_BUFFER];
+            }
+        } else if self.end == self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+            if self.end == self.buf.len() {
+                // One line longer than the buffer: grow to hold it (a
+                // line past the cap is discarded, which empties it).
+                self.buf.resize(self.buf.len() * 2, 0);
+            }
+        }
+        let read = match &self.out.lock().stream {
+            Some(stream) => (&*stream).read(&mut self.buf[self.end..]),
+            // Cut from another thread: nothing more comes in.
+            None => Ok(0),
+        };
+        match read {
+            Ok(0) => self.eof = true,
+            Ok(n) => self.end += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => self.eof = true,
+        }
+    }
+
+    /// Cuts the next frame from the read buffer, never holding more than
+    /// the cap of one line: once a line exceeds it, the rest is thrown
+    /// away up to the newline, so a 100 MiB line costs reads but no
+    /// proportional memory. `None` until more input arrives.
+    fn next_frame(&mut self) -> Option<Frame> {
+        let max = self.max_line;
+        let data = &self.buf[self.start..self.end];
+        let newline = data[self.scanned..].iter().position(|&b| b == b'\n');
+        let too_long = |n: usize| format!("line of {n} bytes exceeds the {max} byte limit");
+        match newline.map(|p| p + self.scanned) {
+            Some(p) => {
+                let line = self.start..self.start + p;
+                (self.start, self.scanned) = (self.start + p + 1, 0);
+                Some(match self.dropped.take() {
+                    Some(dropped) => Frame::Rejected(too_long(dropped + p)),
+                    None if p > max => Frame::Rejected(too_long(p)),
+                    None => Frame::Line(line),
+                })
+            }
+            None if self.dropped.is_some() || data.len() > max => {
+                // Discard mode: swallow the line without keeping it.
+                *self.dropped.get_or_insert(0) += data.len();
+                (self.start, self.scanned) = (self.end, 0);
+                // End of stream inside an oversized line gets no reply.
+                self.eof.then_some(Frame::Eof)
+            }
+            None if self.eof => {
+                // End of stream: a partial unterminated line is final.
+                let line = self.start..self.end;
+                (self.start, self.scanned) = (self.end, 0);
+                Some(if line.is_empty() {
+                    Frame::Eof
+                } else {
+                    Frame::Line(line)
+                })
+            }
+            None => {
+                self.scanned = data.len();
+                None
+            }
+        }
+    }
+
+    /// Serves up to [`MAX_BURST`] buffered requests on the home shard.
+    /// Returns whether it handled any.
+    pub(crate) fn serve(&mut self, shard: &mut Shard) -> bool {
+        if let Some(ticket) = self.awaiting {
+            if !self.out.lock().filled(ticket) {
+                return false;
+            }
+            self.awaiting = None;
+        }
+        let mut worked = false;
+        self.stalled = true;
+        for _ in 0..MAX_BURST {
+            let (closed, full) = {
+                let st = self.out.lock();
+                (st.closed, st.slots.len() >= self.out.cap)
+            };
+            if closed {
+                // Input ended, or the connection was cut: nothing more
+                // is served.
+                self.stalled = false;
+                return worked;
+            }
+            if full {
+                return worked;
+            }
+            let Some(frame) = self.next_frame() else {
+                self.stalled = false;
+                return worked;
+            };
+            worked = true;
+            let range = match frame {
+                Frame::Eof => {
+                    self.eof = true;
+                    self.out.close();
+                    continue;
+                }
+                Frame::Rejected(detail) => {
+                    self.reject(&detail, shard);
+                    continue;
+                }
+                Frame::Line(range) => range,
+            };
+            let Ok(line) = std::str::from_utf8(&self.buf[range]) else {
+                self.reject("request line is not valid UTF-8", shard);
+                continue;
+            };
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            // HTTP-ish escape hatch: a Prometheus scraper (or curl)
+            // speaking plain HTTP gets one response and a closed
+            // connection.
+            if let Some(rest) = line.strip_prefix("GET ") {
+                self.hand_off(Job::Http(rest.to_string()));
+                self.eof = true;
+                self.out.close();
+                continue;
+            }
+            self.awaiting = self.serve_line(line, shard);
+            if self.awaiting.is_some() {
+                return worked;
+            }
+        }
+        worked
+    }
+
+    /// Hands a job to the acceptor and returns its reply slot's ticket.
+    fn hand_off(&self, job: Job) -> Option<u64> {
+        let slot = ReplySlot::reserve(&self.out, 0)?;
+        let ticket = slot.ticket;
+        self.acceptor.submit(job, slot);
+        Some(ticket)
+    }
+
+    /// Counts a rejected frame and answers it with a `protocol_error`.
+    fn reject(&self, detail: &str, shard: &mut Shard) {
+        FRAMES_REJECTED.fetch_add(1, Ordering::Relaxed);
+        self.reply(protocol::protocol_error_line(detail), shard);
+    }
+
+    /// Queues a reply that needs no shard, written once the burst is
+    /// handled.
+    fn reply(&self, line: String, shard: &mut Shard) {
+        if let Some(slot) = ReplySlot::reserve(&self.out, 0) {
+            slot.answer(Ok(line), &mut shard.flushes, Flush::Burst);
+        }
+    }
+
+    /// Serves one request line on the connection's home shard. Returns
+    /// the ticket of a request handed to the acceptor, which the
+    /// connection waits for before it reads on.
+    fn serve_line(&self, line: &str, shard: &mut Shard) -> Option<u64> {
+        let mut request = match Request::parse(line) {
+            Ok(r) => r,
+            Err(e) => {
+                self.reply(protocol::err_line(&e), shard);
+                return None;
+            }
+        };
+        let server = &*self.out.server;
+        let session = match &request {
+            Request::Event { session, .. }
+            | Request::Batch { session, .. }
+            | Request::Query { session }
+            | Request::Subscribe { session }
+            | Request::Describe { session }
+            | Request::Close { session }
+            | Request::Stats {
+                session: Some(session),
+            } => *session,
+            // A keyed open keeps its key: cluster placement chose it. Any
+            // other takes the next free id on this shard, the
+            // connection's home, so the session lives where it is served.
+            Request::Open {
+                session: Some(key), ..
+            } => server.reserve_key(*key),
+            Request::Open { session: None, .. } => server.next_session_id_on(shard.index()),
+            // Streamed cluster verbs are silent even outside cluster mode:
+            // they are fire-and-forget, so a reply would desynchronize the
+            // sender's framing. They get no slot.
+            Request::JournalAppend { .. }
+            | Request::SnapshotShip { .. }
+            | Request::Heartbeat { .. } => {
+                server.cluster().and_then(|c| c.handle_request(request));
+                return None;
+            }
+            // Everything else may wait on every shard or on a peer.
+            _ => return self.hand_off(Job::Request(request)),
+        };
+        if let Request::Open {
+            session: key,
+            program: None,
+            source: Some(_),
+            ..
+        } = &mut request
+        {
+            *key = Some(session);
+            return self.hand_off(Job::Request(request));
+        }
+        let slot = ReplySlot::reserve(&self.out, session)?;
+        if server.shard_of(session) == shard.index() {
+            shard.serve_wire(session, request, slot);
+        } else {
+            let cmd = Command::Wire {
+                session,
+                request,
+                slot,
+            };
+            server.post(session, cmd);
+        }
+        None
+    }
+
+    /// Whether the loop keeps this connection: `false` once its socket is
+    /// shut down. Enforces the write deadline first.
+    pub(crate) fn keep(&mut self, now: Instant) -> bool {
+        !self.out.check_deadline(now)
+    }
+
+    /// Closes the connection where it stands (its shard is stopping).
+    pub(crate) fn shut_down(&self) {
+        let mut st = self.out.lock();
+        self.out.abandon(&mut st, None);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::EnqueueOutcome;
+    use crate::registry::ProgramSpec;
     use crate::server::{Server, ServerConfig};
-    use std::io::Read;
+    use std::io::{BufRead, BufReader};
 
     fn start(config: NetConfig) -> (Arc<Server>, std::net::SocketAddr) {
         let server = Arc::new(Server::start(ServerConfig {
@@ -1062,111 +1186,151 @@ mod tests {
         }
     }
 
+    /// An outbound queue over one end of a loopback socket, and the other
+    /// end, as a client reads it.
+    fn queue_over_socket(config: NetConfig) -> (Arc<OutboundQueue>, BufReader<TcpStream>) {
+        let server = Arc::new(Server::start(ServerConfig {
+            shards: 1,
+            ..ServerConfig::default()
+        }));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let out = Arc::new(OutboundQueue::new(stream, &server, 0, config));
+        (out, BufReader::new(client))
+    }
+
+    #[test]
+    fn accept_errors_are_classified_by_what_they_say_about_the_listener() {
+        let kind = |errno| accept_error(&io::Error::from_raw_os_error(errno));
+        // ECONNABORTED (a client reset before accept), EINTR, EPROTO,
+        // EPERM: only that one connection, or that one call, failed.
+        for errno in [103, 4, 71, 1] {
+            assert_eq!(kind(errno), AcceptError::Retry, "errno {errno}");
+        }
+        // EMFILE, ENFILE, ENOBUFS, ENOMEM: out of fds or socket memory
+        // for now.
+        for errno in [24, 23, 105, 12] {
+            assert_eq!(kind(errno), AcceptError::Backoff, "errno {errno}");
+        }
+        // EBADF, EINVAL, ENOTSOCK: the listener itself is unusable.
+        for errno in [9, 22, 88] {
+            assert_eq!(kind(errno), AcceptError::Stop, "errno {errno}");
+        }
+    }
+
     #[test]
     fn a_reply_slot_dropped_unanswered_fills_with_shard_is_down() {
-        let out = OutboundQueue::new(NetConfig::default());
-        let slot = |out: &Arc<OutboundQueue>| ReplySlot {
-            out: Some(Arc::clone(out)),
-            ticket: out.reserve().unwrap(),
-            session: 7,
-        };
+        let (out, mut client) = queue_over_socket(NetConfig::default());
         // A shard that is already gone: the command, and the slot inside
-        // its answer sink, is dropped on the failed send.
+        // it, is dropped on the failed send.
         let (tx, rx) = crossbeam::channel::unbounded();
         drop(rx);
-        let dead = tx.send(Command::Event {
+        let dead = tx.send(Command::Wire {
             session: 7,
-            input: "Mouse.clicks".to_string(),
-            value: elm_runtime::Value::Unit,
-            trace: 0,
-            answer: Answer::Slot(slot(&out)),
+            request: Request::Query { session: 7 },
+            slot: ReplySlot::reserve(&out, 7).unwrap(),
         });
         assert!(dead.is_err());
         drop(dead);
         // A slot answered normally behind it, and one a dying shard
         // drops after the connection's input ended.
-        let mut wakes = Wakes::default();
-        slot(&out).answer(Ok(EnqueueOutcome::Accepted), &mut wakes);
-        wakes.wake_all();
-        let last = slot(&out);
+        let mut flushes = Flushes::default();
+        let accepted = protocol::event_line(EnqueueOutcome::Accepted);
+        let answered = ReplySlot::reserve(&out, 7).unwrap();
+        answered.answer(Ok(accepted.clone()), &mut flushes, Flush::Burst);
+        flushes.flush_all();
+        let last = ReplySlot::reserve(&out, 7).unwrap();
         out.close();
         drop(last);
 
-        // The writer gets all three in order, then stops instead of
-        // waiting on a slot nobody will fill.
-        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
-        let writer_out = Arc::clone(&out);
-        thread::spawn(move || {
-            let mut ready = Vec::new();
-            let mut lines = Vec::new();
-            while writer_out.take_ready(&mut ready) {
-                lines.extend(ready.drain(..).map(|slot| match slot {
-                    Slot::Line(line) => line,
-                    _ => panic!("expected rendered lines"),
-                }));
-            }
-            let _ = done_tx.send(lines);
-        });
-        let lines = done_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the writer wedged on an unfilled slot");
+        // The client gets all three in order, then the end of the stream
+        // instead of a wait on a slot nobody will fill.
         let down = protocol::err_line(SHARD_DOWN);
-        assert_eq!(
-            lines,
-            vec![
-                down.clone(),
-                protocol::event_line(EnqueueOutcome::Accepted),
-                down
-            ]
-        );
+        let lines: Vec<String> = client.by_ref().lines().map(Result::unwrap).collect();
+        assert_eq!(lines, vec![down.clone(), accepted, down]);
     }
 
     #[test]
-    fn a_quiet_ack_goes_out_with_the_next_update_or_at_the_end_of_the_burst() {
-        // A writer thread reporting how many lines it has taken.
-        let out = OutboundQueue::new(NetConfig::default());
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let writer_out = Arc::clone(&out);
-        thread::spawn(move || {
-            let mut ready = Vec::new();
-            while writer_out.take_ready(&mut ready) {
-                for _ in ready.drain(..) {
-                    let _ = tx.send(());
-                }
-            }
-        });
-        let quiet_ack = |wakes: &mut Wakes| {
-            let slot = ReplySlot {
-                out: Some(Arc::clone(&out)),
-                ticket: out.reserve().unwrap(),
-                session: 1,
-            };
-            slot.answer(Ok(EnqueueOutcome::Accepted), wakes);
+    fn an_ack_waiting_for_the_pump_leaves_with_the_next_update_or_after_the_pump() {
+        let (out, mut client) = queue_over_socket(NetConfig::default());
+        let accepted = protocol::event_line(EnqueueOutcome::Accepted);
+        let mut flushes = Flushes::default();
+        let ack = |flushes: &mut Flushes| {
+            let slot = ReplySlot::reserve(&out, 1).unwrap();
+            slot.answer(Ok(accepted.clone()), flushes, Flush::Pump);
         };
-        let expect_lines = |n: usize| {
-            for _ in 0..n {
-                rx.recv_timeout(Duration::from_secs(10))
-                    .expect("the writer was never woken");
-            }
+        let unsent = |client: &mut BufReader<TcpStream>| {
+            client.get_ref().set_nonblocking(true).unwrap();
+            let quiet = client
+                .fill_buf()
+                .is_err_and(|e| e.kind() == io::ErrorKind::WouldBlock);
+            client.get_ref().set_nonblocking(false).unwrap();
+            quiet
         };
-        // Let the writer park, so only a wake can move the lines.
-        let park = || thread::sleep(Duration::from_millis(50));
+        let read_line = |client: &mut BufReader<TcpStream>| {
+            let mut line = String::new();
+            client.read_line(&mut line).unwrap();
+            line.trim().to_string()
+        };
 
-        // An ack filled inside a command burst goes out with the next
-        // update pushed, before the burst ends...
-        let mut wakes = Wakes::default();
-        park();
-        quiet_ack(&mut wakes);
+        // An ack filled during a burst is not written when the burst is
+        // handled...
+        ack(&mut flushes);
+        flushes.flush_burst();
+        assert!(unsent(&mut client), "the ack left before the pump");
+        // ...but with the first update the pump pushes...
         assert!(out.push_update(1, "update".to_string()));
-        expect_lines(2);
-        wakes.wake_all();
+        assert_eq!(read_line(&mut client), accepted);
+        assert_eq!(read_line(&mut client), "update");
+        flushes.flush_all();
 
-        // ...or, with no update, when the burst ends.
-        park();
-        quiet_ack(&mut wakes);
-        wakes.wake_all();
-        expect_lines(1);
-        out.close();
+        // ...or, when the pump pushes none, after it.
+        ack(&mut flushes);
+        assert!(unsent(&mut client));
+        flushes.flush_all();
+        assert_eq!(read_line(&mut client), accepted);
+    }
+
+    /// Held by the tests that cut a slow consumer, since one of them
+    /// waits for the process-wide count of such cuts to move.
+    static SLOW_CUTS: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn a_subscriber_cut_by_the_loop_timer_gets_the_slow_consumer_notice() {
+        let _one_at_a_time = SLOW_CUTS.lock().unwrap_or_else(|e| e.into_inner());
+        let (out, mut client) = queue_over_socket(NetConfig {
+            outbound_queue: 4,
+            ..NetConfig::default()
+        });
+        // Updates pile up behind a socket the client does not drain,
+        // until they hold the queue over capacity; then the pushes stop.
+        let fat = "u".repeat(64 * 1024);
+        while out.lock().over.is_none() {
+            assert!(out.push_update(3, fat.clone()));
+        }
+        // The client drains what the socket took. Nothing here polls the
+        // socket, so only the loop timer's check can cut the connection.
+        let mut sink = vec![0; 1 << 20];
+        client.get_ref().set_nonblocking(true).unwrap();
+        for _ in 0..3 {
+            while client.get_mut().read(&mut sink).is_ok_and(|n| n > 0) {}
+            thread::sleep(Duration::from_millis(20));
+        }
+        client.get_ref().set_nonblocking(false).unwrap();
+        assert!(!out.check_deadline(Instant::now()));
+        assert!(out.check_deadline(Instant::now() + Duration::from_secs(2)));
+
+        // What remains is the tail of a line the socket took in part,
+        // then the subscriber's notice, not an error line.
+        let mut rest = Vec::new();
+        client.read_to_end(&mut rest).unwrap();
+        let rest = String::from_utf8(rest).unwrap();
+        assert_eq!(rest.lines().last(), Some(slow_notice(3).as_str()));
     }
 
     #[test]
@@ -1330,6 +1494,7 @@ mod tests {
 
     #[test]
     fn slow_subscriber_is_cut_without_stalling_its_peers() {
+        let _one_at_a_time = SLOW_CUTS.lock().unwrap_or_else(|e| e.into_inner());
         let before = counters().slow_disconnects;
         let (server, addr) = start(NetConfig {
             outbound_queue: 8,

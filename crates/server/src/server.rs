@@ -1,19 +1,21 @@
 //! The session manager: routes sessions to shards, merges statistics.
 //!
 //! [`Server`] is the in-process API the TCP front end ([`crate::net`]),
-//! the load generator, and tests all share. It owns the shard pool and
-//! the program [`Registry`]; every per-session operation is forwarded to
-//! the owning shard over its command channel. An in-process caller waits
-//! on a one-shot reply channel; the wire front end instead hands `event`
-//! and `batch` requests over with their reserved reply slot and never
-//! waits (see [`crate::net`]).
+//! the load generator, and tests all share. It owns the shard pool, the
+//! session-id counter and the program [`Registry`]; every per-session
+//! operation is forwarded to the owning shard over its command channel,
+//! whose loop is woken only when it is parked. An in-process caller waits
+//! on a one-shot reply channel. The wire front end never waits: a shard
+//! applies requests for its own sessions itself and posts the rest with
+//! their reserved reply slot (see [`crate::net`]). No shard ever waits on
+//! a shard, so the blocking calls here assert they are not made on one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, Weak};
 use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver};
-use elm_runtime::{JournalEntry, PlainValue, StatsSnapshot, WireSnapshot};
+use elm_runtime::{JournalEntry, PlainValue, SignalGraph, StatsSnapshot, WireSnapshot};
 
 use crate::admission::{AdmissionConfig, MemoryGauge};
 use crate::cluster::{Cluster, ReplicationTap};
@@ -24,13 +26,15 @@ use crate::protocol::{
 };
 use crate::registry::{ProgramSpec, Registry};
 use crate::session::{SessionConfig, SessionId, TraceMailbox, UpdateSink};
-use crate::shard::{Answer, Command, ShardHandle, ShardStats};
+use crate::shard::{self, Command, ShardHandle, ShardStats};
+use crate::sys::Doorbell;
 use std::sync::Arc;
 
 /// Server-wide configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServerConfig {
-    /// Worker threads; sessions are pinned to `session id % shards`.
+    /// Worker threads; sessions are pinned to `session id % shards`, and
+    /// each accepted connection is served by one of them.
     pub shards: usize,
     /// Default per-session ingress configuration (overridable per open).
     pub session: SessionConfig,
@@ -55,6 +59,14 @@ impl Default for ServerConfig {
 }
 
 pub(crate) const SHARD_DOWN: &str = "shard is down";
+
+/// A resolved `open`: the program and the configuration to host it with.
+pub(crate) struct OpenPlan {
+    pub(crate) name: String,
+    pub(crate) graph: SignalGraph,
+    pub(crate) source: Option<String>,
+    pub(crate) config: SessionConfig,
+}
 
 /// A running multi-session server (see module docs).
 pub struct Server {
@@ -129,27 +141,101 @@ impl Server {
         &self.config
     }
 
-    fn shard_for(&self, session: SessionId) -> &ShardHandle {
-        &self.shards[(session as usize) % self.shards.len()]
+    /// The index of the shard that hosts `session`.
+    pub(crate) fn shard_of(&self, session: SessionId) -> usize {
+        (session as usize) % self.shards.len()
     }
 
-    /// Hands a command to `session`'s shard without waiting for it.
-    /// Commands from one thread reach a shard in the order they were
-    /// posted. If the shard is down the command is dropped, and with it
-    /// its answer sink (a dropped [`crate::net::ReplySlot`] answers
-    /// `shard is down`).
+    /// How many shards the pool runs.
+    pub(crate) fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The doorbell of shard `index`'s loop.
+    pub(crate) fn shard_bell(&self, index: usize) -> &Arc<Doorbell> {
+        self.shards[index].sender().bell()
+    }
+
+    /// Hands a command to shard `index` without waiting for it, waking
+    /// the shard only if it is parked. Commands from one thread reach a
+    /// shard in the order they were sent. If the shard is down the
+    /// command is dropped, and with it its answer sink (a dropped
+    /// [`crate::net::ReplySlot`] answers `shard is down`).
+    pub(crate) fn send_to_shard(&self, index: usize, cmd: Command) {
+        let _ = self.shards[index].sender().send(cmd);
+    }
+
+    /// Hands a command to `session`'s shard without waiting for it (see
+    /// [`Server::send_to_shard`]).
     pub(crate) fn post(&self, session: SessionId, cmd: Command) {
-        let _ = self.shard_for(session).sender().send(cmd);
+        self.send_to_shard(self.shard_of(session), cmd);
     }
 
+    /// Posts a command and waits for its answer. Never called on a shard
+    /// thread: a shard that waited on a shard could wait on itself.
     fn ask<R>(
         &self,
         session: SessionId,
         make: impl FnOnce(channel::Sender<R>) -> Command,
     ) -> Result<R, String> {
+        debug_assert!(!shard::on_shard(), "a shard waited on a shard");
         let (tx, rx) = channel::bounded(1);
         self.post(session, make(tx));
         rx.recv().map_err(|_| SHARD_DOWN.to_string())
+    }
+
+    /// The next free session id congruent to `shard`, for an unkeyed open
+    /// on a connection whose home is that shard: the session then lives
+    /// on the thread that serves the connection. One counter serves every
+    /// shard, and the ids it skips stay unused.
+    pub(crate) fn next_session_id_on(&self, shard: usize) -> SessionId {
+        let (n, home) = (self.shards.len() as u64, shard as u64);
+        let on_home = |c: u64| c + (home + n - c % n) % n;
+        let taken = self
+            .next_id
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| Some(on_home(c) + 1))
+            .expect("the update always yields a value");
+        on_home(taken)
+    }
+
+    /// Claims a caller-chosen (cluster-keyed) id: bumps the id counter
+    /// past `key` so unkeyed opens never collide with it.
+    pub(crate) fn reserve_key(&self, key: SessionId) -> SessionId {
+        self.next_id.fetch_max(key + 1, Ordering::SeqCst);
+        key
+    }
+
+    /// Resolves (compiling if need be) the program an `open` names, and
+    /// the session configuration it asks for. A client's source may take
+    /// long to compile, so no shard compiles one.
+    pub(crate) fn plan_open(
+        &self,
+        spec: ProgramSpec<'_>,
+        queue: Option<usize>,
+        policy: Option<BackpressurePolicy>,
+        observe: bool,
+    ) -> Result<OpenPlan, String> {
+        debug_assert!(
+            !(matches!(spec, ProgramSpec::Source(_)) && shard::on_shard()),
+            "a shard compiled a client's source"
+        );
+        let (name, graph, source) = self.registry.resolve_with_source(spec)?;
+        let mut config = self.config.session;
+        if let Some(q) = queue {
+            config.queue_capacity = q.max(1);
+        }
+        if let Some(p) = policy {
+            config.policy = p;
+        }
+        if observe {
+            config.observe = true;
+        }
+        Ok(OpenPlan {
+            name,
+            graph,
+            source,
+            config,
+        })
     }
 
     /// Compiles/looks up a program and hosts it as a new session.
@@ -165,7 +251,7 @@ impl Server {
         observe: bool,
     ) -> Result<OpenInfo, String> {
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        self.open_at(id, spec, queue, policy, observe)
+        self.open_at(id, self.plan_open(spec, queue, policy, observe)?)
     }
 
     /// Hosts a session under a caller-chosen id — cluster mode, where
@@ -184,35 +270,17 @@ impl Server {
         policy: Option<BackpressurePolicy>,
         observe: bool,
     ) -> Result<OpenInfo, String> {
-        self.next_id.fetch_max(key + 1, Ordering::SeqCst);
-        self.open_at(key, spec, queue, policy, observe)
+        let id = self.reserve_key(key);
+        self.open_at(id, self.plan_open(spec, queue, policy, observe)?)
     }
 
-    fn open_at(
-        &self,
-        id: SessionId,
-        spec: ProgramSpec<'_>,
-        queue: Option<usize>,
-        policy: Option<BackpressurePolicy>,
-        observe: bool,
-    ) -> Result<OpenInfo, String> {
-        let (name, graph, source) = self.registry.resolve_with_source(spec)?;
-        let mut config = self.config.session;
-        if let Some(q) = queue {
-            config.queue_capacity = q.max(1);
-        }
-        if let Some(p) = policy {
-            config.policy = p;
-        }
-        if observe {
-            config.observe = true;
-        }
+    fn open_at(&self, id: SessionId, plan: OpenPlan) -> Result<OpenInfo, String> {
         self.ask(id, |reply| Command::Open {
             id,
-            name,
-            graph,
-            source,
-            config: Box::new(config),
+            name: plan.name,
+            graph: plan.graph,
+            source: plan.source,
+            config: Box::new(plan.config),
             reply,
         })?
     }
@@ -241,7 +309,7 @@ impl Server {
         let mut config = self.config.session;
         config.queue_capacity = meta.queue.max(1);
         config.policy = meta.policy;
-        self.next_id.fetch_max(session + 1, Ordering::SeqCst);
+        self.reserve_key(session);
         self.ask(session, |reply| Command::Adopt {
             id: session,
             name,
@@ -314,7 +382,7 @@ impl Server {
             input: input.to_string(),
             value: value.to_value(),
             trace,
-            answer: Answer::Channel(tx),
+            reply: tx,
         })?
     }
 
@@ -335,7 +403,7 @@ impl Server {
         self.ask(session, |tx| Command::Batch {
             session,
             events,
-            answer: Answer::Channel(tx),
+            reply: tx,
         })?
     }
 
@@ -419,6 +487,7 @@ impl Server {
     /// entry `i` of the result came from shard `i`'s reply (dead shards
     /// report a default entry).
     fn collect_shard_stats(&self) -> Vec<ShardStats> {
+        debug_assert!(!shard::on_shard(), "a shard waited on a shard");
         let mut per_shard: Vec<ShardStats> = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
             let (tx, rx) = channel::bounded(1);
@@ -592,6 +661,54 @@ mod tests {
         let (global, _) = server.stats();
         assert_eq!(global.sessions_live, 1);
         assert_eq!(global.closed, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn connection_opens_take_ids_on_their_home_shard() {
+        let server = Server::start(ServerConfig {
+            shards: 3,
+            ..ServerConfig::default()
+        });
+        let mut seen = std::collections::HashSet::new();
+        for home in [0, 2, 2, 1, 0, 1, 2] {
+            let id = server.next_session_id_on(home);
+            assert_eq!(server.shard_of(id), home, "id {id}");
+            assert!(seen.insert(id), "id {id} handed out twice");
+        }
+        // Keyed ids stay clear of later opens of either kind.
+        server.reserve_key(100);
+        assert!(server.next_session_id_on(0) > 100);
+        let plain = server
+            .open(ProgramSpec::Builtin("counter"), None, None, false)
+            .unwrap();
+        assert!(plain.session > 100);
+        server.shutdown();
+    }
+
+    #[test]
+    fn round_trips_to_a_parked_shard_lose_no_doorbell() {
+        let server = Server::start(ServerConfig {
+            shards: 1,
+            ..ServerConfig::default()
+        });
+        let s = server
+            .open(ProgramSpec::Builtin("counter"), None, None, false)
+            .unwrap()
+            .session;
+        // Between queries the shard parks in `poll`; only its doorbell
+        // wakes it before the poll timeout. A lost ring costs up to one
+        // tick, so a lost ring per query would take about 1,000 ticks.
+        let rounds = 2000;
+        let start = std::time::Instant::now();
+        for _ in 0..rounds {
+            server.query(s).unwrap();
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < crate::shard::TICK * rounds / 4,
+            "{rounds} round trips took {elapsed:?}"
+        );
         server.shutdown();
     }
 

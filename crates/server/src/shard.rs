@@ -1,32 +1,52 @@
 //! Sharded worker pool: each shard is one thread owning a disjoint set of
-//! sessions, actor-style.
+//! sessions and of client connections, actor-style.
 //!
 //! Sessions are pinned to a shard at open time (`session id % shard
 //! count`), so all mutation of a session happens on one thread and the
-//! shard needs no locks around session state. Commands arrive on a
-//! channel, each carrying where its answer goes: a reply channel, or for
-//! `event` and `batch` an [`Answer`] sink, which a wire connection makes
-//! from its reserved reply slot. The shard thus completes each event
-//! itself: it renders the ack into the connection's slot, and its
-//! sessions render and stage replication lines (see
-//! [`crate::cluster::ReplicationTap`]), without waiting on another
-//! thread or taking a cluster lock. After each burst of commands the
-//! shard pumps every session with queued events, then sweeps for
-//! evictions (idle timeout, exhausted restart budget). In cluster mode
-//! it group-commits replication: once the oldest staged line is one
-//! [`TICK`] old it queues every session's staged lines on the replica
-//! links, and while lines are staged its idle wait ends at that
-//! deadline, so a quiet shard still ships its suffix on time. Sessions
-//! whose runtimes crash are *not* evicted — they recover in place from
-//! snapshot + journal (see [`crate::session`]); only a session that
-//! exhausts its [`crate::supervisor::RestartBudget`] is removed, with
-//! the `recovery_failed` close reason.
+//! shard needs no locks around session state. Each accepted connection
+//! has a *home* shard too, and the shard thread is a readiness loop:
+//! [`run`] waits in `poll(2)` on its connections' sockets and on a
+//! doorbell that rings when a [`Command`] arrives while it is parked. The
+//! loop reads its connections' request lines and applies each request
+//! for one of its own sessions itself (see [`crate::net`]). A request for
+//! another shard's session reaches that shard as [`Command::Wire`],
+//! carrying its reserved reply slot, which the shard renders and fills.
+//! An in-process caller's command carries a reply channel instead. The
+//! shard's sessions render and stage replication lines too (see
+//! [`crate::cluster::ReplicationTap`]).
+//!
+//! No shard ever waits on a shard, itself included: every blocking call
+//! in [`crate::server`] asserts it is not made on a shard thread. Verbs
+//! that must wait on every shard run on the acceptor thread instead, and
+//! a federated scrape, which waits on peers, and the compile of a
+//! client's `open` source each run on a short-lived thread the acceptor
+//! starts. A shard does take the cluster's one ownership lock,
+//! briefly, to apply a streamed peer verb or resolve a `moved` redirect;
+//! that is safe because nothing holds that lock while it waits on a
+//! shard.
+//!
+//! Each loop turn handles a burst of commands and of request lines, then
+//! writes the replies it filled, one write per connection, then pumps the
+//! sessions the burst touched (updates are written as they are pushed).
+//! Acks of events a pump is about to apply wait for that pump and leave
+//! with the first update it writes to their connection. Once per [`TICK`]
+//! the loop sweeps every session: due crash recoveries run, and idle
+//! sessions and sessions that exhausted their restart budget are evicted.
+//! In cluster mode it group-commits replication: once the oldest staged
+//! line is one [`TICK`] old it queues every session's staged lines on the
+//! replica links, and while lines are staged its poll timeout ends at
+//! that deadline, so a quiet shard still ships its suffix on time.
+//! Sessions whose runtimes crash are *not* evicted — they recover in
+//! place from snapshot + journal (see [`crate::session`]); only a session
+//! that exhausts its [`crate::supervisor::RestartBudget`] is removed,
+//! with the `recovery_failed` close reason.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, SendError, Sender, TryRecvError};
 use elm_environment::fault::{self, FaultPlan};
 use elm_runtime::{NodeKind, PlainValue, SignalGraph, Value};
 use rand::Rng;
@@ -35,21 +55,37 @@ use std::sync::Arc;
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController, MemoryGauge};
 use crate::cluster::ReplicationTap;
-use crate::net::{ReplySlot, Wakes};
+use crate::net::{Connection, Flush, Flushes, ReplySlot};
 use crate::protocol::{
-    AdmissionStats, BatchOutcome, DescribeInfo, EnqueueOutcome, OpenInfo, QueryInfo, SessionStats,
+    self, AdmissionStats, BatchOutcome, DescribeInfo, EnqueueOutcome, OpenInfo, QueryInfo, Request,
+    SessionStats,
 };
+use crate::registry::ProgramSpec;
+use crate::server::OpenPlan;
 use crate::session::{Session, SessionConfig, SessionId, TraceMailbox, UpdateSink};
+use crate::sys::{self, Doorbell, PollFd, POLLIN};
 use elm_runtime::{JournalEntry, WireSnapshot};
 
-/// How long a shard sleeps when no commands arrive before re-checking
-/// eviction deadlines; also how long staged replication lines linger
-/// before the shard queues them on the replica links.
-const TICK: Duration = Duration::from_millis(5);
+/// The longest a shard waits in `poll` before it re-checks write
+/// deadlines; how often it sweeps its sessions for due recoveries and
+/// evictions; and how long staged replication lines linger before the
+/// shard queues them on the replica links.
+pub(crate) const TICK: Duration = Duration::from_millis(5);
 
-/// How many commands a shard absorbs back-to-back before it pumps the
-/// affected sessions — bounds ingest-to-output latency under a firehose.
-const MAX_BURST: usize = 256;
+/// How many commands, and how many request lines per connection, a shard
+/// absorbs back-to-back before it pumps the affected sessions — bounds
+/// ingest-to-output latency under a firehose.
+pub(crate) const MAX_BURST: usize = 256;
+
+thread_local! {
+    /// Set on shard threads: a shard must never wait on a shard.
+    static ON_SHARD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a shard thread.
+pub(crate) fn on_shard() -> bool {
+    ON_SHARD.with(Cell::get)
+}
 
 /// Lifecycle counters owned by one shard.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -82,26 +118,6 @@ pub struct ShardStats {
     /// Commands waiting on the shard's channel when the last burst began
     /// (the admission queue depth).
     pub cmd_backlog: u64,
-}
-
-/// Where a shard delivers its answer to an `event` or `batch`.
-pub enum Answer<T> {
-    /// An in-process caller blocked on a channel.
-    Channel(Sender<Result<T, String>>),
-    /// A wire connection's reserved reply slot: the shard renders the
-    /// reply line and fills the slot itself.
-    Slot(ReplySlot),
-}
-
-/// Hands an `event`/`batch` answer to its sink; a filled wire slot's
-/// writer is woken with `wakes` once the command burst is handled.
-fn deliver<T: crate::net::WireReply>(answer: Answer<T>, res: Result<T, String>, wakes: &mut Wakes) {
-    match answer {
-        Answer::Channel(tx) => {
-            let _ = tx.send(res);
-        }
-        Answer::Slot(slot) => slot.answer(res, wakes),
-    }
 }
 
 /// One request to a shard. Every variant carries where its answer goes.
@@ -172,7 +188,7 @@ pub enum Command {
         /// Causal trace id riding the event (0 = untraced).
         trace: u64,
         /// Receives the queue outcome.
-        answer: Answer<EnqueueOutcome>,
+        reply: Sender<Result<EnqueueOutcome, String>>,
     },
     /// Many input events, enqueued in order.
     Batch {
@@ -181,7 +197,7 @@ pub enum Command {
         /// `(input, value)` pairs.
         events: Vec<(String, Value)>,
         /// Receives the per-category tally.
-        answer: Answer<BatchOutcome>,
+        reply: Sender<Result<BatchOutcome, String>>,
     },
     /// The hosted program's source and graph fingerprint.
     Describe {
@@ -229,13 +245,52 @@ pub enum Command {
         /// Acknowledges the close.
         reply: Sender<Result<(), String>>,
     },
+    /// A wire request about a session this shard hosts (for `open`: the
+    /// id it will host), read by another shard's connection.
+    Wire {
+        /// Target session.
+        session: SessionId,
+        /// The parsed request.
+        request: Request,
+        /// The connection's reply slot the shard fills.
+        slot: ReplySlot,
+    },
+    /// Serve a newly accepted client connection from this shard's loop.
+    Connect(Box<Connection>),
     /// Stop the shard thread (pumps and notifies remaining sessions).
     Shutdown,
 }
 
+/// A shard's command channel. Sending wakes the shard's loop when it is
+/// parked, and costs no system call when it is not.
+pub struct ShardSender {
+    tx: Sender<Command>,
+    bell: Arc<Doorbell>,
+}
+
+impl ShardSender {
+    /// Hands the shard a command. Commands from one thread reach the
+    /// shard in the order they were sent.
+    ///
+    /// # Errors
+    ///
+    /// Fails once the shard is gone, dropping the command and with it its
+    /// answer sink.
+    pub fn send(&self, cmd: Command) -> Result<(), SendError<()>> {
+        let sent = self.tx.send(cmd).map_err(|_| SendError(()));
+        self.bell.ring();
+        sent
+    }
+
+    /// The doorbell of the shard's loop.
+    pub(crate) fn bell(&self) -> &Arc<Doorbell> {
+        &self.bell
+    }
+}
+
 /// Handle to a running shard thread.
 pub struct ShardHandle {
-    tx: Sender<Command>,
+    tx: ShardSender,
     handle: JoinHandle<()>,
 }
 
@@ -254,15 +309,34 @@ impl ShardHandle {
         tap: Arc<ReplicationTap>,
     ) -> ShardHandle {
         let (tx, rx) = channel::unbounded();
+        let bell = Arc::new(Doorbell::new());
+        let shard = Shard {
+            sessions: HashMap::new(),
+            counters: ShardCounters::default(),
+            idle_timeout,
+            admission: AdmissionController::new(admission, memory.clone()),
+            memory,
+            cmd_backlog: 0,
+            tap,
+            flushes: Flushes::default(),
+            staged_since: None,
+            touched: Vec::new(),
+            next_sweep: Instant::now() + TICK,
+            index,
+        };
+        let loop_bell = Arc::clone(&bell);
         let handle = thread::Builder::new()
             .name(format!("elm-shard-{index}"))
-            .spawn(move || run(rx, idle_timeout, index, faults, admission, memory, tap))
+            .spawn(move || run(shard, rx, &loop_bell, faults))
             .expect("spawning a shard thread");
-        ShardHandle { tx, handle }
+        ShardHandle {
+            tx: ShardSender { tx, bell },
+            handle,
+        }
     }
 
     /// The shard's command channel.
-    pub fn sender(&self) -> &Sender<Command> {
+    pub fn sender(&self) -> &ShardSender {
         &self.tx
     }
 
@@ -284,7 +358,8 @@ pub(crate) fn input_names(graph: &SignalGraph) -> Vec<String> {
         .collect()
 }
 
-struct Shard {
+/// One shard's sessions and the state its loop keeps beside them.
+pub(crate) struct Shard {
     sessions: HashMap<SessionId, Session>,
     counters: ShardCounters,
     idle_timeout: Option<Duration>,
@@ -292,84 +367,118 @@ struct Shard {
     memory: Arc<MemoryGauge>,
     cmd_backlog: u64,
     tap: Arc<ReplicationTap>,
-    /// Connection writers owed a wake for acks filled this burst.
-    wakes: Wakes,
+    /// Connections whose reply slots were filled this loop turn, written
+    /// once each (see [`Flushes`]).
+    pub(crate) flushes: Flushes,
     /// When the shard first saw replication lines staged since its last
     /// flush (cluster mode only).
     staged_since: Option<Instant>,
+    /// Sessions this turn's burst touched: the only ones it pumps.
+    touched: Vec<SessionId>,
+    /// When the loop next sweeps every session.
+    next_sweep: Instant,
+    /// This shard's position in the pool.
+    index: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run(
-    rx: Receiver<Command>,
-    idle_timeout: Option<Duration>,
-    index: usize,
-    faults: FaultPlan,
-    admission: AdmissionConfig,
-    memory: Arc<MemoryGauge>,
-    tap: Arc<ReplicationTap>,
-) {
-    let mut shard = Shard {
-        sessions: HashMap::new(),
-        counters: ShardCounters::default(),
-        idle_timeout,
-        admission: AdmissionController::new(admission, memory.clone()),
-        memory,
-        cmd_backlog: 0,
-        tap,
-        wakes: Wakes::default(),
-        staged_since: None,
-    };
-    // Worker-stall injection: one roll per handled command burst. Stalls
-    // only delay the worker (sessions must tolerate a frozen shard); they
-    // never change what gets applied.
-    let mut stall_rng = (faults.stall > 0.0).then(|| faults.rng(fault::STREAM_STALL, index as u64));
+/// The shard's readiness loop (see the module docs).
+fn run(mut shard: Shard, rx: Receiver<Command>, bell: &Doorbell, faults: FaultPlan) {
+    ON_SHARD.with(|on| on.set(true));
+    let mut conns: Vec<Connection> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    // `polled[i]` is the connection behind `fds[i + 1]`.
+    let mut polled: Vec<usize> = Vec::new();
+    // Worker-stall injection: one roll per loop turn that handled work.
+    // Stalls only delay the worker (sessions must tolerate a frozen
+    // shard); they never change what gets applied.
+    let mut stall_rng =
+        (faults.stall > 0.0).then(|| faults.rng(fault::STREAM_STALL, shard.index as u64));
     'outer: loop {
-        let wait = shard.staged_since.map_or(TICK, |since| {
-            (since + TICK).saturating_duration_since(Instant::now())
-        });
-        match rx.recv_timeout(wait) {
-            Ok(cmd) => {
-                shard.cmd_backlog = rx.len() as u64;
-                if shard.handle(cmd) {
-                    break 'outer;
-                }
-                for _ in 0..MAX_BURST {
-                    match rx.try_recv() {
-                        Ok(cmd) => {
-                            if shard.handle(cmd) {
-                                break 'outer;
-                            }
-                        }
-                        Err(_) => break,
+        // Park first, then look at everything a ring can announce, so a
+        // change made after the look rings the doorbell.
+        bell.park();
+        let mut wait = shard
+            .next_deadline()
+            .saturating_duration_since(Instant::now());
+        if !rx.is_empty() {
+            wait = Duration::ZERO;
+        }
+        fds.clear();
+        polled.clear();
+        fds.push(PollFd::new(bell.fd(), POLLIN));
+        for (i, conn) in conns.iter_mut().enumerate() {
+            let (poll, busy) = conn.interest();
+            if busy {
+                wait = Duration::ZERO;
+            }
+            if let Some(poll) = poll {
+                fds.push(poll);
+                polled.push(i);
+            }
+        }
+        // A failed poll is retried on the next turn, as a timeout would be.
+        let _ = sys::wait(&mut fds, wait);
+        bell.unpark(fds[0].revents != 0);
+
+        let mut worked = false;
+        shard.cmd_backlog = rx.len() as u64;
+        for _ in 0..MAX_BURST {
+            match rx.try_recv() {
+                Ok(cmd) => {
+                    worked = true;
+                    if shard.handle(cmd, &mut conns) {
+                        break 'outer;
                     }
                 }
-                shard.wakes.wake_all();
-                if let Some(rng) = stall_rng.as_mut() {
-                    if rng.gen_bool(faults.stall) {
-                        thread::sleep(Duration::from_millis(faults.stall_ms));
-                    }
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => break 'outer,
+            }
+        }
+        for (fd, &i) in fds[1..].iter().zip(&polled) {
+            if fd.revents != 0 {
+                conns[i].on_ready(fd.revents);
+            }
+        }
+        for conn in &mut conns {
+            worked |= conn.serve(&mut shard);
+        }
+        shard.flushes.flush_burst();
+        if worked {
+            if let Some(rng) = stall_rng.as_mut() {
+                if rng.gen_bool(faults.stall) {
+                    thread::sleep(Duration::from_millis(faults.stall_ms));
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
         }
-        shard.pump_all();
-        shard.evict();
+        shard.pump_touched();
+        shard.flushes.flush_all();
+        let now = Instant::now();
+        shard.sweep(now);
+        conns.retain_mut(|conn| conn.keep(now));
     }
     // Drain whatever is queued so clients that already got an "accepted"
     // see their events applied, then tell subscribers we're gone.
-    shard.wakes.wake_all();
-    shard.pump_all();
+    shard.touched.extend(shard.sessions.keys());
+    shard.pump_touched();
+    shard.flushes.flush_all();
     for (_, mut s) in shard.sessions.drain() {
         s.notify_closed("shutdown");
         s.stop();
     }
+    for conn in &conns {
+        conn.shut_down();
+    }
 }
 
 impl Shard {
-    /// Applies one command; returns true on [`Command::Shutdown`].
-    fn handle(&mut self, cmd: Command) -> bool {
+    /// This shard's position in the pool.
+    pub(crate) fn index(&self) -> usize {
+        self.index
+    }
+
+    /// Applies one command (a new connection joins `conns`); returns true
+    /// on [`Command::Shutdown`].
+    fn handle(&mut self, cmd: Command, conns: &mut Vec<Connection>) -> bool {
         match cmd {
             Command::Open {
                 id,
@@ -379,27 +488,13 @@ impl Shard {
                 config,
                 reply,
             } => {
-                if self.sessions.contains_key(&id) {
-                    let _ = reply.send(Err(format!("session {id} already exists")));
-                    return false;
-                }
-                let info = OpenInfo {
-                    session: id,
-                    program: name.clone(),
-                    inputs: input_names(&graph),
-                    initial: PlainValue::from_value(&graph.node(graph.output()).default)
-                        .unwrap_or_else(|| PlainValue::Str("<opaque>".to_string())),
+                let plan = OpenPlan {
+                    name,
+                    graph,
+                    source,
+                    config: *config,
                 };
-                let mut session = Session::new(id, name, graph, *config);
-                session.set_source(source);
-                session.set_memory_gauge(self.memory.clone());
-                if let Some(links) = self.tap.links() {
-                    links.ship_open(id, &session.replica_meta(), session.epoch());
-                }
-                session.set_replication(self.tap.clone());
-                self.sessions.insert(id, session);
-                self.counters.opened += 1;
-                let _ = reply.send(Ok(info));
+                let _ = reply.send(self.open(id, plan));
             }
             Command::Adopt {
                 id,
@@ -439,6 +534,7 @@ impl Shard {
                         // gapping until the next periodic snapshot.
                         session.snapshot_now();
                         self.sessions.insert(id, session);
+                        self.touched.push(id);
                         self.counters.opened += 1;
                         let _ = reply.send(Ok(last_seq));
                     }
@@ -502,73 +598,22 @@ impl Shard {
                 input,
                 value,
                 trace,
-                answer,
+                reply,
             } => {
-                let res = if !self.sessions.contains_key(&session) {
-                    Err(format!("unknown session {session}"))
-                } else {
-                    match self
-                        .admission
-                        .admit(session, 1, value.approx_cells(), Instant::now())
-                    {
-                        Admission::Shed { retry_after_ms } => {
-                            crate::blackbox::blackbox().record(
-                                "shed",
-                                session,
-                                0,
-                                trace,
-                                -1,
-                                "admission",
-                            );
-                            Ok(EnqueueOutcome::Shed { retry_after_ms })
-                        }
-                        Admission::Admit => {
-                            self.with_session(session, |s| s.enqueue_traced(&input, value, trace))
-                        }
-                    }
-                };
-                deliver(answer, res, &mut self.wakes);
+                let _ = reply.send(self.event(session, &input, value, trace));
             }
             Command::Batch {
                 session,
                 events,
-                answer,
+                reply,
             } => {
-                let res = if !self.sessions.contains_key(&session) {
-                    Err(format!("unknown session {session}"))
-                } else {
-                    let cells: u64 = events.iter().map(|(_, v)| v.approx_cells()).sum();
-                    match self
-                        .admission
-                        .admit(session, events.len() as u64, cells, Instant::now())
-                    {
-                        // All-or-nothing: a shed batch debits no tokens
-                        // and enqueues nothing.
-                        Admission::Shed { retry_after_ms } => Ok(BatchOutcome {
-                            shed: events.len() as u64,
-                            retry_after_ms,
-                            ..BatchOutcome::default()
-                        }),
-                        Admission::Admit => self.with_session(session, |s| {
-                            let mut outcome = BatchOutcome::default();
-                            for (input, value) in events {
-                                outcome.record(s.enqueue(&input, value));
-                            }
-                            outcome
-                        }),
-                    }
-                };
-                deliver(answer, res, &mut self.wakes);
+                let _ = reply.send(self.batch(session, events));
             }
             Command::Describe { session, reply } => {
                 let _ = reply.send(self.with_session(session, |s| s.describe()));
             }
             Command::Query { session, reply } => {
-                let _ = reply.send(self.with_session(session, |s| {
-                    // Answer with applied state, not queued state.
-                    s.pump();
-                    s.query()
-                }));
+                let _ = reply.send(self.query(session));
             }
             Command::Subscribe {
                 session,
@@ -596,86 +641,283 @@ impl Shard {
                 let _ = reply.send(res);
             }
             Command::Stats { session, reply } => {
-                let selected: Vec<&Session> = match session {
-                    Some(id) => self.sessions.get(&id).into_iter().collect(),
-                    None => self.sessions.values().collect(),
-                };
-                let mut stats = ShardStats {
-                    counters: self.counters,
-                    queue_depth: self.sessions.values().map(|s| s.queue_len() as u64).sum(),
-                    admission: self.admission.stats(),
-                    cmd_backlog: self.cmd_backlog,
-                    ..ShardStats::default()
-                };
-                for s in selected {
-                    stats.sessions.push(s.stats());
-                    stats.samples.extend_from_slice(s.latency_samples());
-                }
-                let _ = reply.send(stats);
+                let _ = reply.send(self.stats(session));
             }
             Command::Close { session, reply } => {
-                let res = match self.sessions.remove(&session) {
-                    Some(mut s) => {
-                        s.pump();
-                        s.notify_closed("closed");
-                        let epoch = s.epoch();
-                        s.stop();
-                        self.admission.forget(session);
-                        self.counters.closed += 1;
-                        if let Some(links) = self.tap.links() {
-                            links.ship_drop(session, epoch);
-                        }
-                        Ok(())
-                    }
-                    None => Err(format!("unknown session {session}")),
-                };
-                let _ = reply.send(res);
+                let _ = reply.send(self.close(session));
             }
+            Command::Wire {
+                session,
+                request,
+                slot,
+            } => self.serve_wire(session, request, slot),
+            Command::Connect(conn) => conns.push(*conn),
             Command::Shutdown => return true,
         }
         false
     }
 
+    /// Applies one wire request about `session`, which this shard hosts
+    /// (for `open`: will host), and fills its reply slot. The reply is
+    /// written once the burst is handled; an `event` or `batch` ack whose
+    /// events are queued waits for the pump that applies them.
+    pub(crate) fn serve_wire(&mut self, session: SessionId, request: Request, slot: ReplySlot) {
+        let res = match request {
+            Request::Event {
+                input,
+                value,
+                trace,
+                ..
+            } => {
+                self.event(session, &input, value.to_value(), trace)
+                    .map(|outcome| match outcome {
+                        EnqueueOutcome::Shed { retry_after_ms } => {
+                            protocol::overloaded_line(retry_after_ms)
+                        }
+                        outcome => protocol::event_line(outcome),
+                    })
+            }
+            Request::Batch { events, .. } => {
+                let events = events.into_iter().map(|(i, v)| (i, v.to_value())).collect();
+                // Admission is all-or-nothing per batch: a shed batch had
+                // nothing enqueued, so the whole reply is the typed
+                // overload signal with its retry hint.
+                self.batch(session, events).map(|outcome| {
+                    if outcome.shed > 0 {
+                        protocol::overloaded_line(outcome.retry_after_ms)
+                    } else {
+                        protocol::batch_line(&outcome)
+                    }
+                })
+            }
+            Request::Query { .. } => self.query(session).map(|q| protocol::query_line(&q)),
+            // The shard pushes this session's updates straight onto the
+            // connection, behind this request's reply slot, until the
+            // session closes (a `closed` or `moved` update is the stream's
+            // final message) or the connection goes away.
+            Request::Subscribe { .. } => {
+                let sink = slot.sink();
+                self.with_session(session, |s| s.subscribe(sink))
+                    .map(|()| protocol::subscribed_line(session))
+            }
+            Request::Describe { .. } => {
+                self.with_session(session, |s| protocol::describe_line(&s.describe()))
+            }
+            Request::Close { .. } => self.close(session).map(|()| protocol::closed_line(session)),
+            Request::Stats { .. } => Ok(match self.stats(Some(session)).sessions.first() {
+                Some(stats) => protocol::session_stats_line(stats),
+                None => protocol::err_line(&format!("unknown session {session}")),
+            }),
+            // A builtin compiles here: its source is short and fixed. A
+            // client's source never reaches a shard (see `crate::net`).
+            Request::Open {
+                program: Some(program),
+                source: None,
+                queue,
+                policy,
+                observe,
+                ..
+            } => slot
+                .server()
+                .plan_open(ProgramSpec::Builtin(&program), queue, policy, observe)
+                .and_then(|plan| self.open(session, plan))
+                .map(|info| protocol::opened_line(&info)),
+            Request::Open { .. } => {
+                Err("open needs exactly one of \"program\" or \"source\"".to_string())
+            }
+            _ => Err("not a session request".to_string()),
+        };
+        let when = match self.sessions.get(&session) {
+            Some(s) if s.queue_len() > 0 => Flush::Pump,
+            _ => Flush::Burst,
+        };
+        slot.answer(res, &mut self.flushes, when);
+    }
+
+    fn open(&mut self, id: SessionId, plan: OpenPlan) -> Result<OpenInfo, String> {
+        if self.sessions.contains_key(&id) {
+            return Err(format!("session {id} already exists"));
+        }
+        let OpenPlan {
+            name,
+            graph,
+            source,
+            config,
+        } = plan;
+        let info = OpenInfo {
+            session: id,
+            program: name.clone(),
+            inputs: input_names(&graph),
+            initial: PlainValue::from_value(&graph.node(graph.output()).default)
+                .unwrap_or_else(|| PlainValue::Str("<opaque>".to_string())),
+        };
+        let mut session = Session::new(id, name, graph, config);
+        session.set_source(source);
+        session.set_memory_gauge(self.memory.clone());
+        if let Some(links) = self.tap.links() {
+            links.ship_open(id, &session.replica_meta(), session.epoch());
+        }
+        session.set_replication(self.tap.clone());
+        self.sessions.insert(id, session);
+        self.counters.opened += 1;
+        Ok(info)
+    }
+
+    fn event(
+        &mut self,
+        session: SessionId,
+        input: &str,
+        value: Value,
+        trace: u64,
+    ) -> Result<EnqueueOutcome, String> {
+        if !self.sessions.contains_key(&session) {
+            return Err(format!("unknown session {session}"));
+        }
+        match self
+            .admission
+            .admit(session, 1, value.approx_cells(), Instant::now())
+        {
+            Admission::Shed { retry_after_ms } => {
+                crate::blackbox::blackbox().record("shed", session, 0, trace, -1, "admission");
+                Ok(EnqueueOutcome::Shed { retry_after_ms })
+            }
+            Admission::Admit => {
+                self.with_session(session, |s| s.enqueue_traced(input, value, trace))
+            }
+        }
+    }
+
+    fn batch(
+        &mut self,
+        session: SessionId,
+        events: Vec<(String, Value)>,
+    ) -> Result<BatchOutcome, String> {
+        if !self.sessions.contains_key(&session) {
+            return Err(format!("unknown session {session}"));
+        }
+        let cells: u64 = events.iter().map(|(_, v)| v.approx_cells()).sum();
+        match self
+            .admission
+            .admit(session, events.len() as u64, cells, Instant::now())
+        {
+            // All-or-nothing: a shed batch debits no tokens and enqueues
+            // nothing.
+            Admission::Shed { retry_after_ms } => Ok(BatchOutcome {
+                shed: events.len() as u64,
+                retry_after_ms,
+                ..BatchOutcome::default()
+            }),
+            Admission::Admit => self.with_session(session, |s| {
+                let mut outcome = BatchOutcome::default();
+                for (input, value) in events {
+                    outcome.record(s.enqueue(&input, value));
+                }
+                outcome
+            }),
+        }
+    }
+
+    fn query(&mut self, session: SessionId) -> Result<QueryInfo, String> {
+        self.with_session(session, |s| {
+            // Answer with applied state, not queued state.
+            s.pump();
+            s.query()
+        })
+    }
+
+    fn stats(&self, session: Option<SessionId>) -> ShardStats {
+        let selected: Vec<&Session> = match session {
+            Some(id) => self.sessions.get(&id).into_iter().collect(),
+            None => self.sessions.values().collect(),
+        };
+        let mut stats = ShardStats {
+            counters: self.counters,
+            queue_depth: self.sessions.values().map(|s| s.queue_len() as u64).sum(),
+            admission: self.admission.stats(),
+            cmd_backlog: self.cmd_backlog,
+            ..ShardStats::default()
+        };
+        for s in selected {
+            stats.sessions.push(s.stats());
+            stats.samples.extend_from_slice(s.latency_samples());
+        }
+        stats
+    }
+
+    fn close(&mut self, session: SessionId) -> Result<(), String> {
+        let mut s = self
+            .sessions
+            .remove(&session)
+            .ok_or_else(|| format!("unknown session {session}"))?;
+        s.pump();
+        s.notify_closed("closed");
+        let epoch = s.epoch();
+        s.stop();
+        self.admission.forget(session);
+        self.counters.closed += 1;
+        if let Some(links) = self.tap.links() {
+            links.ship_drop(session, epoch);
+        }
+        Ok(())
+    }
+
+    /// Runs `f` on a hosted session and marks it touched, so the loop
+    /// pumps it after this burst.
     fn with_session<R>(
         &mut self,
         id: SessionId,
         f: impl FnOnce(&mut Session) -> R,
     ) -> Result<R, String> {
         match self.sessions.get_mut(&id) {
-            Some(s) => Ok(f(s)),
+            Some(s) => {
+                self.touched.push(id);
+                Ok(f(s))
+            }
             None => Err(format!("unknown session {id}")),
         }
     }
 
-    /// Pumps every session. In cluster mode, once the oldest staged
+    /// When the loop must next wake with nothing ready: the next sweep,
+    /// or sooner when staged replication lines fall due.
+    fn next_deadline(&self) -> Instant {
+        let due = self.staged_since.map(|since| since + TICK);
+        due.map_or(self.next_sweep, |due| due.min(self.next_sweep))
+    }
+
+    /// Pumps the touched sessions. In cluster mode, once the oldest staged
     /// replication line is one [`TICK`] old, queues every session's
     /// staged lines on the replica links, one batch per session.
-    fn pump_all(&mut self) {
-        for s in self.sessions.values_mut() {
-            s.pump();
-        }
-        if self.tap.links().is_none() {
-            return;
-        }
-        let now = Instant::now();
-        match self.staged_since {
-            Some(since) if now.duration_since(since) >= TICK => {
-                self.sessions
-                    .values_mut()
-                    .for_each(Session::flush_replication);
-                self.staged_since = None;
-            }
-            Some(_) => {}
-            None => {
-                if self.sessions.values().any(Session::has_staged_replication) {
-                    self.staged_since = Some(now);
+    fn pump_touched(&mut self) {
+        let replicating = self.tap.links().is_some();
+        for id in self.touched.drain(..) {
+            if let Some(s) = self.sessions.get_mut(&id) {
+                s.pump();
+                if replicating && self.staged_since.is_none() && s.has_staged_replication() {
+                    self.staged_since = Some(Instant::now());
                 }
             }
         }
+        if self
+            .staged_since
+            .is_some_and(|since| since.elapsed() >= TICK)
+        {
+            self.sessions
+                .values_mut()
+                .for_each(Session::flush_replication);
+            self.staged_since = None;
+        }
     }
 
-    fn evict(&mut self) {
-        let now = Instant::now();
+    /// Once per [`TICK`]: pumps every session, which runs the crash
+    /// recoveries that fell due, then evicts idle sessions and sessions
+    /// whose restart budget is exhausted.
+    fn sweep(&mut self, now: Instant) {
+        if now < self.next_sweep {
+            return;
+        }
+        self.next_sweep = now + TICK;
+        self.touched.extend(self.sessions.keys());
+        self.pump_touched();
         let doomed: Vec<(SessionId, &'static str)> = self
             .sessions
             .values()
@@ -779,7 +1021,7 @@ mod tests {
                 input: "Mouse.clicks".to_string(),
                 value: Value::Unit,
                 trace: 0,
-                answer: Answer::Channel(tx),
+                reply: tx,
             })
             .unwrap();
         assert_eq!(rx.recv().unwrap(), Ok(EnqueueOutcome::Accepted));
@@ -912,7 +1154,7 @@ mod tests {
             .send(Command::Batch {
                 session: 9,
                 events: clicks,
-                answer: Answer::Channel(batch_tx),
+                reply: batch_tx,
             })
             .unwrap();
         let (tx, rx) = channel::bounded(1);
@@ -955,7 +1197,7 @@ mod tests {
                     input: "Mouse.x".to_string(),
                     value: Value::Int(v),
                     trace: 0,
-                    answer: Answer::Channel(tx),
+                    reply: tx,
                 })
                 .unwrap();
             rx.recv().unwrap().unwrap();
@@ -1023,7 +1265,7 @@ mod tests {
                 input: "Mouse.x".to_string(),
                 value: Value::Int(-5),
                 trace: 0,
-                answer: Answer::Channel(tx),
+                reply: tx,
             })
             .unwrap();
         rx.recv().unwrap().unwrap();

@@ -1,6 +1,6 @@
 //! Subscriptions spawn no threads: a wire subscriber is a sink its
-//! session's shard pushes into, and each connection runs exactly its
-//! reader and writer. Kept in its own test binary so no other test's
+//! session's shard writes through, and a connection is served by its
+//! home shard's poll loop. Kept in its own test binary so no other test's
 //! threads come and go while the process thread count is read.
 
 use std::io::{BufRead, BufReader, Write};

@@ -119,3 +119,137 @@ fn a_stalled_subscriber_never_stalls_its_shard() {
         }
     }
 }
+
+/// A running `elm-server` process, killed when dropped.
+struct ServerProcess(std::process::Child);
+
+impl Drop for ServerProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The `update` or reply line's integer `field`.
+fn int_field(line: &str, field: &str) -> u64 {
+    let json: serde_json::Value = serde_json::from_str(line).unwrap();
+    match json.get(field) {
+        Some(serde_json::Value::I64(n)) => *n as u64,
+        Some(serde_json::Value::U64(n)) => *n,
+        other => panic!("no integer {field} in {line}: {other:?}"),
+    }
+}
+
+#[test]
+fn a_client_that_never_reads_is_cut_while_its_home_shard_serves_another() {
+    // A separate one-shard server process with the default front-end
+    // tuning, so this cut does not move the slow-disconnect counter the
+    // test above reads, and both clients share the one shard as home.
+    let deadline = NetConfig::default().write_deadline;
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_elm-server"))
+        .args(["--addr", "127.0.0.1:0", "--shards", "1"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let stdout = child.stdout.take().unwrap();
+    let _server = ServerProcess(child);
+    // Held open to the end: the server prints more after its banner.
+    let mut stdout = BufReader::new(stdout);
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr = banner
+        .strip_prefix("elm-server listening on ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"))
+        .to_string();
+
+    let healthy = TcpStream::connect(&addr).unwrap();
+    healthy
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut healthy_writer = healthy.try_clone().unwrap();
+    let mut healthy_reader = BufReader::new(healthy);
+    let mut round_trip = |line: String| {
+        healthy_writer
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
+        read_line(&mut healthy_reader)
+    };
+    let fat = int_field(
+        &round_trip(r#"{"cmd":"open","program":"latest-word"}"#.to_string()),
+        "session",
+    );
+    let lean = int_field(
+        &round_trip(r#"{"cmd":"open","program":"counter"}"#.to_string()),
+        "session",
+    );
+    let word = "w".repeat(4096);
+    let set_word = format!(
+        r#"{{"cmd":"event","session":{fat},"input":"Words.input","value":{{"Str":"{word}"}}}}"#
+    );
+    assert!(round_trip(set_word).contains("\"accepted\""));
+    let subscribed = round_trip(format!(r#"{{"cmd":"subscribe","session":{lean}}}"#));
+    assert!(subscribed.contains("\"ok\":true"), "{subscribed}");
+
+    // The slow client pipelines queries of the fat session and never
+    // reads: its socket stops taking replies, its outbound queue fills,
+    // its home shard stops reading it, and its writes block until the
+    // server cuts it.
+    let started = Instant::now();
+    let mut slow = TcpStream::connect(&addr).unwrap();
+    let (cut_tx, cut_rx) = std::sync::mpsc::channel();
+    let query = format!("{{\"cmd\":\"query\",\"session\":{fat}}}\n").repeat(64);
+    thread::spawn(move || {
+        while slow.write_all(query.as_bytes()).is_ok() {}
+        let _ = cut_tx.send(started.elapsed());
+    });
+
+    // Meanwhile the healthy client on the same shard gets every reply
+    // and every update, each round trip well inside the deadline.
+    let event = format!(
+        "{{\"cmd\":\"event\",\"session\":{lean},\"input\":\"Mouse.clicks\",\"value\":\"Unit\"}}\n"
+    );
+    let mut clicks = 0;
+    let cut_after = loop {
+        if let Ok(cut_after) = cut_rx.try_recv() {
+            break cut_after;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "the client that never reads was never cut"
+        );
+        let asked = Instant::now();
+        healthy_writer.write_all(event.as_bytes()).unwrap();
+        assert!(read_line(&mut healthy_reader).contains("\"accepted\""));
+        clicks += 1;
+        let update = read_line(&mut healthy_reader);
+        assert_eq!(int_field(&update, "seq"), clicks, "{update}");
+        assert!(
+            asked.elapsed() < deadline / 2,
+            "a round trip took {:?} beside the client that never reads",
+            asked.elapsed()
+        );
+        thread::sleep(Duration::from_millis(5));
+    };
+    // Cut within the deadline of its socket filling, plus slack for a
+    // loaded host; counted once in the server's own scrape.
+    assert!(cut_after < deadline * 3, "cut only after {cut_after:?}");
+    healthy_writer
+        .write_all(b"{\"cmd\":\"metrics\"}\n")
+        .unwrap();
+    let metrics: serde_json::Value = serde_json::from_str(&read_line(&mut healthy_reader)).unwrap();
+    let text = metrics.get("metrics").and_then(|m| m.as_str()).unwrap();
+    let disconnects: f64 = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("elm_subscriber_disconnects_total"))
+        .filter_map(|rest| rest.rsplit_once(' '))
+        .filter_map(|(_, v)| v.parse::<f64>().ok())
+        .sum();
+    assert_eq!(disconnects, 1.0, "{text}");
+    healthy_writer
+        .write_all(format!("{{\"cmd\":\"query\",\"session\":{lean}}}\n").as_bytes())
+        .unwrap();
+    let value = read_line(&mut healthy_reader);
+    assert!(value.contains(&format!("{{\"Int\":{clicks}}}")), "{value}");
+}

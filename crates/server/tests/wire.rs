@@ -224,12 +224,17 @@ fn pipelined_replies_keep_request_order_and_precede_their_updates() {
     let mut c = Client::connect(addr);
 
     // Two sessions on different shards (ids are placed `id % shards`).
+    // An unkeyed open lands on the connection's home shard, so the second
+    // session is keyed onto the other one.
     let a = as_u64(field(
         &c.round_trip(r#"{"cmd":"open","program":"counter"}"#),
         "session",
     ));
     let b = as_u64(field(
-        &c.round_trip(r#"{"cmd":"open","program":"counter"}"#),
+        &c.round_trip(&format!(
+            r#"{{"cmd":"open","program":"counter","session":{}}}"#,
+            a + 1
+        )),
         "session",
     ));
     assert_ne!(a % 2, b % 2, "sessions {a} and {b} share a shard");
@@ -380,4 +385,93 @@ fn half_closed_pipeline_gets_every_reply_in_order_before_eof() {
     assert_eq!(as_u64(field(field(&batch, "outcome"), "accepted")), 2);
     let mut rest = String::new();
     assert_eq!(c.reader.read_line(&mut rest).unwrap(), 0, "{rest}");
+}
+
+/// Reads one line, failing the test if none arrives within the client's
+/// read timeout (a shard that waited on a shard would hang here).
+fn recv_line(c: &mut Client) -> String {
+    let mut line = String::new();
+    let n = c
+        .reader
+        .read_line(&mut line)
+        .expect("a line before the read timeout");
+    assert!(n > 0, "connection closed early");
+    line.trim().to_string()
+}
+
+#[test]
+fn every_verb_pipelined_on_one_shard_gets_its_reply() {
+    // One shard: every session, the connection's home and every reply
+    // slot share one thread, so any verb that made the shard wait on a
+    // shard (itself) would stall the connection instead of answering.
+    let addr = start_with(ServerConfig {
+        shards: 1,
+        ..ServerConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    let event = r#"{"cmd":"event","session":0,"input":"Mouse.clicks","value":"Unit"}"#;
+    let requests = [
+        r#"{"cmd":"open","program":"counter","observe":true}"#.to_string(),
+        r#"{"cmd":"open","source":"main = foldp (\\x acc -> acc + x) 0 Mouse.x"}"#.to_string(),
+        event.to_string(),
+        r#"{"cmd":"batch","session":0,"events":[{"input":"Mouse.clicks","value":"Unit"}]}"#
+            .to_string(),
+        r#"{"cmd":"query","session":0}"#.to_string(),
+        r#"{"cmd":"subscribe","session":0}"#.to_string(),
+        r#"{"cmd":"describe","session":1}"#.to_string(),
+        r#"{"cmd":"stats","session":0}"#.to_string(),
+        r#"{"cmd":"stats"}"#.to_string(),
+        r#"{"cmd":"metrics"}"#.to_string(),
+        r#"{"cmd":"blackbox"}"#.to_string(),
+        r#"{"cmd":"trace","session":0}"#.to_string(),
+        event.to_string(),
+        r#"{"cmd":"close","session":1}"#.to_string(),
+    ];
+    let text: String = requests.iter().map(|l| format!("{l}\n")).collect();
+    c.stream.write_all(text.as_bytes()).unwrap();
+
+    let mut replies = Vec::new();
+    let mut updates = 0;
+    while replies.len() < requests.len() || updates < 1 {
+        let line = recv_line(&mut c);
+        if line.starts_with(r#"{"update""#) {
+            updates += 1;
+        } else if !line.starts_with(r#"{"trace""#) {
+            replies.push(line);
+        }
+    }
+    for (request, reply) in requests.iter().zip(&replies) {
+        let json: Json = serde_json::from_str(reply).unwrap();
+        assert_ok(&json);
+        assert!(!reply.contains("shard is down"), "{request} -> {reply}");
+    }
+    assert_eq!(
+        as_u64(field(
+            &serde_json::from_str(&replies[0]).unwrap(),
+            "session"
+        )),
+        0
+    );
+    assert_eq!(
+        as_u64(field(
+            &serde_json::from_str(&replies[1]).unwrap(),
+            "session"
+        )),
+        1
+    );
+    let query: Json = serde_json::from_str(&replies[4]).unwrap();
+    assert_eq!(field(field(&query, "value"), "Int"), &Json::I64(2));
+    let stats: Json = serde_json::from_str(&replies[8]).unwrap();
+    assert_eq!(as_u64(field(field(&stats, "global"), "sessions_live")), 2);
+
+    // A plain-HTTP scrape on a second connection is answered and closed.
+    let mut scrape = TcpStream::connect(addr).unwrap();
+    scrape
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    scrape.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    let mut response = String::new();
+    std::io::Read::read_to_string(&mut scrape, &mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
+    assert!(response.contains("elm_sessions_opened_total"), "{response}");
 }
