@@ -122,6 +122,68 @@ impl Expr {
     pub fn synth(kind: ExprKind) -> Self {
         Expr::new(kind, Span::dummy())
     }
+
+    /// Levels of nesting, this node included. Counted without recursion,
+    /// so any depth can be measured.
+    pub(crate) fn depth(&self) -> usize {
+        let mut deepest = 0;
+        let mut open: Vec<(&Expr, usize)> = vec![(self, 1)];
+        while let Some((e, depth)) = open.pop() {
+            deepest = deepest.max(depth);
+            let mut push = |child| open.push((child, depth + 1));
+            match &e.kind {
+                ExprKind::Unit
+                | ExprKind::Int(_)
+                | ExprKind::Float(_)
+                | ExprKind::Str(_)
+                | ExprKind::Var(_)
+                | ExprKind::Input(_)
+                | ExprKind::Ctor(_) => {}
+                ExprKind::Lam { body: a, .. }
+                | ExprKind::Fst(a)
+                | ExprKind::Snd(a)
+                | ExprKind::ListOp(_, a)
+                | ExprKind::Field(a, _)
+                | ExprKind::Async(a) => push(a),
+                ExprKind::App(a, b)
+                | ExprKind::BinOp(_, a, b)
+                | ExprKind::Let {
+                    value: a, body: b, ..
+                }
+                | ExprKind::Pair(a, b)
+                | ExprKind::Ith(a, b) => {
+                    push(a);
+                    push(b);
+                }
+                ExprKind::If(a, b, c)
+                | ExprKind::Foldp {
+                    func: a,
+                    init: b,
+                    signal: c,
+                } => {
+                    push(a);
+                    push(b);
+                    push(c);
+                }
+                ExprKind::List(items)
+                | ExprKind::CtorApp(_, items)
+                | ExprKind::SignalPrim { args: items, .. } => items.iter().for_each(push),
+                ExprKind::Lift { func, args } => {
+                    push(func);
+                    args.iter().for_each(push);
+                }
+                ExprKind::Record(fields) => fields.iter().for_each(|(_, v)| push(v)),
+                ExprKind::Case {
+                    scrutinee,
+                    branches,
+                } => {
+                    push(scrutinee);
+                    branches.iter().for_each(|b| push(&b.body));
+                }
+            }
+        }
+        deepest
+    }
 }
 
 /// Expression forms (paper Fig. 3 plus floats, strings, pairs).

@@ -138,7 +138,7 @@ impl Meter {
     }
 
     /// Attaches (or clears) a wall-clock deadline, checked every
-    /// [`DEADLINE_CHECK_INTERVAL`] fuel ticks.
+    /// `DEADLINE_CHECK_INTERVAL` fuel ticks.
     pub fn with_deadline(mut self, deadline: Option<Instant>) -> Meter {
         self.deadline = deadline;
         self

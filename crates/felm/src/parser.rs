@@ -15,6 +15,23 @@ use crate::ast::{BinOp, CaseBranch, DataDef, Expr, ExprKind, ListOp, Pattern, Si
 use crate::span::Span;
 use crate::token::{lex, LexError, SpannedToken, Token};
 
+/// The deepest a program may nest. It bounds the parser's own recursion
+/// (parentheses, lambda parameters, `let`/`if`/`case` bodies, operator,
+/// application and field chains, types) and the depth of the desugared
+/// expression, in which each top-level definition adds a `let` level.
+/// Every later stage (constructor resolution, inference, normalization,
+/// translation) recurses over that expression, so a program that nests
+/// deeper is refused with a parse error instead of overflowing the
+/// compiling thread's stack. Chosen by measurement: without the bound, a
+/// release build compiling on a 2 MiB thread overflowed at about 550
+/// nested parentheses and at about 810 levels of every other measured
+/// shape (`let`s, operators, `if`s, lambda parameters, definitions), so
+/// every program that compiled there stays under it. At the bound the
+/// deepest measured shapes need about 2.3 MiB of stack in a release
+/// build and 27 MiB in a debug build; a thread that compiles untrusted
+/// sources starts with [`crate::pipeline::COMPILE_STACK_BYTES`].
+pub const MAX_NESTING: usize = 900;
+
 /// A parse failure with location.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParseError {
@@ -83,6 +100,12 @@ impl Program {
                 message: "program has no `main` definition".into(),
                 span: Span::dummy(),
             })?;
+        // Each definition sits under one `let` per definition before it.
+        for (lets, def) in self.defs[..=main_ix].iter().enumerate() {
+            if lets + 1 + def.body.depth() > MAX_NESTING {
+                return Err(too_deep(def.body.span));
+            }
+        }
         let main_body = self.defs[main_ix].body.clone();
         let mut expr = main_body;
         for def in self.defs[..main_ix].iter().rev() {
@@ -100,6 +123,13 @@ impl Program {
     }
 }
 
+fn too_deep(span: Span) -> ParseError {
+    ParseError {
+        message: format!("the program nests deeper than {MAX_NESTING} levels"),
+        span,
+    }
+}
+
 /// Parses a complete program (one definition per top-level line).
 ///
 /// # Errors
@@ -113,7 +143,11 @@ impl Program {
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut defs = Vec::new();
     let mut datas = Vec::new();
     p.skip_newlines();
@@ -138,7 +172,11 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 /// Returns the first lexical or syntactic error.
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_newlines();
     let e = p.expr()?;
     p.skip_newlines();
@@ -149,6 +187,8 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
+    /// Nesting levels open at the current token (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -184,6 +224,16 @@ impl Parser {
         } else {
             Err(self.error(format!("expected `{t}`, found `{}`", self.peek())))
         }
+    }
+
+    /// Opens `levels` more levels of nesting; the caller closes them once
+    /// it has built its node.
+    fn nest(&mut self, levels: usize) -> Result<(), ParseError> {
+        self.depth += levels;
+        if self.depth > MAX_NESTING {
+            return Err(too_deep(self.peek_span()));
+        }
+        Ok(())
     }
 
     fn error(&self, message: String) -> ParseError {
@@ -252,7 +302,9 @@ impl Parser {
             params.push(self.ident()?.0);
         }
         self.expect(&Token::Equals)?;
+        self.nest(params.len())?;
         let mut body = self.expr()?;
+        self.depth -= params.len();
         for p in params.into_iter().rev() {
             let span = body.span;
             body = Expr::new(
@@ -270,6 +322,13 @@ impl Parser {
     // ---- expressions ------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        self.nest(1)?;
+        let e = self.expr_form();
+        self.depth -= 1;
+        e
+    }
+
+    fn expr_form(&mut self) -> Result<Expr, ParseError> {
         match self.peek() {
             Token::Backslash => self.lambda(),
             Token::Let => self.let_expr(),
@@ -367,7 +426,9 @@ impl Parser {
             return Err(self.error("lambda needs at least one parameter".into()));
         }
         self.expect(&Token::Arrow)?;
+        self.nest(params.len())?;
         let mut body = self.expr()?;
+        self.depth -= params.len();
         let span = start.to(body.span);
         for (p, ann) in params.into_iter().rev() {
             body = Expr::new(
@@ -390,7 +451,9 @@ impl Parser {
             params.push(self.ident()?.0);
         }
         self.expect(&Token::Equals)?;
+        self.nest(params.len())?;
         let mut value = self.expr()?;
+        self.depth -= params.len();
         for p in params.into_iter().rev() {
             let span = value.span;
             value = Expr::new(
@@ -432,6 +495,8 @@ impl Parser {
 
     /// Operator precedence climbing. Levels, loosest first:
     /// `||` < `&&` < comparisons < `++ ::` (right-assoc) < `+ -` < `* / %`.
+    /// Parses the operands and the operators of level `min_level` or
+    /// tighter; one frame per operand, whatever the level.
     fn binary(&mut self, min_level: u8) -> Result<Expr, ParseError> {
         const LEVELS: [&[&str]; 6] = [
             &["||"],
@@ -442,30 +507,27 @@ impl Parser {
             &["*", "/", "%"],
         ];
         const RIGHT_ASSOC_LEVEL: u8 = 3;
-        if min_level as usize >= LEVELS.len() {
-            return self.application();
-        }
-        let mut lhs = self.binary(min_level + 1)?;
-        loop {
-            let sym = match self.peek() {
-                Token::Op(s) if LEVELS[min_level as usize].contains(s) => *s,
+        let mut lhs = self.application()?;
+        let depth = self.depth;
+        while let Token::Op(sym) = *self.peek() {
+            let level = match LEVELS.iter().position(|ops| ops.contains(&sym)) {
+                Some(level) if level as u8 >= min_level => level as u8,
                 _ => break,
             };
             self.bump();
+            self.nest(1)?;
             // `::` (and `++`, harmlessly) associate to the right:
             // 1 :: 2 :: [] is 1 :: (2 :: []).
-            let rhs = if min_level == RIGHT_ASSOC_LEVEL {
-                self.binary(min_level)?
+            let rhs = if level == RIGHT_ASSOC_LEVEL {
+                self.binary(level)?
             } else {
-                self.binary(min_level + 1)?
+                self.binary(level + 1)?
             };
             let span = lhs.span.to(rhs.span);
             let op = BinOp::from_symbol(sym).expect("lexer produces known operators");
             lhs = Expr::new(ExprKind::BinOp(op, Box::new(lhs), Box::new(rhs)), span);
-            if min_level == RIGHT_ASSOC_LEVEL {
-                break;
-            }
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -474,11 +536,14 @@ impl Parser {
     fn application(&mut self) -> Result<Expr, ParseError> {
         let head = self.operand()?;
         let mut expr = head;
+        let depth = self.depth;
         while self.starts_atom() {
+            self.nest(1)?;
             let arg = self.atom()?;
             let span = expr.span.to(arg.span);
             expr = Expr::new(ExprKind::App(Box::new(expr), Box::new(arg)), span);
         }
+        self.depth = depth;
         Ok(expr)
     }
 
@@ -624,12 +689,15 @@ impl Parser {
 
     /// `.field` postfix chains: `r.pos.x`.
     fn postfix(&mut self, mut e: Expr) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         while self.at(&Token::Dot) {
             self.bump();
+            self.nest(1)?;
             let (field, span) = self.ident()?;
             let full = e.span.to(span);
             e = Expr::new(ExprKind::Field(Box::new(e), field), full);
         }
+        self.depth = depth;
         Ok(e)
     }
 
@@ -741,16 +809,24 @@ impl Parser {
 
     fn ty(&mut self) -> Result<Type, ParseError> {
         let lhs = self.ty_atom()?;
-        if self.at(&Token::Arrow) {
-            self.bump();
-            let rhs = self.ty()?;
-            Ok(Type::fun(lhs, rhs))
-        } else {
-            Ok(lhs)
+        if !self.at(&Token::Arrow) {
+            return Ok(lhs);
         }
+        self.bump();
+        self.nest(1)?;
+        let rhs = self.ty();
+        self.depth -= 1;
+        rhs.map(|rhs| Type::fun(lhs, rhs))
     }
 
     fn ty_atom(&mut self) -> Result<Type, ParseError> {
+        self.nest(1)?;
+        let ty = self.ty_atom_inner();
+        self.depth -= 1;
+        ty
+    }
+
+    fn ty_atom_inner(&mut self) -> Result<Type, ParseError> {
         let t = self.bump();
         match t.token {
             Token::QualIdent(name) => match name.as_str() {

@@ -20,6 +20,13 @@ use crate::intermediate::{FinalTerm, IlError, SignalTerm};
 use crate::parser::{parse_program, ParseError};
 use crate::translate::{expr_to_value, translate, TranslateError};
 
+/// The stack a thread that compiles untrusted sources starts with. At
+/// [`crate::parser::MAX_NESTING`] the deepest measured programs (nested
+/// parentheses, `let`s, operators, lambda parameters, top-level
+/// definitions) need about 2.3 MiB in a release build and 27 MiB in a
+/// debug build; this leaves more than twice that.
+pub const COMPILE_STACK_BYTES: usize = 64 << 20;
+
 /// Any failure along the pipeline.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CompileError {
@@ -209,6 +216,32 @@ main = lift (\\i -> i % 3) index1";
             compile_source("x = 1", &env),
             Err(CompileError::Parse(_))
         ));
+    }
+
+    #[test]
+    fn programs_nested_past_the_bound_are_refused() {
+        let deep = |n: usize| format!("main = {}1{}", "(".repeat(n), ")".repeat(n));
+        let defs = |n: usize| {
+            let mut src: String = (0..n).map(|i| format!("f{i} = {i}\n")).collect();
+            src.push_str("main = f0");
+            src
+        };
+        let compiled = std::thread::Builder::new()
+            .stack_size(COMPILE_STACK_BYTES)
+            .spawn(move || {
+                let env = InputEnv::standard();
+                [deep(550), deep(100_000), defs(810), defs(1000)]
+                    .map(|src| compile_source(&src, &env).map_err(|e| e.to_string()))
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let [shallow, deep, few, many] = compiled;
+        assert!(shallow.is_ok() && few.is_ok(), "{shallow:?} {few:?}");
+        for refused in [deep, many] {
+            let message = refused.unwrap_err();
+            assert!(message.contains("nests deeper than 900"), "{message}");
+        }
     }
 
     #[test]

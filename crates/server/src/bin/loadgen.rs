@@ -564,7 +564,12 @@ struct SessionOut {
 /// `request_exact`; any error — an ambiguous transport failure in a kill
 /// window, or a typed `epoch_advanced` handoff from a demoted zombie —
 /// resynchronizes from the owner's applied `last_seq` and resends from
-/// there. Each accepted event bumps `progress`, then waits `pace`.
+/// there. Each accepted event bumps `progress`, then waits `pace`. The
+/// same rule holds at the end of the stream: a final drained `query`
+/// behind the trace at a higher epoch than the driver last witnessed is
+/// an adopter that never received the dead primary's acked, unreplicated
+/// tail, and the driver resends from its `last_seq`. A shortfall at an
+/// unchanged epoch is a lost event and stays one.
 fn drive_session(
     sid: u64,
     events: &[TraceEvent],
@@ -598,45 +603,55 @@ fn drive_session(
     drained(&mut client)?;
     let mut resyncs = 0u64;
     let mut i = 0usize;
-    while i < events.len() {
-        let e = &events[i];
-        // The trace id encodes (session, event index) recoverably: a
-        // resend after a resync reuses the SAME id, so the event keeps one
-        // identity across the failover.
-        let trace_id = ((sid + 1) << 20) | (i as u64 + 1);
-        let line = serde_json::to_string(&obj([
-            ("cmd", Json::Str("event".to_string())),
-            ("session", Json::U64(sid)),
-            ("input", Json::Str(e.input.clone())),
-            (
-                "value",
-                serde_json::to_value(&e.value).expect("plain value serializes"),
-            ),
-            ("trace", Json::U64(trace_id)),
-        ]))
-        .expect("event line renders");
-        match client.request_exact(&line, Duration::from_secs(20)) {
-            Ok(reply) if matches!(reply.get("ok"), Some(Json::Bool(true))) => {
-                i += 1;
-                progress.fetch_add(1, Ordering::Relaxed);
-                if !pace.is_zero() {
-                    thread::sleep(pace);
+    let (last_seq, r) = loop {
+        while i < events.len() {
+            let e = &events[i];
+            // The trace id encodes (session, event index) recoverably: a
+            // resend after a resync reuses the SAME id, so the event keeps one
+            // identity across the failover.
+            let trace_id = ((sid + 1) << 20) | (i as u64 + 1);
+            let line = serde_json::to_string(&obj([
+                ("cmd", Json::Str("event".to_string())),
+                ("session", Json::U64(sid)),
+                ("input", Json::Str(e.input.clone())),
+                (
+                    "value",
+                    serde_json::to_value(&e.value).expect("plain value serializes"),
+                ),
+                ("trace", Json::U64(trace_id)),
+            ]))
+            .expect("event line renders");
+            match client.request_exact(&line, Duration::from_secs(20)) {
+                Ok(reply) if matches!(reply.get("ok"), Some(Json::Bool(true))) => {
+                    i += 1;
+                    progress.fetch_add(1, Ordering::Relaxed);
+                    if !pace.is_zero() {
+                        thread::sleep(pace);
+                    }
+                }
+                Ok(reply) => return Err(format!("session {sid}: event {i} refused: {reply:?}")),
+                Err(_) => {
+                    // Either the in-flight event may or may not have landed,
+                    // or ownership moved under the stream and the adopter's
+                    // history is shorter than what the old owner was fed.
+                    // Resume exactly once from the owner's high-water mark; a
+                    // zombie-applied suffix replays into the surviving
+                    // lineage.
+                    i = drained(&mut client)?.0 as usize;
+                    resyncs += 1;
                 }
             }
-            Ok(reply) => return Err(format!("session {sid}: event {i} refused: {reply:?}")),
-            Err(_) => {
-                // Either the in-flight event may or may not have landed,
-                // or ownership moved under the stream and the adopter's
-                // history is shorter than what the old owner was fed.
-                // Resume exactly once from the owner's high-water mark; a
-                // zombie-applied suffix replays into the surviving
-                // lineage.
-                i = drained(&mut client)?.0 as usize;
-                resyncs += 1;
-            }
         }
-    }
-    let (last_seq, r) = drained(&mut client)?;
+        let witnessed = client.witnessed_epoch(sid);
+        let (last_seq, r) = drained(&mut client)?;
+        let epoch = r.get("epoch").and_then(jnum).unwrap_or(0);
+        if (last_seq as usize) < events.len() && epoch > witnessed {
+            i = last_seq as usize;
+            resyncs += 1;
+            continue;
+        }
+        break (last_seq, r);
+    };
     let value = r
         .get("value")
         .cloned()

@@ -292,6 +292,12 @@ impl ClusterClient {
         self.moves
     }
 
+    /// The highest ownership epoch this client has witnessed for
+    /// `session` (0 before any).
+    pub fn witnessed_epoch(&self, session: u64) -> u64 {
+        self.epochs.get(&session).copied().unwrap_or(0)
+    }
+
     /// Replies refused because they reported a session epoch below the
     /// highest this client has witnessed (zombie-primary reads).
     pub fn stale_epochs(&self) -> u64 {
@@ -390,7 +396,7 @@ impl ClusterClient {
     /// # Errors
     ///
     /// Fails when no peer serves the request within the deadline, or
-    /// with a typed `route_loop` error when [`MAX_REDIRECT_HOPS`]
+    /// with a typed `route_loop` error when `MAX_REDIRECT_HOPS`
     /// consecutive `moved` redirects never reach an owner.
     pub fn request_routed(&mut self, line: &str, deadline: Duration) -> io::Result<Json> {
         self.route(line, deadline, false)
@@ -413,7 +419,7 @@ impl ClusterClient {
     /// serves the request within the deadline, with a typed
     /// `epoch_advanced` error when a redirect reveals an ownership
     /// handoff, or with a typed `route_loop` error when
-    /// [`MAX_REDIRECT_HOPS`] consecutive `moved` redirects never reach
+    /// `MAX_REDIRECT_HOPS` consecutive `moved` redirects never reach
     /// an owner.
     pub fn request_exact(&mut self, line: &str, deadline: Duration) -> io::Result<Json> {
         self.route(line, deadline, true)

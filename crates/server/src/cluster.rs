@@ -20,7 +20,7 @@
 //! produce no reply lines), so the primary's data plane never blocks on a
 //! peer. The shard thread that applies an event renders its
 //! `journal-append` line itself and stages it in the session
-//! ([`Staged`]) without taking a cluster lock, and no other thread sits
+//! (its `Staged` lines) without taking a cluster lock, and no other thread sits
 //! between a shard and the link. The shard group-commits: once its oldest
 //! staged line is one tick old it queues every session's lines on the
 //! replica links (reached through the server's [`ReplicationTap`]), and
@@ -374,8 +374,10 @@ impl Cluster {
         }
         {
             let cluster = Arc::clone(&cluster);
+            // The monitor compiles the sources of the sessions it adopts.
             thread::Builder::new()
                 .name("elm-monitor".to_string())
+                .stack_size(felm::pipeline::COMPILE_STACK_BYTES)
                 .spawn(move || run_monitor(cluster))
                 .expect("spawning the cluster monitor thread");
         }

@@ -76,5 +76,5 @@ pub use protocol::{
 pub use registry::{ProgramSpec, Registry};
 pub use server::{Server, ServerConfig};
 pub use session::{Session, SessionConfig, SessionId, TraceMailbox, TracePop, UpdateSink};
-pub use shard::{Command, ShardCounters, ShardHandle, ShardSender, ShardStats};
+pub use shard::{ShardCounters, ShardStats};
 pub use supervisor::{RestartBudget, RestartDecision, RestartPolicy};

@@ -12,8 +12,10 @@
 //! the thread that serves it: each of their requests is read, applied
 //! and answered there, with one `read` and one `write`. A request for
 //! another shard's session (a keyed open placed elsewhere, or a session
-//! another connection opened) travels to that shard with its reserved
-//! reply slot, and that shard answers it. Subscriptions add no thread: a
+//! another connection opened) is posted to that shard as a call of
+//! `Shard::serve_wire` carrying its reserved reply slot, and that shard
+//! answers it; a call that cannot be posted is dropped with the slot,
+//! which then answers `shard is down`. Subscriptions add no thread: a
 //! wire subscriber is a sink the session's shard writes rendered
 //! `update` lines through. The server's thread count is thus its shards,
 //! the acceptor and, in cluster mode, one link per peer and the monitor,
@@ -29,7 +31,9 @@
 //! short-lived thread: a federated scrape (`metrics` with
 //! `"scope":"cluster"`, `GET /metrics?federate=1`) waits on every peer,
 //! which may be scraping this one at the same time, and an `open` of a
-//! client's source compiles it, which no shard does either. The streamed
+//! client's source compiles it, which no shard does either. That thread
+//! starts with the fixed stack the compiler's nesting bound was measured
+//! on (`felm::pipeline::COMPILE_STACK_BYTES`). The streamed
 //! peer verbs (`journal-append`, `snapshot-ship`, `heartbeat`) run on the
 //! home shard and take the cluster's ownership lock briefly: no code
 //! holds that lock while it waits on a shard, so this cannot deadlock.
@@ -56,8 +60,8 @@
 //!
 //! The outbound queue owns the nonblocking socket, and whoever fills its
 //! front slot writes, under the queue's lock. A shard writes the replies
-//! it filled during a burst once, when the burst is handled (see
-//! [`Flushes`]); an `event` or `batch` ack whose events are queued waits
+//! it filled during a burst once, when the burst is handled (the shard's
+//! `Flushes`); an `event` or `batch` ack whose events are queued waits
 //! for the pump that applies them and leaves with the first update that
 //! pump writes to the connection. Update pushes are written at once. A
 //! write the socket refuses (`EAGAIN`) parks the unsent lines, and the
@@ -206,7 +210,15 @@ pub fn serve_with(server: Arc<Server>, listener: TcpListener, config: NetConfig)
         for (job, slot) in jobs.try_iter() {
             if job.slow() {
                 let server = Arc::clone(&server);
-                thread::spawn(move || run_job(&server, job, slot));
+                // A client's source compiles here: give it the stack the
+                // compiler's nesting bound was measured on. A thread that
+                // cannot start drops its slot, which answers `shard is down`.
+                let spawned = thread::Builder::new()
+                    .stack_size(felm::pipeline::COMPILE_STACK_BYTES)
+                    .spawn(move || run_job(&server, job, slot));
+                if let Err(e) = spawned {
+                    eprintln!("elm-server: cannot start a job thread: {e}");
+                }
             } else {
                 run_job(&server, job, slot);
             }
@@ -850,7 +862,7 @@ enum Frame {
 }
 
 /// A client connection, owned by its home shard's loop: the read side
-/// lives here, the write side in its [`OutboundQueue`].
+/// lives here, the write side in its outbound queue.
 pub struct Connection {
     out: Arc<OutboundQueue>,
     acceptor: Arc<Acceptor>,
@@ -1131,12 +1143,7 @@ impl Connection {
         if server.shard_of(session) == shard.index() {
             shard.serve_wire(session, request, slot);
         } else {
-            let cmd = Command::Wire {
-                session,
-                request,
-                slot,
-            };
-            server.post(session, cmd);
+            server.post(session, move |s| s.serve_wire(session, request, slot));
         }
         None
     }
@@ -1230,11 +1237,10 @@ mod tests {
         // it, is dropped on the failed send.
         let (tx, rx) = crossbeam::channel::unbounded();
         drop(rx);
-        let dead = tx.send(Command::Wire {
-            session: 7,
-            request: Request::Query { session: 7 },
-            slot: ReplySlot::reserve(&out, 7).unwrap(),
-        });
+        let slot = ReplySlot::reserve(&out, 7).unwrap();
+        let dead = tx.send(Command::Call(Box::new(move |shard: &mut Shard| {
+            shard.serve_wire(7, Request::Query { session: 7 }, slot)
+        })));
         assert!(dead.is_err());
         drop(dead);
         // A slot answered normally behind it, and one a dying shard

@@ -604,7 +604,7 @@ pub struct SessionStats {
 }
 
 /// Aggregated view across the whole server.
-#[derive(Clone, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct ServerStats {
     /// Sessions currently hosted.
     pub sessions_live: u64,

@@ -2,31 +2,32 @@
 //!
 //! [`Server`] is the in-process API the TCP front end ([`crate::net`]),
 //! the load generator, and tests all share. It owns the shard pool, the
-//! session-id counter and the program [`Registry`]; every per-session
-//! operation is forwarded to the owning shard over its command channel,
-//! whose loop is woken only when it is parked. An in-process caller waits
-//! on a one-shot reply channel. The wire front end never waits: a shard
-//! applies requests for its own sessions itself and posts the rest with
-//! their reserved reply slot (see [`crate::net`]). No shard ever waits on
-//! a shard, so the blocking calls here assert they are not made on one.
+//! session-id counter and the program [`Registry`]. Every per-session
+//! verb is one call of the matching shard method, posted into the owning
+//! shard's mailbox, whose loop is woken only when it is parked; the
+//! in-process caller waits for the call to send the method's result back
+//! on a one-shot channel. The wire front end never waits: a shard applies
+//! requests for its own sessions itself and posts the rest as calls that
+//! fill their reserved reply slot (see [`crate::net`]). No shard ever
+//! waits on a shard, so the blocking calls here assert they are not made
+//! on one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, Weak};
 use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver};
-use elm_runtime::{JournalEntry, PlainValue, SignalGraph, StatsSnapshot, WireSnapshot};
+use elm_runtime::{JournalEntry, PlainValue, SignalGraph, WireSnapshot};
 
 use crate::admission::{AdmissionConfig, MemoryGauge};
 use crate::cluster::{Cluster, ReplicationTap};
 use crate::protocol::{
-    AdmissionStats, BackpressurePolicy, BatchOutcome, DescribeInfo, EnqueueOutcome, IngressStats,
-    LatencySummary, OpenInfo, QueryInfo, RecoveryStats, ServerStats, SessionMeta, SessionStats,
-    TrapStats, Update,
+    AdmissionStats, BackpressurePolicy, BatchOutcome, DescribeInfo, EnqueueOutcome, LatencySummary,
+    OpenInfo, QueryInfo, ServerStats, SessionMeta, SessionStats, Update,
 };
 use crate::registry::{ProgramSpec, Registry};
 use crate::session::{SessionConfig, SessionId, TraceMailbox, UpdateSink};
-use crate::shard::{self, Command, ShardHandle, ShardStats};
+use crate::shard::{self, Command, Shard, ShardCounters, ShardHandle, ShardStats};
 use crate::sys::Doorbell;
 use std::sync::Arc;
 
@@ -66,6 +67,16 @@ pub(crate) struct OpenPlan {
     pub(crate) graph: SignalGraph,
     pub(crate) source: Option<String>,
     pub(crate) config: SessionConfig,
+}
+
+/// Every shard's statistics, folded: the summed lifecycle counters, every
+/// live session's statistics (by id) and latency samples, and each
+/// shard's own figures in shard order (a dead shard reports defaults).
+struct ShardFold {
+    counters: ShardCounters,
+    sessions: Vec<SessionStats>,
+    samples: Vec<u64>,
+    shards: Vec<ShardStats>,
 }
 
 /// A running multi-session server (see module docs).
@@ -159,28 +170,41 @@ impl Server {
     /// Hands a command to shard `index` without waiting for it, waking
     /// the shard only if it is parked. Commands from one thread reach a
     /// shard in the order they were sent. If the shard is down the
-    /// command is dropped, and with it its answer sink (a dropped
-    /// [`crate::net::ReplySlot`] answers `shard is down`).
+    /// command is dropped, and with it everything it captured (a dropped
+    /// `ReplySlot` answers `shard is down`).
     pub(crate) fn send_to_shard(&self, index: usize, cmd: Command) {
         let _ = self.shards[index].sender().send(cmd);
     }
 
-    /// Hands a command to `session`'s shard without waiting for it (see
+    /// Posts `call` to `session`'s shard without waiting for it (see
     /// [`Server::send_to_shard`]).
-    pub(crate) fn post(&self, session: SessionId, cmd: Command) {
-        self.send_to_shard(self.shard_of(session), cmd);
+    pub(crate) fn post(&self, session: SessionId, call: impl FnOnce(&mut Shard) + Send + 'static) {
+        self.send_to_shard(self.shard_of(session), Command::Call(Box::new(call)));
     }
 
-    /// Posts a command and waits for its answer. Never called on a shard
-    /// thread: a shard that waited on a shard could wait on itself.
-    fn ask<R>(
+    /// Runs `f` on `session`'s shard and waits for its result.
+    fn ask<R: Send + 'static>(
         &self,
         session: SessionId,
-        make: impl FnOnce(channel::Sender<R>) -> Command,
+        f: impl FnOnce(&mut Shard) -> R + Send + 'static,
+    ) -> Result<R, String> {
+        self.ask_shard(self.shard_of(session), f)
+    }
+
+    /// Runs `f` on shard `index` and waits for its result; `shard is
+    /// down` when the shard is gone. Never called on a shard thread: a
+    /// shard that waited on a shard could wait on itself.
+    fn ask_shard<R: Send + 'static>(
+        &self,
+        index: usize,
+        f: impl FnOnce(&mut Shard) -> R + Send + 'static,
     ) -> Result<R, String> {
         debug_assert!(!shard::on_shard(), "a shard waited on a shard");
         let (tx, rx) = channel::bounded(1);
-        self.post(session, make(tx));
+        let call = move |shard: &mut Shard| {
+            let _ = tx.send(f(shard));
+        };
+        self.send_to_shard(index, Command::Call(Box::new(call)));
         rx.recv().map_err(|_| SHARD_DOWN.to_string())
     }
 
@@ -275,14 +299,7 @@ impl Server {
     }
 
     fn open_at(&self, id: SessionId, plan: OpenPlan) -> Result<OpenInfo, String> {
-        self.ask(id, |reply| Command::Open {
-            id,
-            name: plan.name,
-            graph: plan.graph,
-            source: plan.source,
-            config: Box::new(plan.config),
-            reply,
-        })?
+        self.ask(id, move |s| s.open(id, plan))?
     }
 
     /// Hosts a session restored from a peer's shipped snapshot and
@@ -309,17 +326,15 @@ impl Server {
         let mut config = self.config.session;
         config.queue_capacity = meta.queue.max(1);
         config.policy = meta.policy;
-        self.reserve_key(session);
-        self.ask(session, |reply| Command::Adopt {
-            id: session,
+        let plan = OpenPlan {
             name,
             graph,
             source,
-            config: Box::new(config),
-            snapshot,
-            entries,
-            epoch,
-            reply,
+            config,
+        };
+        self.reserve_key(session);
+        self.ask(session, move |s| {
+            s.adopt(session, plan, snapshot, entries, epoch)
         })?
     }
 
@@ -329,12 +344,9 @@ impl Server {
     /// demotion (this peer was fenced off). Returns whether a local copy
     /// existed.
     pub fn close_moved(&self, session: SessionId, peer: &str, trace: u64, epoch: u64) -> bool {
-        self.ask(session, |reply| Command::CloseMoved {
-            session,
-            peer: peer.to_string(),
-            trace,
-            epoch,
-            reply,
+        let peer = peer.to_string();
+        self.ask(session, move |s| {
+            s.close_moved(session, &peer, trace, epoch)
         })
         .unwrap_or(false)
     }
@@ -347,7 +359,7 @@ impl Server {
     ///
     /// Fails for an unknown session.
     pub fn describe(&self, session: SessionId) -> Result<DescribeInfo, String> {
-        self.ask(session, |reply| Command::Describe { session, reply })?
+        self.ask(session, move |s| s.describe(session))?
     }
 
     /// Sends one event to a session's ingress queue.
@@ -377,12 +389,9 @@ impl Server {
         value: PlainValue,
         trace: u64,
     ) -> Result<EnqueueOutcome, String> {
-        self.ask(session, |tx| Command::Event {
-            session,
-            input: input.to_string(),
-            value: value.to_value(),
-            trace,
-            reply: tx,
+        let input = input.to_string();
+        self.ask(session, move |s| {
+            s.event(session, &input, value.to_value(), trace)
         })?
     }
 
@@ -400,11 +409,7 @@ impl Server {
             .iter()
             .map(|(i, v)| (i.clone(), v.to_value()))
             .collect();
-        self.ask(session, |tx| Command::Batch {
-            session,
-            events,
-            reply: tx,
-        })?
+        self.ask(session, move |s| s.batch(session, events))?
     }
 
     /// Current output value and queue depth (pumps pending events first,
@@ -414,7 +419,7 @@ impl Server {
     ///
     /// Fails for an unknown session.
     pub fn query(&self, session: SessionId) -> Result<QueryInfo, String> {
-        self.ask(session, |reply| Command::Query { session, reply })?
+        self.ask(session, move |s| s.query(session))?
     }
 
     /// Streams output changes. The returned receiver yields
@@ -442,11 +447,7 @@ impl Server {
         session: SessionId,
         sink: Box<dyn UpdateSink>,
     ) -> Result<(), String> {
-        self.ask(session, |reply| Command::Subscribe {
-            session,
-            sink,
-            reply,
-        })?
+        self.ask(session, move |s| s.subscribe(session, sink))?
     }
 
     /// Statistics for one session.
@@ -455,11 +456,7 @@ impl Server {
     ///
     /// Fails for an unknown session.
     pub fn session_stats(&self, session: SessionId) -> Result<SessionStats, String> {
-        let stats = self.ask(session, |reply| Command::Stats {
-            session: Some(session),
-            reply,
-        })?;
-        stats
+        self.ask(session, move |s| s.stats(Some(session)))?
             .sessions
             .into_iter()
             .next()
@@ -475,99 +472,77 @@ impl Server {
     pub fn trace_subscribe(&self, session: SessionId) -> Result<Arc<TraceMailbox>, String> {
         let mailbox = TraceMailbox::new();
         let sink = mailbox.clone();
-        self.ask(session, |reply| Command::TraceSubscribe {
-            session,
-            sink,
-            reply,
-        })??;
+        self.ask(session, move |s| s.subscribe_trace(session, sink))??;
         Ok(mailbox)
     }
 
-    /// Polls every shard for its statistics. Shard identity is preserved:
-    /// entry `i` of the result came from shard `i`'s reply (dead shards
-    /// report a default entry).
-    fn collect_shard_stats(&self) -> Vec<ShardStats> {
-        debug_assert!(!shard::on_shard(), "a shard waited on a shard");
-        let mut per_shard: Vec<ShardStats> = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (tx, rx) = channel::bounded(1);
-            let reply = shard
-                .sender()
-                .send(Command::Stats {
-                    session: None,
-                    reply: tx,
-                })
-                .ok()
-                .and_then(|()| rx.recv().ok());
-            per_shard.push(reply.unwrap_or_default());
+    /// Polls every shard for its statistics and folds them together.
+    fn fold_shards(&self) -> ShardFold {
+        let mut fold = ShardFold {
+            counters: ShardCounters::default(),
+            sessions: Vec::new(),
+            samples: Vec::new(),
+            shards: (0..self.shards.len())
+                .map(|i| self.ask_shard(i, |s| s.stats(None)).unwrap_or_default())
+                .collect(),
+        };
+        for shard in &mut fold.shards {
+            let c = shard.counters;
+            fold.counters.opened += c.opened;
+            fold.counters.closed += c.closed;
+            fold.counters.evicted_idle += c.evicted_idle;
+            fold.counters.recovery_failed += c.recovery_failed;
+            fold.sessions.append(&mut shard.sessions);
+            fold.samples.append(&mut shard.samples);
         }
-        per_shard
+        fold.sessions.sort_by_key(|s| s.session);
+        fold
     }
 
     /// Global counters plus per-session statistics for every live session.
     pub fn stats(&self) -> (ServerStats, Vec<SessionStats>) {
-        let per_shard = self.collect_shard_stats();
-        let mut sessions: Vec<SessionStats> = Vec::new();
-        let mut samples: Vec<u64> = Vec::new();
+        let ShardFold {
+            counters,
+            sessions,
+            mut samples,
+            shards,
+        } = self.fold_shards();
         let mut global = ServerStats {
-            sessions_live: 0,
-            opened: 0,
-            closed: 0,
-            evicted_idle: 0,
-            recovery_failed: 0,
-            restarts: 0,
-            replayed_events: 0,
-            snapshot_count: 0,
-            runtime: StatsSnapshot::default(),
-            ingress: IngressStats::default(),
-            recovery: RecoveryStats::default(),
-            latency: LatencySummary::default(),
-            traps: TrapStats::default(),
-            admission: AdmissionStats::default(),
+            sessions_live: sessions.len() as u64,
+            opened: counters.opened,
+            closed: counters.closed,
+            evicted_idle: counters.evicted_idle,
+            recovery_failed: counters.recovery_failed,
+            latency: LatencySummary::compute(&mut samples),
+            ..ServerStats::default()
         };
-        for shard in per_shard {
-            global.opened += shard.counters.opened;
-            global.closed += shard.counters.closed;
-            global.evicted_idle += shard.counters.evicted_idle;
-            global.recovery_failed += shard.counters.recovery_failed;
-            global.sessions_live += shard.sessions.len() as u64;
+        for shard in &shards {
             global.admission = global.admission.merged(&shard.admission);
-            for s in &shard.sessions {
-                global.runtime = global.runtime.merged(&s.runtime);
-                global.ingress = global.ingress.merged(&s.ingress);
-                global.recovery = global.recovery.merged(&s.recovery);
-                global.traps = global.traps.merged(&s.traps);
-            }
-            sessions.extend(shard.sessions);
-            samples.extend(shard.samples);
+        }
+        for s in &sessions {
+            global.runtime = global.runtime.merged(&s.runtime);
+            global.ingress = global.ingress.merged(&s.ingress);
+            global.recovery = global.recovery.merged(&s.recovery);
+            global.traps = global.traps.merged(&s.traps);
         }
         global.restarts = global.recovery.restarts;
         global.replayed_events = global.recovery.replayed_events;
         global.snapshot_count = global.recovery.snapshot_count;
-        global.latency = LatencySummary::compute(&mut samples);
-        sessions.sort_by_key(|s| s.session);
         (global, sessions)
     }
 
     /// Renders every server metric family as Prometheus exposition text —
     /// the payload behind both the `metrics` wire verb and `GET /metrics`.
     pub fn metrics_text(&self) -> String {
-        let per_shard = self.collect_shard_stats();
-        let shard_depths: Vec<u64> = per_shard.iter().map(|s| s.queue_depth).collect();
-        let admissions: Vec<AdmissionStats> = per_shard.iter().map(|s| s.admission).collect();
-        let backlogs: Vec<u64> = per_shard.iter().map(|s| s.cmd_backlog).collect();
-        let mut sessions: Vec<SessionStats> = Vec::new();
-        let mut samples: Vec<u64> = Vec::new();
-        let mut counters = crate::shard::ShardCounters::default();
-        for shard in per_shard {
-            counters.opened += shard.counters.opened;
-            counters.closed += shard.counters.closed;
-            counters.evicted_idle += shard.counters.evicted_idle;
-            counters.recovery_failed += shard.counters.recovery_failed;
-            sessions.extend(shard.sessions);
-            samples.extend(shard.samples);
-        }
-        sessions.sort_by_key(|s| s.session);
+        let ShardFold {
+            counters,
+            sessions,
+            mut samples,
+            shards,
+        } = self.fold_shards();
+        let shard_depths: Vec<u64> = shards.iter().map(|s| s.queue_depth).collect();
+        let admissions: Vec<AdmissionStats> = shards.iter().map(|s| s.admission).collect();
+        let backlogs: Vec<u64> = shards.iter().map(|s| s.cmd_backlog).collect();
         let latency_sum_us: u64 = samples.iter().sum();
         let latency = LatencySummary::compute(&mut samples);
         let text = crate::metrics::render_prometheus(
@@ -607,7 +582,7 @@ impl Server {
     ///
     /// Fails for an unknown session.
     pub fn close(&self, session: SessionId) -> Result<(), String> {
-        self.ask(session, |reply| Command::Close { session, reply })?
+        self.ask(session, move |s| s.close(session))?
     }
 
     /// Stops every shard, draining queued events first.

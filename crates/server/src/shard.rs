@@ -4,15 +4,22 @@
 //! Sessions are pinned to a shard at open time (`session id % shard
 //! count`), so all mutation of a session happens on one thread and the
 //! shard needs no locks around session state. Each accepted connection
-//! has a *home* shard too, and the shard thread is a readiness loop:
-//! [`run`] waits in `poll(2)` on its connections' sockets and on a
-//! doorbell that rings when a [`Command`] arrives while it is parked. The
-//! loop reads its connections' request lines and applies each request
-//! for one of its own sessions itself (see [`crate::net`]). A request for
-//! another shard's session reaches that shard as [`Command::Wire`],
-//! carrying its reserved reply slot, which the shard renders and fills.
-//! An in-process caller's command carries a reply channel instead. The
-//! shard's sessions render and stage replication lines too (see
+//! has a *home* shard too, and the shard thread is a readiness loop: it
+//! waits in `poll(2)` on its connections' sockets and on a doorbell that
+//! rings when a command arrives while it is parked. The loop reads its
+//! connections' request lines and applies each request for one of its
+//! own sessions itself (see [`crate::net`]).
+//!
+//! The shard's verbs are plain methods on `Shard` (`open`, `event`,
+//! `batch`, `query`, `close_moved`, `sweep`, ...), which a test can call
+//! on a shard built with `Shard::new`, with no thread and no channel.
+//! Every other thread reaches them by posting a call, a boxed
+//! `FnOnce(&mut Shard)`, into the shard's FIFO mailbox: an in-process
+//! verb's call sends the method's result back on a one-shot channel, and
+//! a wire request read by another shard's connection is a call to
+//! `Shard::serve_wire`, which fills the request's reserved reply slot.
+//! A call that cannot be posted is dropped with everything it captured.
+//! The shard's sessions render and stage replication lines too (see
 //! [`crate::cluster::ReplicationTap`]).
 //!
 //! No shard ever waits on a shard, itself included: every blocking call
@@ -29,11 +36,11 @@
 //! writes the replies it filled, one write per connection, then pumps the
 //! sessions the burst touched (updates are written as they are pushed).
 //! Acks of events a pump is about to apply wait for that pump and leave
-//! with the first update it writes to their connection. Once per [`TICK`]
+//! with the first update it writes to their connection. Once per `TICK`
 //! the loop sweeps every session: due crash recoveries run, and idle
 //! sessions and sessions that exhausted their restart budget are evicted.
 //! In cluster mode it group-commits replication: once the oldest staged
-//! line is one [`TICK`] old it queues every session's staged lines on the
+//! line is one `TICK` old it queues every session's staged lines on the
 //! replica links, and while lines are staged its poll timeout ends at
 //! that deadline, so a quiet shard still ships its suffix on time.
 //! Sessions whose runtimes crash are *not* evicted — they recover in
@@ -43,15 +50,14 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, SendError, Sender, TryRecvError};
 use elm_environment::fault::{self, FaultPlan};
-use elm_runtime::{NodeKind, PlainValue, SignalGraph, Value};
+use elm_runtime::{JournalEntry, NodeKind, PlainValue, SignalGraph, Value, WireSnapshot};
 use rand::Rng;
-
-use std::sync::Arc;
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController, MemoryGauge};
 use crate::cluster::ReplicationTap;
@@ -62,9 +68,8 @@ use crate::protocol::{
 };
 use crate::registry::ProgramSpec;
 use crate::server::OpenPlan;
-use crate::session::{Session, SessionConfig, SessionId, TraceMailbox, UpdateSink};
+use crate::session::{Session, SessionId, TraceMailbox, UpdateSink};
 use crate::sys::{self, Doorbell, PollFd, POLLIN};
-use elm_runtime::{JournalEntry, WireSnapshot};
 
 /// The longest a shard waits in `poll` before it re-checks write
 /// deadlines; how often it sweeps its sessions for due recoveries and
@@ -100,7 +105,7 @@ pub struct ShardCounters {
     pub recovery_failed: u64,
 }
 
-/// A shard's answer to [`Command::Stats`].
+/// One shard's statistics, as its `stats` verb reports them.
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
     /// Lifecycle counters.
@@ -120,141 +125,11 @@ pub struct ShardStats {
     pub cmd_backlog: u64,
 }
 
-/// One request to a shard. Every variant carries where its answer goes.
-pub enum Command {
-    /// Host a new session.
-    Open {
-        /// Pre-assigned session id (routing already happened).
-        id: SessionId,
-        /// Display name of the resolved program.
-        name: String,
-        /// The compiled signal graph.
-        graph: SignalGraph,
-        /// The FElm source the graph was compiled from (`None` for
-        /// native graphs); served back by [`Command::Describe`].
-        source: Option<String>,
-        /// Ingress configuration (boxed: it dwarfs every other variant).
-        config: Box<SessionConfig>,
-        /// Replies with the open summary, or an error when the
-        /// (cluster-keyed) id is already hosted here.
-        reply: Sender<Result<OpenInfo, String>>,
-    },
-    /// Host a session restored from a peer's shipped snapshot + journal
-    /// suffix (cluster failover).
-    Adopt {
-        /// The session's cluster-wide id (it keeps it across the move).
-        id: SessionId,
-        /// Display name of the resolved program.
-        name: String,
-        /// The compiled signal graph.
-        graph: SignalGraph,
-        /// FElm source, if the program was compiled from source.
-        source: Option<String>,
-        /// Ingress configuration.
-        config: Box<SessionConfig>,
-        /// Last shipped snapshot, tagged with its applied-seq watermark.
-        snapshot: Option<(u64, WireSnapshot)>,
-        /// Replicated journal suffix past the snapshot.
-        entries: Vec<JournalEntry>,
-        /// The ownership epoch the takeover assigned: stamped on the
-        /// adopted session and fenced into its journal.
-        epoch: u64,
-        /// Replies with the restored applied-seq high-water mark.
-        reply: Sender<Result<u64, String>>,
-    },
-    /// Close a session because a peer took it over: subscribers get a
-    /// typed `moved` redirect instead of a plain close.
-    CloseMoved {
-        /// Target session.
-        session: SessionId,
-        /// The peer address subscribers should reconnect to.
-        peer: String,
-        /// The takeover's trace id, echoed on the `moved` redirect.
-        trace: u64,
-        /// The adopter's ownership epoch (0 = legacy broadcast). Nonzero
-        /// closes are demotions: this peer was fenced off at that epoch.
-        epoch: u64,
-        /// Acknowledges the close (`Ok(false)` when not hosted here).
-        reply: Sender<bool>,
-    },
-    /// One input event.
-    Event {
-        /// Target session.
-        session: SessionId,
-        /// Input signal name.
-        input: String,
-        /// The value.
-        value: Value,
-        /// Causal trace id riding the event (0 = untraced).
-        trace: u64,
-        /// Receives the queue outcome.
-        reply: Sender<Result<EnqueueOutcome, String>>,
-    },
-    /// Many input events, enqueued in order.
-    Batch {
-        /// Target session.
-        session: SessionId,
-        /// `(input, value)` pairs.
-        events: Vec<(String, Value)>,
-        /// Receives the per-category tally.
-        reply: Sender<Result<BatchOutcome, String>>,
-    },
-    /// The hosted program's source and graph fingerprint.
-    Describe {
-        /// Target session.
-        session: SessionId,
-        /// Replies with the description.
-        reply: Sender<Result<DescribeInfo, String>>,
-    },
-    /// Current output value.
-    Query {
-        /// Target session.
-        session: SessionId,
-        /// Replies with the snapshot.
-        reply: Sender<Result<QueryInfo, String>>,
-    },
-    /// Register an update subscriber.
-    Subscribe {
-        /// Target session.
-        session: SessionId,
-        /// Where updates go. The shard pushes into it without blocking.
-        sink: Box<dyn UpdateSink>,
-        /// Acknowledges registration.
-        reply: Sender<Result<(), String>>,
-    },
-    /// Register a span-tree (`trace`) subscriber.
-    TraceSubscribe {
-        /// Target session.
-        session: SessionId,
-        /// Where rendered trace lines go (bounded, drop-oldest).
-        sink: Arc<TraceMailbox>,
-        /// Acknowledges registration.
-        reply: Sender<Result<(), String>>,
-    },
-    /// Statistics for one session (`Some`) or all on this shard (`None`).
-    Stats {
-        /// Optional session filter.
-        session: Option<SessionId>,
-        /// Replies with counters and per-session stats.
-        reply: Sender<ShardStats>,
-    },
-    /// Tear a session down.
-    Close {
-        /// Target session.
-        session: SessionId,
-        /// Acknowledges the close.
-        reply: Sender<Result<(), String>>,
-    },
-    /// A wire request about a session this shard hosts (for `open`: the
-    /// id it will host), read by another shard's connection.
-    Wire {
-        /// Target session.
-        session: SessionId,
-        /// The parsed request.
-        request: Request,
-        /// The connection's reply slot the shard fills.
-        slot: ReplySlot,
-    },
+/// One entry of a shard's mailbox.
+pub(crate) enum Command {
+    /// Run a call on the shard: an in-process verb, whose call sends the
+    /// result back, or a wire request another shard's connection read.
+    Call(Box<dyn FnOnce(&mut Shard) + Send>),
     /// Serve a newly accepted client connection from this shard's loop.
     Connect(Box<Connection>),
     /// Stop the shard thread (pumps and notifies remaining sessions).
@@ -263,7 +138,7 @@ pub enum Command {
 
 /// A shard's command channel. Sending wakes the shard's loop when it is
 /// parked, and costs no system call when it is not.
-pub struct ShardSender {
+pub(crate) struct ShardSender {
     tx: Sender<Command>,
     bell: Arc<Doorbell>,
 }
@@ -274,9 +149,9 @@ impl ShardSender {
     ///
     /// # Errors
     ///
-    /// Fails once the shard is gone, dropping the command and with it its
-    /// answer sink.
-    pub fn send(&self, cmd: Command) -> Result<(), SendError<()>> {
+    /// Fails once the shard is gone, dropping the command and with it
+    /// everything it captured.
+    pub(crate) fn send(&self, cmd: Command) -> Result<(), SendError<()>> {
         let sent = self.tx.send(cmd).map_err(|_| SendError(()));
         self.bell.ring();
         sent
@@ -289,7 +164,7 @@ impl ShardSender {
 }
 
 /// Handle to a running shard thread.
-pub struct ShardHandle {
+pub(crate) struct ShardHandle {
     tx: ShardSender,
     handle: JoinHandle<()>,
 }
@@ -297,10 +172,9 @@ pub struct ShardHandle {
 impl ShardHandle {
     /// Spawns a shard worker. `faults` drives worker-stall injection
     /// (deterministically seeded by the shard index); pass
-    /// [`FaultPlan::disabled`] for a fault-free shard. `admission`
-    /// configures the shard's load-shedding controller and `memory` is
-    /// the server-wide gauge behind its watermark.
-    pub fn spawn(
+    /// [`FaultPlan::disabled`] for a fault-free shard. The other arguments
+    /// are those of [`Shard::new`].
+    pub(crate) fn spawn(
         index: usize,
         idle_timeout: Option<Duration>,
         faults: FaultPlan,
@@ -308,22 +182,9 @@ impl ShardHandle {
         memory: Arc<MemoryGauge>,
         tap: Arc<ReplicationTap>,
     ) -> ShardHandle {
+        let shard = Shard::new(index, idle_timeout, admission, memory, tap);
         let (tx, rx) = channel::unbounded();
         let bell = Arc::new(Doorbell::new());
-        let shard = Shard {
-            sessions: HashMap::new(),
-            counters: ShardCounters::default(),
-            idle_timeout,
-            admission: AdmissionController::new(admission, memory.clone()),
-            memory,
-            cmd_backlog: 0,
-            tap,
-            flushes: Flushes::default(),
-            staged_since: None,
-            touched: Vec::new(),
-            next_sweep: Instant::now() + TICK,
-            index,
-        };
         let loop_bell = Arc::clone(&bell);
         let handle = thread::Builder::new()
             .name(format!("elm-shard-{index}"))
@@ -336,12 +197,12 @@ impl ShardHandle {
     }
 
     /// The shard's command channel.
-    pub fn sender(&self) -> &ShardSender {
+    pub(crate) fn sender(&self) -> &ShardSender {
         &self.tx
     }
 
     /// Stops the shard and joins its thread.
-    pub fn shutdown(self) {
+    pub(crate) fn shutdown(self) {
         let _ = self.tx.send(Command::Shutdown);
         let _ = self.handle.join();
     }
@@ -368,7 +229,7 @@ pub(crate) struct Shard {
     cmd_backlog: u64,
     tap: Arc<ReplicationTap>,
     /// Connections whose reply slots were filled this loop turn, written
-    /// once each (see [`Flushes`]).
+    /// once each (see `Flushes`).
     pub(crate) flushes: Flushes,
     /// When the shard first saw replication lines staged since its last
     /// flush (cluster mode only).
@@ -379,6 +240,15 @@ pub(crate) struct Shard {
     next_sweep: Instant,
     /// This shard's position in the pool.
     index: usize,
+}
+
+/// How a session leaves its shard (see [`Shard::retire`]).
+#[derive(Clone, Copy)]
+enum Farewell<'a> {
+    /// Closed or evicted here, with this close reason.
+    Closed(&'static str),
+    /// Taken over by the peer at this address.
+    Moved(&'a str),
 }
 
 /// The shard's readiness loop (see the module docs).
@@ -423,15 +293,16 @@ fn run(mut shard: Shard, rx: Receiver<Command>, bell: &Doorbell, faults: FaultPl
         let mut worked = false;
         shard.cmd_backlog = rx.len() as u64;
         for _ in 0..MAX_BURST {
-            match rx.try_recv() {
-                Ok(cmd) => {
-                    worked = true;
-                    if shard.handle(cmd, &mut conns) {
-                        break 'outer;
-                    }
-                }
+            let cmd = match rx.try_recv() {
+                Ok(cmd) => cmd,
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => break 'outer,
+            };
+            worked = true;
+            match cmd {
+                Command::Call(call) => call(&mut shard),
+                Command::Connect(conn) => conns.push(*conn),
+                Command::Shutdown => break 'outer,
             }
         }
         for (fd, &i) in fds[1..].iter().zip(&polled) {
@@ -471,190 +342,35 @@ fn run(mut shard: Shard, rx: Receiver<Command>, bell: &Doorbell, faults: FaultPl
 }
 
 impl Shard {
+    /// An empty shard at position `index` in the pool. `admission`
+    /// configures its load-shedding controller and `memory` is the
+    /// server-wide gauge behind its watermark.
+    pub(crate) fn new(
+        index: usize,
+        idle_timeout: Option<Duration>,
+        admission: AdmissionConfig,
+        memory: Arc<MemoryGauge>,
+        tap: Arc<ReplicationTap>,
+    ) -> Shard {
+        Shard {
+            sessions: HashMap::new(),
+            counters: ShardCounters::default(),
+            idle_timeout,
+            admission: AdmissionController::new(admission, memory.clone()),
+            memory,
+            cmd_backlog: 0,
+            tap,
+            flushes: Flushes::default(),
+            staged_since: None,
+            touched: Vec::new(),
+            next_sweep: Instant::now() + TICK,
+            index,
+        }
+    }
+
     /// This shard's position in the pool.
     pub(crate) fn index(&self) -> usize {
         self.index
-    }
-
-    /// Applies one command (a new connection joins `conns`); returns true
-    /// on [`Command::Shutdown`].
-    fn handle(&mut self, cmd: Command, conns: &mut Vec<Connection>) -> bool {
-        match cmd {
-            Command::Open {
-                id,
-                name,
-                graph,
-                source,
-                config,
-                reply,
-            } => {
-                let plan = OpenPlan {
-                    name,
-                    graph,
-                    source,
-                    config: *config,
-                };
-                let _ = reply.send(self.open(id, plan));
-            }
-            Command::Adopt {
-                id,
-                name,
-                graph,
-                source,
-                config,
-                snapshot,
-                entries,
-                epoch,
-                reply,
-            } => {
-                if self.sessions.contains_key(&id) {
-                    let _ = reply.send(Err(format!("session {id} already exists")));
-                    return false;
-                }
-                let mut session = Session::new(id, name, graph, *config);
-                session.set_source(source);
-                session.set_memory_gauge(self.memory.clone());
-                // The takeover's epoch lands before any replication: the
-                // re-basing snapshot and every append after it carry the
-                // new epoch, and the journal is fenced against the old.
-                session.set_epoch(epoch);
-                match session.restore_shipped(snapshot, entries) {
-                    Ok(last_seq) => {
-                        // The tap attaches only after the restore, so the
-                        // replayed history is not re-replicated; from here
-                        // the adopted session streams to *its* replica.
-                        if let Some(links) = self.tap.links() {
-                            links.ship_open(id, &session.replica_meta(), session.epoch());
-                        }
-                        session.set_replication(self.tap.clone());
-                        // Re-protect immediately: a snapshot at the
-                        // adoption high-water mark re-bases this
-                        // session's *new* replica so the append stream
-                        // that follows stays contiguous instead of
-                        // gapping until the next periodic snapshot.
-                        session.snapshot_now();
-                        self.sessions.insert(id, session);
-                        self.touched.push(id);
-                        self.counters.opened += 1;
-                        let _ = reply.send(Ok(last_seq));
-                    }
-                    Err(e) => {
-                        session.stop();
-                        let _ = reply.send(Err(e));
-                    }
-                }
-            }
-            Command::CloseMoved {
-                session,
-                peer,
-                trace,
-                epoch,
-                reply,
-            } => {
-                // Split-brain guard: a stale primary drops its copy when a
-                // peer announces a takeover. Deliberately no replica drop —
-                // the new primary may share our replica target, and a drop
-                // from us must not erase the replica it is now feeding.
-                let hosted = match self.sessions.remove(&session) {
-                    Some(mut s) => {
-                        if epoch > 0 {
-                            // An epoch-stamped takeover means *we* were
-                            // the fenced-off owner: record the demotion,
-                            // not just the move.
-                            crate::blackbox::blackbox().record(
-                                "demote",
-                                session,
-                                s.last_seq(),
-                                trace,
-                                -1,
-                                &format!("demoted to {peer} at epoch {epoch}"),
-                            );
-                        } else {
-                            crate::blackbox::blackbox().record(
-                                "takeover",
-                                session,
-                                0,
-                                trace,
-                                -1,
-                                &format!("moved to {peer}"),
-                            );
-                        }
-                        // Like a plain close, apply what was answered
-                        // `accepted` first: a batch queued in this very
-                        // burst would otherwise vanish unapplied.
-                        s.pump();
-                        s.notify_moved(&peer);
-                        s.stop();
-                        self.admission.forget(session);
-                        self.counters.closed += 1;
-                        true
-                    }
-                    None => false,
-                };
-                let _ = reply.send(hosted);
-            }
-            Command::Event {
-                session,
-                input,
-                value,
-                trace,
-                reply,
-            } => {
-                let _ = reply.send(self.event(session, &input, value, trace));
-            }
-            Command::Batch {
-                session,
-                events,
-                reply,
-            } => {
-                let _ = reply.send(self.batch(session, events));
-            }
-            Command::Describe { session, reply } => {
-                let _ = reply.send(self.with_session(session, |s| s.describe()));
-            }
-            Command::Query { session, reply } => {
-                let _ = reply.send(self.query(session));
-            }
-            Command::Subscribe {
-                session,
-                sink,
-                reply,
-            } => {
-                let _ = reply.send(self.with_session(session, |s| s.subscribe(sink)));
-            }
-            Command::TraceSubscribe {
-                session,
-                sink,
-                reply,
-            } => {
-                let res = self
-                    .with_session(session, |s| s.subscribe_trace(sink))
-                    .and_then(|observed| {
-                        if observed {
-                            Ok(())
-                        } else {
-                            Err(format!(
-                                "session {session} was not opened with \"observe\":true"
-                            ))
-                        }
-                    });
-                let _ = reply.send(res);
-            }
-            Command::Stats { session, reply } => {
-                let _ = reply.send(self.stats(session));
-            }
-            Command::Close { session, reply } => {
-                let _ = reply.send(self.close(session));
-            }
-            Command::Wire {
-                session,
-                request,
-                slot,
-            } => self.serve_wire(session, request, slot),
-            Command::Connect(conn) => conns.push(*conn),
-            Command::Shutdown => return true,
-        }
-        false
     }
 
     /// Applies one wire request about `session`, which this shard hosts
@@ -695,14 +411,10 @@ impl Shard {
             // connection, behind this request's reply slot, until the
             // session closes (a `closed` or `moved` update is the stream's
             // final message) or the connection goes away.
-            Request::Subscribe { .. } => {
-                let sink = slot.sink();
-                self.with_session(session, |s| s.subscribe(sink))
-                    .map(|()| protocol::subscribed_line(session))
-            }
-            Request::Describe { .. } => {
-                self.with_session(session, |s| protocol::describe_line(&s.describe()))
-            }
+            Request::Subscribe { .. } => self
+                .subscribe(session, slot.sink())
+                .map(|()| protocol::subscribed_line(session)),
+            Request::Describe { .. } => self.describe(session).map(|d| protocol::describe_line(&d)),
             Request::Close { .. } => self.close(session).map(|()| protocol::closed_line(session)),
             Request::Stats { .. } => Ok(match self.stats(Some(session)).sessions.first() {
                 Some(stats) => protocol::session_stats_line(stats),
@@ -734,36 +446,142 @@ impl Shard {
         slot.answer(res, &mut self.flushes, when);
     }
 
-    fn open(&mut self, id: SessionId, plan: OpenPlan) -> Result<OpenInfo, String> {
+    /// Hosts a new session under `id`.
+    pub(crate) fn open(&mut self, id: SessionId, plan: OpenPlan) -> Result<OpenInfo, String> {
+        let info = OpenInfo {
+            session: id,
+            program: plan.name.clone(),
+            inputs: input_names(&plan.graph),
+            initial: PlainValue::from_value(&plan.graph.node(plan.graph.output()).default)
+                .unwrap_or_else(|| PlainValue::Str("<opaque>".to_string())),
+        };
+        let session = self.build(id, plan)?;
+        self.host(id, session);
+        Ok(info)
+    }
+
+    /// Hosts a session restored from a peer's shipped snapshot and journal
+    /// suffix (cluster failover), stamped with the takeover's ownership
+    /// `epoch`. Returns the restored applied-seq high-water mark.
+    pub(crate) fn adopt(
+        &mut self,
+        id: SessionId,
+        plan: OpenPlan,
+        snapshot: Option<(u64, WireSnapshot)>,
+        entries: Vec<JournalEntry>,
+        epoch: u64,
+    ) -> Result<u64, String> {
+        let mut session = self.build(id, plan)?;
+        // The takeover's epoch lands before any replication: the
+        // re-basing snapshot and every append after it carry the new
+        // epoch, and the journal is fenced against the old.
+        session.set_epoch(epoch);
+        let last_seq = match session.restore_shipped(snapshot, entries) {
+            Ok(last_seq) => last_seq,
+            Err(e) => {
+                session.stop();
+                return Err(e);
+            }
+        };
+        // The tap attaches only after the restore, so the replayed history
+        // is not re-replicated; from here the adopted session streams to
+        // *its* replica. A snapshot at the adoption high-water mark
+        // re-bases that replica at once, so the append stream that follows
+        // stays contiguous instead of gapping until the next periodic
+        // snapshot.
+        self.host(id, session).snapshot_now();
+        self.touched.push(id);
+        Ok(last_seq)
+    }
+
+    /// A session for `plan` under `id`, counted against the server's
+    /// memory gauge; an error when `id` is already hosted here.
+    fn build(&self, id: SessionId, plan: OpenPlan) -> Result<Session, String> {
         if self.sessions.contains_key(&id) {
             return Err(format!("session {id} already exists"));
         }
-        let OpenPlan {
-            name,
-            graph,
-            source,
-            config,
-        } = plan;
-        let info = OpenInfo {
-            session: id,
-            program: name.clone(),
-            inputs: input_names(&graph),
-            initial: PlainValue::from_value(&graph.node(graph.output()).default)
-                .unwrap_or_else(|| PlainValue::Str("<opaque>".to_string())),
-        };
-        let mut session = Session::new(id, name, graph, config);
-        session.set_source(source);
+        let mut session = Session::new(id, plan.name, plan.graph, plan.config);
+        session.set_source(plan.source);
         session.set_memory_gauge(self.memory.clone());
+        Ok(session)
+    }
+
+    /// Starts `session`'s replication stream, counts it opened and hosts
+    /// it.
+    fn host(&mut self, id: SessionId, mut session: Session) -> &mut Session {
         if let Some(links) = self.tap.links() {
             links.ship_open(id, &session.replica_meta(), session.epoch());
         }
         session.set_replication(self.tap.clone());
-        self.sessions.insert(id, session);
         self.counters.opened += 1;
-        Ok(info)
+        self.sessions.entry(id).or_insert(session)
     }
 
-    fn event(
+    /// Closes a copy of `session` because the peer at `peer` took it over
+    /// at `epoch`: subscribers get a typed `moved` redirect carrying the
+    /// takeover's `trace` id. A nonzero epoch marks a demotion (this peer
+    /// was fenced off at that epoch). Returns whether a copy was hosted.
+    pub(crate) fn close_moved(
+        &mut self,
+        session: SessionId,
+        peer: &str,
+        trace: u64,
+        epoch: u64,
+    ) -> bool {
+        let Some(s) = self.sessions.get(&session) else {
+            return false;
+        };
+        let (kind, seq, detail) = if epoch > 0 {
+            (
+                "demote",
+                s.last_seq(),
+                format!("demoted to {peer} at epoch {epoch}"),
+            )
+        } else {
+            ("takeover", 0, format!("moved to {peer}"))
+        };
+        crate::blackbox::blackbox().record(kind, session, seq, trace, -1, &detail);
+        self.retire(session, Farewell::Moved(peer)).is_ok()
+    }
+
+    /// Takes `id` off the shard: applies what it answered `accepted`
+    /// (a batch queued in this very burst would otherwise vanish
+    /// unapplied), sends its subscribers their final notice, stops it and
+    /// counts it. A close or an eviction also drops its replica; a
+    /// takeover does not, because the new primary may share our replica
+    /// target, and a drop from us must not erase the replica it now feeds.
+    fn retire(&mut self, id: SessionId, farewell: Farewell<'_>) -> Result<(), String> {
+        let mut s = self
+            .sessions
+            .remove(&id)
+            .ok_or_else(|| format!("unknown session {id}"))?;
+        s.pump();
+        let counter = match farewell {
+            Farewell::Moved(peer) => {
+                s.notify_moved(peer);
+                &mut self.counters.closed
+            }
+            Farewell::Closed(reason) => {
+                s.notify_closed(reason);
+                match reason {
+                    "idle" => &mut self.counters.evicted_idle,
+                    "recovery_failed" => &mut self.counters.recovery_failed,
+                    _ => &mut self.counters.closed,
+                }
+            }
+        };
+        *counter += 1;
+        let epoch = s.epoch();
+        s.stop();
+        self.admission.forget(id);
+        if let (Farewell::Closed(_), Some(links)) = (farewell, self.tap.links()) {
+            links.ship_drop(id, epoch);
+        }
+        Ok(())
+    }
+
+    /// Queues one event on `session`, unless admission control sheds it.
+    pub(crate) fn event(
         &mut self,
         session: SessionId,
         input: &str,
@@ -787,7 +605,8 @@ impl Shard {
         }
     }
 
-    fn batch(
+    /// Queues many events on `session` in order, or sheds them all.
+    pub(crate) fn batch(
         &mut self,
         session: SessionId,
         events: Vec<(String, Value)>,
@@ -817,15 +636,47 @@ impl Shard {
         }
     }
 
-    fn query(&mut self, session: SessionId) -> Result<QueryInfo, String> {
+    /// The hosted program's description.
+    pub(crate) fn describe(&mut self, session: SessionId) -> Result<DescribeInfo, String> {
+        self.with_session(session, |s| s.describe())
+    }
+
+    /// The session's applied state (pumps what is queued first).
+    pub(crate) fn query(&mut self, session: SessionId) -> Result<QueryInfo, String> {
         self.with_session(session, |s| {
-            // Answer with applied state, not queued state.
             s.pump();
             s.query()
         })
     }
 
-    fn stats(&self, session: Option<SessionId>) -> ShardStats {
+    /// Registers an update subscriber the shard pushes into without
+    /// blocking.
+    pub(crate) fn subscribe(
+        &mut self,
+        session: SessionId,
+        sink: Box<dyn UpdateSink>,
+    ) -> Result<(), String> {
+        self.with_session(session, |s| s.subscribe(sink))
+    }
+
+    /// Registers a span-tree (`trace`) subscriber; fails unless the
+    /// session was opened with `observe`.
+    pub(crate) fn subscribe_trace(
+        &mut self,
+        session: SessionId,
+        sink: Arc<TraceMailbox>,
+    ) -> Result<(), String> {
+        if self.with_session(session, |s| s.subscribe_trace(sink))? {
+            Ok(())
+        } else {
+            Err(format!(
+                "session {session} was not opened with \"observe\":true"
+            ))
+        }
+    }
+
+    /// Statistics for one session (`Some`) or all on this shard (`None`).
+    pub(crate) fn stats(&self, session: Option<SessionId>) -> ShardStats {
         let selected: Vec<&Session> = match session {
             Some(id) => self.sessions.get(&id).into_iter().collect(),
             None => self.sessions.values().collect(),
@@ -844,21 +695,9 @@ impl Shard {
         stats
     }
 
-    fn close(&mut self, session: SessionId) -> Result<(), String> {
-        let mut s = self
-            .sessions
-            .remove(&session)
-            .ok_or_else(|| format!("unknown session {session}"))?;
-        s.pump();
-        s.notify_closed("closed");
-        let epoch = s.epoch();
-        s.stop();
-        self.admission.forget(session);
-        self.counters.closed += 1;
-        if let Some(links) = self.tap.links() {
-            links.ship_drop(session, epoch);
-        }
-        Ok(())
+    /// Tears a session down; subscribers get a final `closed` update.
+    pub(crate) fn close(&mut self, session: SessionId) -> Result<(), String> {
+        self.retire(session, Farewell::Closed("closed"))
     }
 
     /// Runs `f` on a hosted session and marks it touched, so the loop
@@ -885,8 +724,8 @@ impl Shard {
     }
 
     /// Pumps the touched sessions. In cluster mode, once the oldest staged
-    /// replication line is one [`TICK`] old, queues every session's
-    /// staged lines on the replica links, one batch per session.
+    /// replication line is one `TICK` old, queues every session's staged
+    /// lines on the replica links, one batch per session.
     fn pump_touched(&mut self) {
         let replicating = self.tap.links().is_some();
         for id in self.touched.drain(..) {
@@ -908,10 +747,10 @@ impl Shard {
         }
     }
 
-    /// Once per [`TICK`]: pumps every session, which runs the crash
+    /// Once per `TICK`: pumps every session, which runs the crash
     /// recoveries that fell due, then evicts idle sessions and sessions
     /// whose restart budget is exhausted.
-    fn sweep(&mut self, now: Instant) {
+    pub(crate) fn sweep(&mut self, now: Instant) {
         if now < self.next_sweep {
             return;
         }
@@ -935,19 +774,7 @@ impl Shard {
             })
             .collect();
         for (id, reason) in doomed {
-            if let Some(mut s) = self.sessions.remove(&id) {
-                s.notify_closed(reason);
-                let epoch = s.epoch();
-                s.stop();
-                self.admission.forget(id);
-                if let Some(links) = self.tap.links() {
-                    links.ship_drop(id, epoch);
-                }
-                match reason {
-                    "recovery_failed" => self.counters.recovery_failed += 1,
-                    _ => self.counters.evicted_idle += 1,
-                }
-            }
+            let _ = self.retire(id, Farewell::Closed(reason));
         }
     }
 }
@@ -957,6 +784,7 @@ mod tests {
     use super::*;
     use crate::protocol::Update;
     use crate::registry::{ProgramSpec, Registry};
+    use crate::session::SessionConfig;
 
     fn spawn_shard(idle_timeout: Option<Duration>) -> ShardHandle {
         ShardHandle::spawn(
@@ -981,14 +809,15 @@ mod tests {
         let (tx, rx) = channel::bounded(1);
         shard
             .sender()
-            .send(Command::Open {
-                id,
-                name,
-                graph,
-                source,
-                config: Box::new(config),
-                reply: tx,
-            })
+            .send(Command::Call(Box::new(move |s: &mut Shard| {
+                let plan = OpenPlan {
+                    name,
+                    graph,
+                    source,
+                    config,
+                };
+                let _ = tx.send(s.open(id, plan));
+            })))
             .unwrap();
         rx.recv().unwrap().expect("open accepted")
     }
@@ -997,10 +826,9 @@ mod tests {
         let (tx, rx) = channel::bounded(1);
         shard
             .sender()
-            .send(Command::Query {
-                session: id,
-                reply: tx,
-            })
+            .send(Command::Call(Box::new(move |s: &mut Shard| {
+                let _ = tx.send(s.query(id));
+            })))
             .unwrap();
         rx.recv().unwrap()
     }
@@ -1016,13 +844,9 @@ mod tests {
         let (tx, rx) = channel::bounded(1);
         shard
             .sender()
-            .send(Command::Event {
-                session: 7,
-                input: "Mouse.clicks".to_string(),
-                value: Value::Unit,
-                trace: 0,
-                reply: tx,
-            })
+            .send(Command::Call(Box::new(move |s: &mut Shard| {
+                let _ = tx.send(s.event(7, "Mouse.clicks", Value::Unit, 0));
+            })))
             .unwrap();
         assert_eq!(rx.recv().unwrap(), Ok(EnqueueOutcome::Accepted));
         assert_eq!(query_on(&shard, 7).unwrap().value, PlainValue::Int(1));
@@ -1042,14 +866,15 @@ mod tests {
         let (tx, rx) = channel::bounded(1);
         shard
             .sender()
-            .send(Command::Open {
-                id: 7,
-                name,
-                graph,
-                source,
-                config: Box::new(SessionConfig::default()),
-                reply: tx,
-            })
+            .send(Command::Call(Box::new(move |s: &mut Shard| {
+                let plan = OpenPlan {
+                    name,
+                    graph,
+                    source,
+                    config: SessionConfig::default(),
+                };
+                let _ = tx.send(s.open(7, plan));
+            })))
             .unwrap();
         assert!(rx.recv().unwrap().is_err());
 
@@ -1068,17 +893,15 @@ mod tests {
         let (tx, rx) = channel::bounded(1);
         shard
             .sender()
-            .send(Command::Adopt {
-                id: 9,
-                name,
-                graph,
-                source,
-                config: Box::new(SessionConfig::default()),
-                snapshot: None,
-                entries,
-                epoch: 2,
-                reply: tx,
-            })
+            .send(Command::Call(Box::new(move |s: &mut Shard| {
+                let plan = OpenPlan {
+                    name,
+                    graph,
+                    source,
+                    config: SessionConfig::default(),
+                };
+                let _ = tx.send(s.adopt(9, plan, None, entries, 2));
+            })))
             .unwrap();
         assert_eq!(rx.recv().unwrap(), Ok(3));
         let q = query_on(&shard, 9).unwrap();
@@ -1092,23 +915,17 @@ mod tests {
         let (tx, rx) = channel::bounded(1);
         shard
             .sender()
-            .send(Command::Subscribe {
-                session: 9,
-                sink: Box::new(sub_tx),
-                reply: tx,
-            })
+            .send(Command::Call(Box::new(move |s: &mut Shard| {
+                let _ = tx.send(s.subscribe(9, Box::new(sub_tx)));
+            })))
             .unwrap();
         rx.recv().unwrap().unwrap();
         let (tx, rx) = channel::bounded(1);
         shard
             .sender()
-            .send(Command::CloseMoved {
-                session: 9,
-                peer: "127.0.0.1:7777".to_string(),
-                trace: 0,
-                epoch: 3,
-                reply: tx,
-            })
+            .send(Command::Call(Box::new(move |s: &mut Shard| {
+                let _ = tx.send(s.close_moved(9, "127.0.0.1:7777", 0, 3));
+            })))
             .unwrap();
         assert!(rx.recv().unwrap());
         assert_eq!(
@@ -1129,11 +946,9 @@ mod tests {
         let (tx, rx) = channel::bounded(1);
         shard
             .sender()
-            .send(Command::Subscribe {
-                session: 9,
-                sink: Box::new(sub_tx),
-                reply: tx,
-            })
+            .send(Command::Call(Box::new(move |s: &mut Shard| {
+                let _ = tx.send(s.subscribe(9, Box::new(sub_tx)));
+            })))
             .unwrap();
         rx.recv().unwrap().unwrap();
 
@@ -1142,31 +957,24 @@ mod tests {
         // two land in one burst, before any pump.
         let (held_tx, held_rx) = channel::bounded(1);
         held_tx.send(Err("placeholder".to_string())).unwrap();
-        let held = Command::Query {
-            session: 9,
-            reply: held_tx,
-        };
+        let held = Command::Call(Box::new(move |s: &mut Shard| {
+            let _ = held_tx.send(s.query(9));
+        }));
         shard.sender().send(held).unwrap();
         let (batch_tx, batch_rx) = channel::bounded(1);
         let clicks = vec![("Mouse.clicks".to_string(), Value::Unit); 4];
         shard
             .sender()
-            .send(Command::Batch {
-                session: 9,
-                events: clicks,
-                reply: batch_tx,
-            })
+            .send(Command::Call(Box::new(move |s: &mut Shard| {
+                let _ = batch_tx.send(s.batch(9, clicks));
+            })))
             .unwrap();
         let (tx, rx) = channel::bounded(1);
         shard
             .sender()
-            .send(Command::CloseMoved {
-                session: 9,
-                peer: "127.0.0.1:7777".to_string(),
-                trace: 0,
-                epoch: 2,
-                reply: tx,
-            })
+            .send(Command::Call(Box::new(move |s: &mut Shard| {
+                let _ = tx.send(s.close_moved(9, "127.0.0.1:7777", 0, 2));
+            })))
             .unwrap();
         assert!(held_rx.recv().unwrap().is_err());
         held_rx.recv().unwrap().unwrap();
@@ -1183,6 +991,73 @@ mod tests {
     }
 
     #[test]
+    fn a_shard_called_without_a_thread_applies_a_batch_before_a_takeover_close() {
+        let timeout = Duration::from_millis(30);
+        let mut shard = Shard::new(
+            0,
+            Some(timeout),
+            AdmissionConfig::default(),
+            MemoryGauge::new(),
+            ReplicationTap::new(),
+        );
+        let counter = || {
+            let (name, graph, source) = Registry::standard()
+                .resolve_with_source(ProgramSpec::Builtin("counter"))
+                .unwrap();
+            OpenPlan {
+                name,
+                graph,
+                source,
+                config: SessionConfig::default(),
+            }
+        };
+
+        // A batch and a takeover close in the same turn, before any pump.
+        shard.open(1, counter()).unwrap();
+        let (moved_tx, moved_rx) = channel::unbounded();
+        shard.subscribe(1, Box::new(moved_tx)).unwrap();
+        let clicks = vec![("Mouse.clicks".to_string(), Value::Unit); 4];
+        assert_eq!(shard.batch(1, clicks).unwrap().accepted, 4);
+        assert!(shard.close_moved(1, "127.0.0.1:7777", 0, 2));
+        let mut expected: Vec<Update> = (1..=4)
+            .map(|n| Update::Changed {
+                session: 1,
+                seq: n,
+                value: PlainValue::Int(n as i64),
+            })
+            .collect();
+        expected.push(Update::Moved {
+            session: 1,
+            peer: "127.0.0.1:7777".to_string(),
+        });
+        assert_eq!(moved_rx.try_iter().collect::<Vec<_>>(), expected);
+        assert!(!shard.close_moved(1, "127.0.0.1:7777", 0, 2));
+
+        // A sweep past the idle timeout evicts the next session.
+        shard.open(2, counter()).unwrap();
+        let (idle_tx, idle_rx) = channel::unbounded();
+        shard.subscribe(2, Box::new(idle_tx)).unwrap();
+        shard.sweep(Instant::now() + timeout + Duration::from_millis(1));
+        assert_eq!(
+            idle_rx.try_iter().collect::<Vec<_>>(),
+            vec![Update::Closed {
+                session: 2,
+                reason: "idle".to_string()
+            }]
+        );
+        assert!(shard.query(2).is_err());
+        assert_eq!(
+            shard.stats(None).counters,
+            ShardCounters {
+                opened: 2,
+                closed: 1,
+                evicted_idle: 1,
+                recovery_failed: 0
+            }
+        );
+    }
+
+    #[test]
     fn poisoned_sessions_recover_in_place_instead_of_eviction() {
         let shard = spawn_shard(None);
         open_on(&shard, 1, "crashy", SessionConfig::default());
@@ -1192,13 +1067,9 @@ mod tests {
             let (tx, rx) = channel::bounded(1);
             shard
                 .sender()
-                .send(Command::Event {
-                    session: 1,
-                    input: "Mouse.x".to_string(),
-                    value: Value::Int(v),
-                    trace: 0,
-                    reply: tx,
-                })
+                .send(Command::Call(Box::new(move |s: &mut Shard| {
+                    let _ = tx.send(s.event(1, "Mouse.x", Value::Int(v), 0));
+                })))
                 .unwrap();
             rx.recv().unwrap().unwrap();
         }
@@ -1221,10 +1092,9 @@ mod tests {
         let (tx, rx) = channel::bounded(1);
         shard
             .sender()
-            .send(Command::Stats {
-                session: None,
-                reply: tx,
-            })
+            .send(Command::Call(Box::new(move |s: &mut Shard| {
+                let _ = tx.send(s.stats(None));
+            })))
             .unwrap();
         let stats = rx.recv().unwrap();
         assert_eq!(stats.counters.recovery_failed, 0);
@@ -1249,24 +1119,18 @@ mod tests {
         let (tx, rx) = channel::bounded(1);
         shard
             .sender()
-            .send(Command::Subscribe {
-                session: 1,
-                sink: Box::new(sub_tx),
-                reply: tx,
-            })
+            .send(Command::Call(Box::new(move |s: &mut Shard| {
+                let _ = tx.send(s.subscribe(1, Box::new(sub_tx)));
+            })))
             .unwrap();
         rx.recv().unwrap().unwrap();
 
         let (tx, rx) = channel::bounded(1);
         shard
             .sender()
-            .send(Command::Event {
-                session: 1,
-                input: "Mouse.x".to_string(),
-                value: Value::Int(-5),
-                trace: 0,
-                reply: tx,
-            })
+            .send(Command::Call(Box::new(move |s: &mut Shard| {
+                let _ = tx.send(s.event(1, "Mouse.x", Value::Int(-5), 0));
+            })))
             .unwrap();
         rx.recv().unwrap().unwrap();
 

@@ -19,7 +19,7 @@
 //! checked against arbitrary graph shapes instead of a handful of
 //! hand-written builtins.
 //!
-//! When a check fails, [`shrink`] minimizes the `(program, trace)` pair —
+//! When a check fails, [`shrink()`] minimizes the `(program, trace)` pair —
 //! bypassing graph nodes and bisecting the trace while the failure
 //! reproduces — to a minimal repro that fits in a verdict line.
 //!
