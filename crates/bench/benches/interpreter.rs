@@ -10,7 +10,12 @@
 //! The `node` group applies two function shapes the scenario generator
 //! synthesizes, as a node does per event: `lane` through the node entry
 //! point (the Int lane, since both bodies are int-closed), `boxed` through
-//! the same entry with every value an `RtValue`, and `small-step-spec`.
+//! the same entry on the general slot path, every value a boxed runtime
+//! `Value`, and `small-step-spec`.
+//!
+//! Since nodes and the evaluator share one value type, the general path
+//! binds its parents' values as they are and hands its result on as it
+//! is: no `node-general` row pays for copying a value between two types.
 //!
 //! The `node-general` group applies node functions the Int lane does not
 //! run — pair, record, string, float and constructor results, a partial

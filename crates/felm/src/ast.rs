@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use elm_runtime::Value;
+
 use crate::span::Span;
 
 /// Binary operators. The paper's ⊕ ranges over total binary integer
@@ -481,6 +483,32 @@ impl Type {
         }
     }
 
+    /// Whether `v` is a value of this type: how a host checks a value that
+    /// arrives from outside the program, such as an input event, before
+    /// any node computes on it. A declared data type admits every
+    /// constructor application (the declarations are not at hand here); a
+    /// function, signal or unsolved type admits nothing.
+    pub fn admits(&self, v: &Value) -> bool {
+        match (self, v) {
+            (Type::Unit, Value::Unit)
+            | (Type::Int, Value::Int(_))
+            | (Type::Float, Value::Float(_))
+            | (Type::Str, Value::Str(_))
+            | (Type::Named(_), Value::Tagged(..)) => true,
+            (Type::Pair(a, b), Value::Pair(p)) => a.admits(&p.0) && b.admits(&p.1),
+            (Type::List(t), Value::List(items)) => items.iter().all(|v| t.admits(v)),
+            // Both maps iterate in field-name order.
+            (Type::Record(fields), Value::Record(values)) => {
+                fields.len() == values.len()
+                    && fields
+                        .iter()
+                        .zip(values.iter())
+                        .all(|((f, t), (g, v))| f == g && t.admits(v))
+            }
+            _ => false,
+        }
+    }
+
     /// Classifies the type against the stratified grammar of Fig. 3.
     ///
     /// ```
@@ -640,6 +668,21 @@ mod tests {
             Type::signal(Type::fun(Type::Int, Type::signal(Type::Int))).classify(),
             Invalid
         );
+    }
+
+    #[test]
+    fn types_admit_only_their_values() {
+        let arrows = Type::record([("x".into(), Type::Int), ("y".into(), Type::Int)]);
+        let xy = |y: Value| Value::record([("x".into(), Value::Int(1)), ("y".into(), y)]);
+        assert!(arrows.admits(&xy(Value::Int(2))));
+        assert!(!arrows.admits(&xy(Value::str("2"))));
+        assert!(!arrows.admits(&Value::record([("x".into(), Value::Int(1))])));
+        let touches = Type::list(Type::pair(Type::Int, Type::Int));
+        assert!(touches.admits(&Value::list([])));
+        assert!(!touches.admits(&Value::list([Value::Int(1)])));
+        assert!(Type::Named("Maybe".into()).admits(&Value::tagged("Just", [Value::Int(1)])));
+        assert!(!Type::Int.admits(&Value::Bool(true)));
+        assert!(!Type::fun(Type::Int, Type::Int).admits(&Value::Unit));
     }
 
     #[test]

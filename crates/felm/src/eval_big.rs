@@ -26,7 +26,7 @@
 //! comparison operators, `if` and `let` (decided by [`compile`]) — and
 //! every parameter the body reads holds an `Int`, the body runs over
 //! unboxed `i64`s in the same frame layout: the Int lane, which builds no
-//! [`RtValue`] at all.
+//! [`Value`] at all.
 //!
 //! Every path charges a [`Meter`] exactly as the curried reading of the
 //! term would: one visit per node, one allocation cell per closure a
@@ -34,9 +34,15 @@
 //! same events whichever path runs.
 //!
 //! Scope: values of simple types only (unit, numbers, strings, pairs,
-//! functions). Signal forms are out of scope by construction — stage one
-//! has already reduced programs to signal terms whose embedded functions
-//! are simple-typed values (Fig. 5), and those are what nodes apply.
+//! lists, records, constructor applications and functions). They are
+//! [`elm_runtime::Value`]s, the type graph edges carry, so a node binds
+//! its parents' values into its frame as they are and hands its result
+//! on as it is. A function is a [`Value::Closure`]: the [`FnCode`] that
+//! [`compile`] made once for its lambda, plus the values it captured, so
+//! signals may carry functions as Fig. 4 allows. Signal forms are out of
+//! scope by construction — stage one has already reduced programs to
+//! signal terms whose embedded functions are simple-typed values
+//! (Fig. 5), and those are what nodes apply.
 //!
 //! Agreement with the small-step semantics is property-tested in
 //! `tests/theorem1_prop.rs` and `crates/felm/tests/compiled_eval.rs`, and
@@ -46,114 +52,16 @@ use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
 
-use elm_runtime::Value;
+use elm_runtime::{FnCode, Value};
 
 use crate::ast::{BinOp, Expr, ExprKind, ListOp, Pattern};
 use crate::budget::{Meter, Trap};
 use crate::eval::EvalError;
 
-/// A runtime value of the big-step machine.
-#[derive(Clone)]
-pub enum RtValue {
-    /// `()`
-    Unit,
-    /// An integer.
-    Int(i64),
-    /// A float.
-    Float(f64),
-    /// A string.
-    Str(Arc<str>),
-    /// A pair.
-    Pair(Arc<(RtValue, RtValue)>),
-    /// A list.
-    List(Arc<Vec<RtValue>>),
-    /// A record.
-    Record(Arc<std::collections::BTreeMap<String, RtValue>>),
-    /// A constructor application of an algebraic data type.
-    Tagged {
-        /// Constructor name.
-        tag: Arc<str>,
-        /// Arguments.
-        args: Arc<Vec<RtValue>>,
-    },
-    /// A function closure.
-    Closure(Closure),
-}
-
-/// A function value: a lambda's shared code, and the values of its free
-/// variables followed by the arguments a partial application has
-/// collected, in one shared array (`None` when both are empty, so a
-/// closed lambda builds its closure without allocating).
-#[derive(Clone)]
-pub struct Closure {
-    lambda: Arc<Lambda>,
-    values: Option<Arc<[RtValue]>>,
-}
-
-impl Closure {
-    /// The values of the lambda's free variables, by capture slot.
-    fn captured(&self) -> &[RtValue] {
-        &self.values.as_deref().unwrap_or_default()[..self.lambda.captures.len()]
-    }
-
-    /// The arguments collected so far.
-    fn args(&self) -> &[RtValue] {
-        &self.values.as_deref().unwrap_or_default()[self.lambda.captures.len()..]
-    }
-}
-
-impl fmt::Debug for RtValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RtValue::Unit => write!(f, "()"),
-            RtValue::Int(n) => write!(f, "{n}"),
-            RtValue::Float(x) => write!(f, "{x:?}"),
-            RtValue::Str(s) => write!(f, "{s:?}"),
-            RtValue::Pair(p) => write!(f, "({:?}, {:?})", p.0, p.1),
-            RtValue::List(items) => f.debug_list().entries(items.iter()).finish(),
-            RtValue::Record(fields) => {
-                let mut m = f.debug_map();
-                for (k, v) in fields.iter() {
-                    m.entry(&format_args!("{k}"), v);
-                }
-                m.finish()
-            }
-            RtValue::Tagged { tag, args } => {
-                write!(f, "{tag}")?;
-                for a in args.iter() {
-                    write!(f, " {a:?}")?;
-                }
-                Ok(())
-            }
-            RtValue::Closure(c) => write!(f, "<closure λ{}>", c.lambda.params[c.args().len()]),
-        }
-    }
-}
-
-impl PartialEq for RtValue {
-    /// Structural equality on data; closures are never equal (functions
-    /// have no decidable equality).
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (RtValue::Unit, RtValue::Unit) => true,
-            (RtValue::Int(a), RtValue::Int(b)) => a == b,
-            (RtValue::Float(a), RtValue::Float(b)) => a == b,
-            (RtValue::Str(a), RtValue::Str(b)) => a == b,
-            (RtValue::Pair(a), RtValue::Pair(b)) => a.0 == b.0 && a.1 == b.1,
-            (RtValue::List(a), RtValue::List(b)) => a == b,
-            (RtValue::Record(a), RtValue::Record(b)) => a == b,
-            (RtValue::Tagged { tag: t1, args: a1 }, RtValue::Tagged { tag: t2, args: a2 }) => {
-                t1 == t2 && a1 == a2
-            }
-            _ => false,
-        }
-    }
-}
-
 /// Named values for the free variables of a term: they seed the root
 /// frame of [`eval_code`]. Evaluation itself never looks a name up.
 #[derive(Clone, Default)]
-pub struct Env(Vec<(Arc<str>, RtValue)>);
+pub struct Env(Vec<(Arc<str>, Value)>);
 
 impl Env {
     /// The empty environment.
@@ -162,13 +70,13 @@ impl Env {
     }
 
     /// Extends with one binding, shadowing any earlier one of that name.
-    pub fn bind(mut self, name: impl Into<Arc<str>>, value: RtValue) -> Env {
+    pub fn bind(mut self, name: impl Into<Arc<str>>, value: Value) -> Env {
         self.0.push((name.into(), value));
         self
     }
 
     /// Looks up a name (innermost binding wins).
-    pub fn lookup(&self, name: &str) -> Option<&RtValue> {
+    pub fn lookup(&self, name: &str) -> Option<&Value> {
         self.0
             .iter()
             .rev()
@@ -224,10 +132,11 @@ impl Code {
     /// The root lambda when `args` saturate it exactly and it captures
     /// nothing: the uncurried node entry.
     fn node_lambda(&self, args: usize) -> Option<&Lambda> {
-        match &self.root {
-            Form::Lam(lam) if lam.params.len() == args && self.globals.is_empty() => Some(lam),
-            _ => None,
-        }
+        let Form::Lam(code) = &self.root else {
+            return None;
+        };
+        let lam = lambda(code);
+        (lam.params.len() == args && self.globals.is_empty()).then_some(lam)
     }
 }
 
@@ -242,7 +151,8 @@ enum Form {
     Local(usize),
     /// A captured value of the current closure.
     Captured(usize),
-    Lam(Arc<Lambda>),
+    /// A lambda: its code, which holds a [`Lambda`].
+    Lam(FnCode),
     App(Box<Form>, Box<Form>),
     BinOp(BinOp, Box<Form>, Box<Form>),
     If(Box<Form>, Box<Form>, Box<Form>),
@@ -394,7 +304,7 @@ impl<'e> Compiler<'e> {
                 // Every binder in the body is unbound again: the locals
                 // are the parameters.
                 let scope = self.scopes.pop().expect("pushed above");
-                Form::Lam(Arc::new(Lambda {
+                Form::Lam(FnCode::new(Lambda {
                     params: scope.locals.into_iter().map(Arc::from).collect(),
                     captures: scope.from,
                     frame: scope.frame,
@@ -476,12 +386,13 @@ impl<'e> Compiler<'e> {
 ///
 /// ```
 /// use felm::budget::Meter;
-/// use felm::eval_big::{compile, eval_code, Env, RtValue};
+/// use elm_runtime::Value;
+/// use felm::eval_big::{compile, eval_code, Env};
 /// use felm::parser::parse_expr;
 ///
 /// let code = compile(&parse_expr("(\\x y -> x * y + 1) 6 7").unwrap());
 /// let v = eval_code(&Env::empty(), &code, &mut Meter::unlimited()).unwrap();
-/// assert_eq!(v, RtValue::Int(43));
+/// assert_eq!(v, Value::Int(43));
 /// ```
 pub fn compile(e: &Expr) -> Code {
     let mut compiler = Compiler {
@@ -491,7 +402,8 @@ pub fn compile(e: &Expr) -> Code {
     let root = compiler.expr(e);
     let scope = compiler.scopes.pop().expect("the root scope");
     let int_reads = match &root {
-        Form::Lam(lam) if scope.captured.is_empty() && lam.frame <= INT_FRAME => {
+        Form::Lam(code) if scope.captured.is_empty() && lambda(code).frame <= INT_FRAME => {
+            let lam = lambda(code);
             let mut reads = 0;
             int_closed(&lam.body, lam.params.len(), &mut reads).then_some(reads)
         }
@@ -542,13 +454,14 @@ fn int_closed(form: &Form, params: usize, reads: &mut u16) -> bool {
 /// [`EvalError::Stuck`] on ill-typed terms or signal forms.
 ///
 /// ```
-/// use felm::eval_big::{eval, Env, RtValue};
+/// use elm_runtime::Value;
+/// use felm::eval_big::{eval, Env};
 /// use felm::parser::parse_expr;
 ///
 /// let e = parse_expr("(\\x y -> x * y + 1) 6 7").unwrap();
-/// assert_eq!(eval(&Env::empty(), &e).unwrap(), RtValue::Int(43));
+/// assert_eq!(eval(&Env::empty(), &e).unwrap(), Value::Int(43));
 /// ```
-pub fn eval(env: &Env, e: &Expr) -> Result<RtValue, EvalError> {
+pub fn eval(env: &Env, e: &Expr) -> Result<Value, EvalError> {
     eval_metered(env, e, &mut Meter::unlimited())
 }
 
@@ -558,7 +471,7 @@ pub fn eval(env: &Env, e: &Expr) -> Result<RtValue, EvalError> {
 ///
 /// [`EvalError::Stuck`] on ill-typed terms, [`EvalError::Trap`] on budget
 /// exhaustion.
-pub fn eval_metered(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, EvalError> {
+pub fn eval_metered(env: &Env, e: &Expr, meter: &mut Meter) -> Result<Value, EvalError> {
     eval_code(env, &compile(e), meter)
 }
 
@@ -573,7 +486,7 @@ pub fn eval_metered(env: &Env, e: &Expr, meter: &mut Meter) -> Result<RtValue, E
 ///
 /// [`EvalError::Stuck`] on ill-typed terms or a free variable `env` does
 /// not bind, [`EvalError::Trap`] on budget exhaustion.
-pub fn eval_code(env: &Env, code: &Code, meter: &mut Meter) -> Result<RtValue, EvalError> {
+pub fn eval_code(env: &Env, code: &Code, meter: &mut Meter) -> Result<Value, EvalError> {
     let globals = code
         .globals
         .iter()
@@ -594,7 +507,7 @@ pub fn eval_code(env: &Env, code: &Code, meter: &mut Meter) -> Result<RtValue, E
 ///
 /// [`EvalError::Stuck`] if `f` is not a closure, [`EvalError::Trap`] on
 /// budget exhaustion.
-pub fn apply_metered(f: RtValue, arg: RtValue, meter: &mut Meter) -> Result<RtValue, EvalError> {
+pub fn apply_metered(f: Value, arg: Value, meter: &mut Meter) -> Result<Value, EvalError> {
     with_machine(meter, |m| m.apply(f, arg))
 }
 
@@ -612,11 +525,6 @@ pub fn apply_metered(f: RtValue, arg: RtValue, meter: &mut Meter) -> Result<RtVa
 ///
 /// [`EvalError::Stuck`] on ill-typed code, [`EvalError::Trap`] on budget
 /// exhaustion.
-///
-/// # Panics
-///
-/// Panics if an argument is outside FElm's data universe or the result is
-/// a function — both impossible for nodes built from well-typed programs.
 pub fn apply_node(code: &Code, args: &[&Value], meter: &mut Meter) -> Result<Value, EvalError> {
     match (code.int_reads, code.node_lambda(args.len())) {
         (Some(reads), Some(lam)) if int_lane_applies(reads, args) => {
@@ -626,15 +534,11 @@ pub fn apply_node(code: &Code, args: &[&Value], meter: &mut Meter) -> Result<Val
     }
 }
 
-/// [`apply_node`] without the Int lane: every value is an [`RtValue`].
+/// [`apply_node`] without the Int lane: every value is a boxed [`Value`].
 /// The Int lane's reference path, kept for differential testing and the
 /// `interpreter` bench.
 ///
 /// # Errors
-///
-/// As [`apply_node`].
-///
-/// # Panics
 ///
 /// As [`apply_node`].
 pub fn apply_node_boxed(
@@ -642,32 +546,32 @@ pub fn apply_node_boxed(
     args: &[&Value],
     meter: &mut Meter,
 ) -> Result<Value, EvalError> {
-    let result = match code.node_lambda(args.len()) {
+    match code.node_lambda(args.len()) {
         Some(lam) => {
             for _ in args {
                 visit_lambda(meter)?;
             }
             with_machine(meter, |m| {
-                let base = m.push_frame(args.iter().map(|a| node_arg(a)), lam.frame);
+                let base = m.push_frame(args.iter().map(|&a| a.clone()), lam.frame);
                 m.eval(&lam.body, base, &[])
             })
         }
         None => {
             let mut cur = eval_code(&Env::empty(), code, meter);
-            for a in args {
+            for &a in args {
                 let Ok(f) = cur else { break };
-                cur = apply_metered(f, node_arg(a), meter);
+                cur = apply_metered(f, a.clone(), meter);
             }
             cur
         }
-    }?;
-    Ok(to_runtime_value(&result)
-        .unwrap_or_else(|| panic!("embedded FElm function returned a non-data value")))
+    }
 }
 
-fn node_arg(a: &Value) -> RtValue {
-    from_runtime_value(a)
-        .unwrap_or_else(|| panic!("runtime value {a:?} is outside FElm's data universe"))
+/// The lambda behind a function's code: [`compile`] makes every
+/// [`FnCode`] an FElm program can reach, each holding one.
+fn lambda(code: &FnCode) -> &Lambda {
+    code.downcast()
+        .expect("a compiled lambda's code is a `Lambda`")
 }
 
 /// What the curried reading charges for evaluating one lambda to a
@@ -745,7 +649,7 @@ fn int_form(form: &Form, frame: &mut [i64], meter: &mut Meter) -> Result<i64, Tr
 
 thread_local! {
     /// The frame stack, reused across evaluations on this thread.
-    static STACK: Cell<Vec<RtValue>> = const { Cell::new(Vec::new()) };
+    static STACK: Cell<Vec<Value>> = const { Cell::new(Vec::new()) };
 }
 
 /// Runs `f` on a machine over this thread's reused frame stack.
@@ -763,28 +667,23 @@ fn with_machine<T>(meter: &mut Meter, f: impl FnOnce(&mut Machine<'_>) -> T) -> 
 
 /// The general evaluator: frames are windows of one value stack.
 struct Machine<'m> {
-    stack: Vec<RtValue>,
+    stack: Vec<Value>,
     meter: &'m mut Meter,
 }
 
 impl Machine<'_> {
     /// Pushes a frame of `size` slots whose first slots are `args`;
     /// returns its base.
-    fn push_frame(&mut self, args: impl IntoIterator<Item = RtValue>, size: usize) -> usize {
+    fn push_frame(&mut self, args: impl IntoIterator<Item = Value>, size: usize) -> usize {
         let base = self.stack.len();
         self.stack.extend(args);
-        self.stack.resize(base + size, RtValue::Unit);
+        self.stack.resize(base + size, Value::Unit);
         base
     }
 
     /// Evaluates `form` in the frame at `base` of a closure that captured
     /// `captured`.
-    fn eval(
-        &mut self,
-        form: &Form,
-        base: usize,
-        captured: &[RtValue],
-    ) -> Result<RtValue, EvalError> {
+    fn eval(&mut self, form: &Form, base: usize, captured: &[Value]) -> Result<Value, EvalError> {
         self.meter.tick()?;
         self.meter.enter()?;
         let r = self.form(form, base, captured);
@@ -792,24 +691,20 @@ impl Machine<'_> {
         r
     }
 
-    fn form(
-        &mut self,
-        form: &Form,
-        base: usize,
-        captured: &[RtValue],
-    ) -> Result<RtValue, EvalError> {
+    fn form(&mut self, form: &Form, base: usize, captured: &[Value]) -> Result<Value, EvalError> {
         match form {
-            Form::Unit => Ok(RtValue::Unit),
-            Form::Int(n) => Ok(RtValue::Int(*n)),
-            Form::Float(x) => Ok(RtValue::Float(*x)),
+            Form::Unit => Ok(Value::Unit),
+            Form::Int(n) => Ok(Value::Int(*n)),
+            Form::Float(x) => Ok(Value::Float(*x)),
             Form::Str(s) => {
                 self.meter.alloc(1 + s.len() as u64)?;
-                Ok(RtValue::Str(s.clone()))
+                Ok(Value::Str(s.clone()))
             }
             Form::Local(slot) => Ok(self.stack[base + slot].clone()),
             Form::Captured(slot) => Ok(captured[*slot].clone()),
-            Form::Lam(lam) => {
+            Form::Lam(code) => {
                 self.meter.alloc(1)?;
+                let lam = lambda(code);
                 let values = (!lam.captures.is_empty()).then(|| {
                     lam.captures
                         .iter()
@@ -819,10 +714,7 @@ impl Machine<'_> {
                         })
                         .collect()
                 });
-                Ok(RtValue::Closure(Closure {
-                    lambda: lam.clone(),
-                    values,
-                }))
+                Ok(Value::Closure(code.clone(), values))
             }
             Form::App(f, a) => {
                 let fv = self.eval(f, base, captured)?;
@@ -835,7 +727,7 @@ impl Machine<'_> {
                 delta(*op, &av, &bv, self.meter)
             }
             Form::If(c, t, f) => match self.eval(c, base, captured)? {
-                RtValue::Int(n) => {
+                Value::Int(n) => {
                     if n != 0 {
                         self.eval(t, base, captured)
                     } else {
@@ -854,14 +746,14 @@ impl Machine<'_> {
                 self.meter.alloc(1)?;
                 let a = self.eval(a, base, captured)?;
                 let b = self.eval(b, base, captured)?;
-                Ok(RtValue::Pair(Arc::new((a, b))))
+                Ok(Value::Pair(Arc::new((a, b))))
             }
             Form::Fst(p) => match self.eval(p, base, captured)? {
-                RtValue::Pair(pr) => Ok(pr.0.clone()),
+                Value::Pair(pr) => Ok(pr.0.clone()),
                 other => stuck(format!("fst of a non-pair: {other:?}")),
             },
             Form::Snd(p) => match self.eval(p, base, captured)? {
-                RtValue::Pair(pr) => Ok(pr.1.clone()),
+                Value::Pair(pr) => Ok(pr.1.clone()),
                 other => stuck(format!("snd of a non-pair: {other:?}")),
             },
             Form::List(items) => {
@@ -870,10 +762,10 @@ impl Machine<'_> {
                     .iter()
                     .map(|i| self.eval(i, base, captured))
                     .collect::<Result<Vec<_>, _>>()?;
-                Ok(RtValue::List(Arc::new(vals)))
+                Ok(Value::List(Arc::new(vals)))
             }
             Form::ListOp(op, l) => match self.eval(l, base, captured)? {
-                RtValue::List(items) => match op {
+                Value::List(items) => match op {
                     ListOp::Head => match items.first() {
                         Some(h) => Ok(h.clone()),
                         None => stuck("head of the empty list"),
@@ -883,21 +775,21 @@ impl Machine<'_> {
                             stuck("tail of the empty list")
                         } else {
                             self.meter.alloc(items.len() as u64)?;
-                            Ok(RtValue::List(Arc::new(items[1..].to_vec())))
+                            Ok(Value::List(Arc::new(items[1..].to_vec())))
                         }
                     }
-                    ListOp::IsEmpty => Ok(RtValue::Int(items.is_empty() as i64)),
-                    ListOp::Length => Ok(RtValue::Int(items.len() as i64)),
+                    ListOp::IsEmpty => Ok(Value::Int(items.is_empty() as i64)),
+                    ListOp::Length => Ok(Value::Int(items.len() as i64)),
                 },
                 other => stuck(format!("{} of a non-list: {other:?}", op.keyword())),
             },
             Form::Ith(index, l) => {
                 let i = match self.eval(index, base, captured)? {
-                    RtValue::Int(n) => n,
+                    Value::Int(n) => n,
                     other => return stuck(format!("ith index is not an int: {other:?}")),
                 };
                 match self.eval(l, base, captured)? {
-                    RtValue::List(items) => {
+                    Value::List(items) => {
                         if i < 0 || i as usize >= items.len() {
                             stuck(format!(
                                 "ith index {i} out of bounds for a {}-element list",
@@ -916,10 +808,10 @@ impl Machine<'_> {
                 for (name, value) in fields {
                     out.insert(name.clone(), self.eval(value, base, captured)?);
                 }
-                Ok(RtValue::Record(Arc::new(out)))
+                Ok(Value::Record(Arc::new(out)))
             }
             Form::Field(rec, name) => match self.eval(rec, base, captured)? {
-                RtValue::Record(fields) => match fields.get(name) {
+                Value::Record(fields) => match fields.get(name) {
                     Some(v) => Ok(v.clone()),
                     None => stuck(format!("record has no field `{name}`")),
                 },
@@ -931,10 +823,7 @@ impl Machine<'_> {
                     .iter()
                     .map(|a| self.eval(a, base, captured))
                     .collect::<Result<Vec<_>, _>>()?;
-                Ok(RtValue::Tagged {
-                    tag: name.clone(),
-                    args: Arc::new(vals),
-                })
+                Ok(Value::Tagged(name.clone(), Arc::new(vals)))
             }
             Form::Case {
                 scrutinee,
@@ -943,7 +832,7 @@ impl Machine<'_> {
                 let value = self.eval(scrutinee, base, captured)?;
                 for (pattern, body) in branches {
                     match (pattern, &value) {
-                        (CasePattern::Ctor { name, binders }, RtValue::Tagged { tag, args })
+                        (CasePattern::Ctor { name, binders }, Value::Tagged(tag, args))
                             if name == tag =>
                         {
                             for (binder, arg) in binders.iter().zip(args.iter()) {
@@ -967,25 +856,21 @@ impl Machine<'_> {
     /// Applies `f` to one argument. A closure still short of more than
     /// one argument collects it (charged as the visit of the next curried
     /// lambda); otherwise its body runs in a fresh frame.
-    fn apply(&mut self, f: RtValue, arg: RtValue) -> Result<RtValue, EvalError> {
-        let RtValue::Closure(c) = f else {
+    fn apply(&mut self, f: Value, arg: Value) -> Result<Value, EvalError> {
+        let Value::Closure(code, values) = &f else {
             return stuck(format!("application of a non-function: {f:?}"));
         };
-        let lam = &c.lambda;
-        if c.args().len() + 1 < lam.params.len() {
+        let lam = lambda(code);
+        // The captured values, then the arguments collected so far.
+        let values = values.as_deref().unwrap_or_default();
+        let (captured, args) = values.split_at(lam.captures.len());
+        if args.len() + 1 < lam.params.len() {
             visit_lambda(self.meter)?;
-            let values = match &c.values {
-                Some(values) => values.iter().cloned().chain([arg]).collect(),
-                None => Arc::from([arg]),
-            };
-            return Ok(RtValue::Closure(Closure {
-                lambda: lam.clone(),
-                values: Some(values),
-            }));
+            let values = values.iter().cloned().chain([arg]).collect();
+            return Ok(Value::Closure(code.clone(), Some(values)));
         }
-        let args = c.args().iter().cloned().chain([arg]);
-        let base = self.push_frame(args, lam.frame);
-        let r = self.eval(&lam.body, base, c.captured());
+        let base = self.push_frame(args.iter().cloned().chain([arg]), lam.frame);
+        let r = self.eval(&lam.body, base, captured);
         self.stack.truncate(base);
         r
     }
@@ -1025,8 +910,8 @@ fn int_op(op: BinOp, x: i64, y: i64) -> Option<i64> {
     })
 }
 
-fn delta(op: BinOp, a: &RtValue, b: &RtValue, meter: &mut Meter) -> Result<RtValue, EvalError> {
-    use RtValue::{Float, Int, Str};
+fn delta(op: BinOp, a: &Value, b: &Value, meter: &mut Meter) -> Result<Value, EvalError> {
+    use Value::{Float, Int, Str};
     let r = match (op, a, b) {
         (BinOp::Append, Str(x), Str(y)) => {
             // Charge before materializing: an append chain must trap on the
@@ -1034,12 +919,12 @@ fn delta(op: BinOp, a: &RtValue, b: &RtValue, meter: &mut Meter) -> Result<RtVal
             meter.alloc(x.len() as u64 + y.len() as u64)?;
             Str(Arc::from(format!("{x}{y}").as_str()))
         }
-        (BinOp::Cons, head, RtValue::List(items)) => {
+        (BinOp::Cons, head, Value::List(items)) => {
             meter.alloc(1 + items.len() as u64)?;
             let mut out = Vec::with_capacity(items.len() + 1);
             out.push(head.clone());
             out.extend(items.iter().cloned());
-            RtValue::List(Arc::new(out))
+            Value::List(Arc::new(out))
         }
         (_, Int(x), Int(y)) => match int_op(op, *x, *y) {
             Some(n) => Int(n),
@@ -1068,73 +953,6 @@ fn delta(op: BinOp, a: &RtValue, b: &RtValue, meter: &mut Meter) -> Result<RtVal
     Ok(r)
 }
 
-/// Converts a big-step value to a runtime [`elm_runtime::Value`] (data
-/// only — closures return `None`).
-pub fn to_runtime_value(v: &RtValue) -> Option<Value> {
-    Some(match v {
-        RtValue::Unit => Value::Unit,
-        RtValue::Int(n) => Value::Int(*n),
-        RtValue::Float(x) => Value::Float(*x),
-        RtValue::Str(s) => Value::Str(s.clone()),
-        RtValue::Pair(p) => Value::pair(to_runtime_value(&p.0)?, to_runtime_value(&p.1)?),
-        RtValue::List(items) => Value::list(
-            items
-                .iter()
-                .map(to_runtime_value)
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        RtValue::Record(fields) => Value::record(
-            fields
-                .iter()
-                .map(|(k, v)| Some((k.clone(), to_runtime_value(v)?)))
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        RtValue::Tagged { tag, args } => Value::tagged(
-            tag.as_ref(),
-            args.iter()
-                .map(to_runtime_value)
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        RtValue::Closure { .. } => return None,
-    })
-}
-
-/// Converts a runtime [`elm_runtime::Value`] into a big-step value.
-pub fn from_runtime_value(v: &Value) -> Option<RtValue> {
-    Some(match v {
-        Value::Unit => RtValue::Unit,
-        Value::Int(n) => RtValue::Int(*n),
-        Value::Float(x) => RtValue::Float(*x),
-        Value::Bool(b) => RtValue::Int(*b as i64),
-        Value::Str(s) => RtValue::Str(s.clone()),
-        Value::Pair(p) => RtValue::Pair(Arc::new((
-            from_runtime_value(&p.0)?,
-            from_runtime_value(&p.1)?,
-        ))),
-        Value::List(items) => RtValue::List(Arc::new(
-            items
-                .iter()
-                .map(from_runtime_value)
-                .collect::<Option<Vec<_>>>()?,
-        )),
-        Value::Record(fields) => RtValue::Record(Arc::new(
-            fields
-                .iter()
-                .map(|(k, v)| Some((k.clone(), from_runtime_value(v)?)))
-                .collect::<Option<std::collections::BTreeMap<_, _>>>()?,
-        )),
-        Value::Tagged(tag, args) => RtValue::Tagged {
-            tag: tag.clone(),
-            args: Arc::new(
-                args.iter()
-                    .map(from_runtime_value)
-                    .collect::<Option<Vec<_>>>()?,
-            ),
-        },
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1142,20 +960,17 @@ mod tests {
     use crate::parser::parse_expr;
     use crate::translate::expr_to_value;
 
-    fn big(src: &str) -> RtValue {
+    fn big(src: &str) -> Value {
         eval(&Env::empty(), &parse_expr(src).unwrap()).unwrap()
     }
 
     #[test]
     fn evaluates_functional_programs() {
-        assert_eq!(big("1 + 2 * 3"), RtValue::Int(7));
-        assert_eq!(big("(\\f x -> f (f x)) (\\n -> n * 2) 5"), RtValue::Int(20));
-        assert_eq!(big("let a = 3 in let b = a * a in b + a"), RtValue::Int(12));
-        assert_eq!(
-            big("if 1 < 2 then \"y\" else \"n\""),
-            RtValue::Str("y".into())
-        );
-        assert_eq!(big("fst (snd ((1, 2), (3, 4)))"), RtValue::Int(3));
+        assert_eq!(big("1 + 2 * 3"), Value::Int(7));
+        assert_eq!(big("(\\f x -> f (f x)) (\\n -> n * 2) 5"), Value::Int(20));
+        assert_eq!(big("let a = 3 in let b = a * a in b + a"), Value::Int(12));
+        assert_eq!(big("if 1 < 2 then \"y\" else \"n\""), Value::str("y"));
+        assert_eq!(big("fst (snd ((1, 2), (3, 4)))"), Value::Int(3));
     }
 
     #[test]
@@ -1163,11 +978,11 @@ mod tests {
         // The classic shadowing test: adder captures its own x.
         assert_eq!(
             big("let makeAdd = \\x -> \\y -> x + y in let x = 100 in makeAdd 1 x"),
-            RtValue::Int(101)
+            Value::Int(101)
         );
         assert_eq!(
             big("let x = 1 in let f = \\y -> x + y in let x = 50 in f 0"),
-            RtValue::Int(1),
+            Value::Int(1),
             "static scoping, not dynamic"
         );
     }
@@ -1186,7 +1001,7 @@ mod tests {
             let e = parse_expr(src).unwrap();
             let small = normalize(&e, DEFAULT_FUEL).unwrap();
             let small_val = expr_to_value(&small).expect("data result");
-            let big_val = to_runtime_value(&eval(&Env::empty(), &e).unwrap()).unwrap();
+            let big_val = eval(&Env::empty(), &e).unwrap();
             assert_eq!(small_val, big_val, "{src}");
         }
     }
@@ -1202,32 +1017,24 @@ mod tests {
     }
 
     #[test]
-    fn value_conversions_round_trip() {
-        use elm_runtime::Value;
-        for v in [
-            Value::Unit,
-            Value::Int(5),
-            Value::Float(1.5),
-            Value::str("s"),
-            Value::pair(Value::Int(1), Value::str("x")),
-        ] {
-            let rt = from_runtime_value(&v).unwrap();
-            assert_eq!(to_runtime_value(&rt), Some(v));
-        }
-        let lst = Value::list([Value::Int(1), Value::Int(2)]);
-        let rt = from_runtime_value(&lst).unwrap();
-        assert_eq!(to_runtime_value(&rt), Some(lst));
-        assert!(from_runtime_value(&Value::ext(0u8)).is_none());
+    fn function_values_are_opaque_runtime_values() {
+        let f = big("let k = 10 in \\x y -> x + y + k");
+        assert_eq!(f.kind(), "function");
+        assert_ne!(f, f.clone(), "functions have no decidable equality");
+        assert_eq!(elm_runtime::PlainValue::from_value(&f), None);
+        let partial = apply_metered(f, Value::Int(1), &mut Meter::unlimited()).unwrap();
+        let sum = apply_metered(partial, Value::Int(2), &mut Meter::unlimited()).unwrap();
+        assert_eq!(sum, Value::Int(13));
     }
 
     #[test]
     fn env_lookup_is_innermost_first() {
         let env = Env::empty()
-            .bind("x", RtValue::Int(1))
-            .bind("y", RtValue::Int(2))
-            .bind("x", RtValue::Int(3));
-        assert_eq!(env.lookup("x"), Some(&RtValue::Int(3)));
-        assert_eq!(env.lookup("y"), Some(&RtValue::Int(2)));
+            .bind("x", Value::Int(1))
+            .bind("y", Value::Int(2))
+            .bind("x", Value::Int(3));
+        assert_eq!(env.lookup("x"), Some(&Value::Int(3)));
+        assert_eq!(env.lookup("y"), Some(&Value::Int(2)));
         assert_eq!(env.lookup("z"), None);
     }
 }

@@ -15,10 +15,11 @@ use crate::ast::Type;
 use crate::check::TypeError;
 use crate::env::{Adts, InputEnv};
 use crate::eval::{normalize, EvalError, DEFAULT_FUEL};
+use crate::eval_big::{eval, Env};
 use crate::infer::infer_type_with;
 use crate::intermediate::{FinalTerm, IlError, SignalTerm};
 use crate::parser::{parse_program, ParseError};
-use crate::translate::{expr_to_value, translate, TranslateError};
+use crate::translate::{translate, TranslateError};
 
 /// The stack a thread that compiles untrusted sources starts with. At
 /// [`crate::parser::MAX_NESTING`] the deepest measured programs (nested
@@ -40,6 +41,10 @@ pub enum CompileError {
     Intermediate(IlError),
     /// Graph construction failed.
     Translate(TranslateError),
+    /// `main` is a signal whose values can be functions (its type). A
+    /// function-valued signal may feed others, as Fig. 4 allows, but a
+    /// program's output must be data a client can read.
+    FunctionOutput(Type),
 }
 
 impl fmt::Display for CompileError {
@@ -50,6 +55,12 @@ impl fmt::Display for CompileError {
             CompileError::Eval(e) => write!(f, "{e}"),
             CompileError::Intermediate(e) => write!(f, "{e}"),
             CompileError::Translate(e) => write!(f, "{e}"),
+            CompileError::FunctionOutput(t) => {
+                write!(
+                    f,
+                    "`main : {t}` carries functions; its signal must carry data"
+                )
+            }
         }
     }
 }
@@ -140,13 +151,13 @@ pub fn compile_source(src: &str, env: &InputEnv) -> Result<CompiledProgram, Comp
     // typing and evaluation.
     let expr = adts.resolve(&expr)?;
     let program_type = infer_type_with(env, &adts, &expr)?;
+    if matches!(&program_type, Type::Signal(t) if holds_function(t, &adts, &mut Vec::new())) {
+        return Err(CompileError::FunctionOutput(program_type));
+    }
     let normal = normalize(&expr, DEFAULT_FUEL)?;
     let final_term = FinalTerm::from_expr(&normal)?;
     let result = match &final_term {
-        FinalTerm::Value(v) => {
-            let value = expr_to_value(v).unwrap_or(Value::Unit);
-            ProgramResult::Value(value)
-        }
+        FinalTerm::Value(v) => ProgramResult::Value(eval(&Env::empty(), v)?),
         FinalTerm::Signal(s) => ProgramResult::Reactive(build_graph(s, env)?),
     };
     Ok(CompiledProgram {
@@ -155,6 +166,27 @@ pub fn compile_source(src: &str, env: &InputEnv) -> Result<CompiledProgram, Comp
         final_term,
         result,
     })
+}
+
+/// Whether a value of type `t` can hold a function, looking through the
+/// constructors of the data types `adts` declares (`seen` stops recursive
+/// ones).
+fn holds_function<'a>(t: &'a Type, adts: &'a Adts, seen: &mut Vec<&'a str>) -> bool {
+    match t {
+        Type::Fun(..) => true,
+        Type::Pair(a, b) => holds_function(a, adts, seen) || holds_function(b, adts, seen),
+        Type::List(t) | Type::Signal(t) => holds_function(t, adts, seen),
+        Type::Record(fields) => fields.values().any(|t| holds_function(t, adts, seen)),
+        Type::Named(name) if !seen.contains(&name.as_str()) => {
+            seen.push(name);
+            let ctors = adts.variants(name).unwrap_or_default();
+            ctors
+                .iter()
+                .filter_map(|c| adts.ctor(c))
+                .any(|c| c.args.iter().any(|t| holds_function(t, adts, seen)))
+        }
+        _ => false,
+    }
 }
 
 fn build_graph(term: &SignalTerm, env: &InputEnv) -> Result<SignalGraph, CompileError> {
@@ -216,6 +248,33 @@ main = lift (\\i -> i % 3) index1";
             compile_source("x = 1", &env),
             Err(CompileError::Parse(_))
         ));
+    }
+
+    #[test]
+    fn function_valued_signals_feed_others_but_main_carries_data() {
+        let env = InputEnv::standard();
+        for src in [
+            "main = lift2 (\\f x -> f x) (lift (\\a -> \\b -> a + b) Mouse.x) Mouse.y",
+            "main = lift2 (\\f y -> f y) (foldp (\\x f -> \\y -> x + y) (\\y -> y) Mouse.x) Mouse.y",
+        ] {
+            let p = compile_source(src, &env).unwrap();
+            let g = p.graph().unwrap();
+            let (x, y) = (g.input_named("Mouse.x").unwrap(), g.input_named("Mouse.y").unwrap());
+            let trace = [Occurrence::input(x, 3i64), Occurrence::input(y, 4i64)];
+            let outs = SyncRuntime::run_trace(g, trace).unwrap();
+            assert_eq!(changed_values(&outs), [Value::Int(3), Value::Int(7)], "{src}");
+        }
+        for src in [
+            "main = lift (\\x -> \\y -> x) Mouse.x",
+            "main = foldp (\\x f -> f) (\\y -> y) Mouse.x",
+            "data Box = Box (Int -> Int)\nmain = lift (\\x -> Box (\\y -> x + y)) Mouse.x",
+        ] {
+            let err = compile_source(src, &env).unwrap_err();
+            assert!(
+                matches!(err, CompileError::FunctionOutput(_)),
+                "{src}: {err}"
+            );
+        }
     }
 
     #[test]

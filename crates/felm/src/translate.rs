@@ -15,7 +15,9 @@
 //! the paper's `⟦f⟧V` application inside each node's CML loop. The
 //! application is uncurried: the k parent values of a `\p1 … pk -> body`
 //! node fill one reused frame, and an int-closed body over `Int` parents
-//! runs on unboxed `i64`s, allocating nothing.
+//! runs on unboxed `i64`s, allocating nothing. The same evaluator computes
+//! the term's values — `foldp` and `keepIf` base values, `let … in v`
+//! constants — so a base value may be a function.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -25,7 +27,7 @@ use elm_runtime::{GraphBuilder, NodeId, SignalGraph, Value};
 use crate::ast::{Expr, ExprKind};
 use crate::env::InputEnv;
 use crate::eval::{normalize, DEFAULT_FUEL};
-use crate::eval_big::{apply_node, compile, Code};
+use crate::eval_big::{apply_node, compile, eval, Code, Env};
 use crate::intermediate::{FinalTerm, SignalTerm};
 
 /// Errors raised while building the graph.
@@ -53,9 +55,10 @@ impl fmt::Display for TranslateError {
 impl std::error::Error for TranslateError {}
 
 /// Converts a runtime value to a literal FElm expression, for feeding
-/// runtime values into embedded FElm functions.
+/// runtime values to the Fig. 6 small-step machine
+/// ([`apply_function_small_step`]).
 ///
-/// Returns `None` for values outside FElm's data universe (lists, records,
+/// Returns `None` for values outside FElm's data universe (functions,
 /// opaque host values).
 pub fn value_to_expr(v: &Value) -> Option<Expr> {
     Some(Expr::synth(match v {
@@ -88,7 +91,8 @@ pub fn value_to_expr(v: &Value) -> Option<Expr> {
     }))
 }
 
-/// Converts an FElm value expression back to a runtime value.
+/// Converts an FElm value expression in normal form back to a runtime
+/// value: how the small-step machine's results are read.
 ///
 /// Returns `None` for non-data values (functions).
 pub fn expr_to_value(e: &Expr) -> Option<Value> {
@@ -125,7 +129,7 @@ pub fn expr_to_value(e: &Expr) -> Option<Value> {
 ///
 /// # Panics
 ///
-/// Same conditions as [`apply_compiled`].
+/// Same condition as [`apply_compiled`].
 pub fn apply_function(func: &Expr, args: &[Value]) -> Value {
     let args: Vec<&Value> = args.iter().collect();
     apply_compiled(&compile(func), &args)
@@ -151,9 +155,9 @@ pub fn apply_function(func: &Expr, args: &[Value]) -> Value {
 ///
 /// # Panics
 ///
-/// Panics if application gets stuck or produces a non-data value — both
-/// impossible for nodes built from well-typed programs; a panic here
-/// indicates translation of an unchecked term.
+/// Panics if application gets stuck — impossible for nodes built from
+/// well-typed programs; a panic here indicates translation of an
+/// unchecked term.
 pub fn apply_compiled(code: &Code, args: &[&Value]) -> Value {
     use crate::budget::{Budget, Meter, Trap};
     use crate::eval::EvalError;
@@ -198,7 +202,8 @@ pub fn apply_compiled(code: &Code, args: &[&Value]) -> Value {
 ///
 /// # Panics
 ///
-/// Same conditions as [`apply_function`].
+/// Panics if application gets stuck, or if an argument or the result is
+/// outside FElm's data universe (see [`value_to_expr`]).
 pub fn apply_function_small_step(func: &Expr, args: &[Value]) -> Value {
     let mut e = func.clone();
     for a in args {
@@ -223,6 +228,11 @@ pub fn apply_function_small_step(func: &Expr, args: &[Value]) -> Value {
 ///
 /// Fails on inputs missing from `env` or (for hand-built terms) unbound
 /// signal variables.
+///
+/// # Panics
+///
+/// Panics if one of the term's values gets stuck — impossible for terms
+/// of well-typed programs, whose values are closed normal forms.
 pub fn translate(term: &SignalTerm, env: &InputEnv) -> Result<SignalGraph, TranslateError> {
     let mut tr = Translator {
         env,
@@ -234,6 +244,11 @@ pub fn translate(term: &SignalTerm, env: &InputEnv) -> Result<SignalGraph, Trans
     tr.builder
         .finish(out)
         .map_err(|e| TranslateError::Graph(e.to_string()))
+}
+
+/// A value of a validated signal term, by the evaluator its nodes use.
+fn value_of(v: &Expr) -> Value {
+    eval(&Env::empty(), v).unwrap_or_else(|err| panic!("a signal term's value got stuck: {err}"))
 }
 
 struct Translator<'a> {
@@ -272,7 +287,7 @@ impl Translator<'_> {
                     FinalTerm::Value(v) => {
                         // `let x = s in v`: a constant display over a live
                         // signal — output v regardless of events.
-                        let constant = expr_to_value(v).unwrap_or(Value::Unit);
+                        let constant = value_of(v);
                         Ok(self
                             .builder
                             .lift1("const", move |_| constant.clone(), shared))
@@ -297,12 +312,10 @@ impl Translator<'_> {
             SignalTerm::Foldp { func, init, signal } => {
                 let parent = self.walk(signal)?;
                 let code = compile(func);
-                let init_value = expr_to_value(init)
-                    .unwrap_or_else(|| panic!("foldp base value is outside FElm's data universe"));
                 Ok(self.builder.foldp(
                     "foldp",
                     move |new, acc| apply_compiled(&code, &[new, acc]),
-                    init_value,
+                    value_of(init),
                     parent,
                 ))
             }
@@ -326,12 +339,9 @@ impl Translator<'_> {
                     SignalPrimOp::DropRepeats => self.builder.drop_repeats(parents[0]),
                     SignalPrimOp::KeepIf => {
                         let pred = compile(&values[0]);
-                        let base = expr_to_value(&values[1]).unwrap_or_else(|| {
-                            panic!("keepIf base value is outside FElm's data universe")
-                        });
                         self.builder.keep_if(
                             move |v| apply_compiled(&pred, &[v]).is_truthy(),
-                            base,
+                            value_of(&values[1]),
                             parents[0],
                         )
                     }

@@ -138,15 +138,17 @@ fn allocs_per_event(program: &str, limits: Option<EventLimits>) -> f64 {
 const MAX_ALLOCS_PER_EVENT: f64 = 0.0;
 
 /// [`BOXED_PROGRAM`]: the exact figure on this trace, ungoverned and
-/// governed (4168 allocations over 1000 events). What is left is data,
-/// not evaluator machinery: on every event `main` converts the pair it
-/// reads in (1), builds its result pair (1) and converts it out (1); each
-/// `Mouse.x` event partially applies `add` (1); each `Mouse.position`
-/// event is a pair the trace itself builds (1) that the identity lift
-/// converts in and out (2). Building `add`, which captures nothing, and
-/// applying a saturated closure allocate nothing. With an environment
-/// chain the same trace made 10.169 allocations per event.
-const MAX_BOXED_ALLOCS_PER_EVENT: f64 = 4.168;
+/// governed (1834 allocations over 1000 events). What is left is data,
+/// not evaluator machinery: on every event `main` builds its result pair
+/// (1); each `Mouse.x` event partially applies `add` (1); each
+/// `Mouse.position` event is a pair the trace itself builds (1). Nodes
+/// and the evaluator share one value type, so no parent value is copied
+/// in and no result copied out. Building `add`, which captures nothing,
+/// and applying a saturated closure allocate nothing. While the evaluator
+/// had a value type of its own, converting into and out of it made 4.168
+/// allocations per event; with an environment chain the same trace made
+/// 10.169.
+const MAX_BOXED_ALLOCS_PER_EVENT: f64 = 1.834;
 
 #[test]
 fn ungoverned_dispatch_allocations_are_bounded() {

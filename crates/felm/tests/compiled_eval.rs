@@ -11,7 +11,7 @@
 use elm_runtime::Value;
 use felm::budget::Meter;
 use felm::eval::{normalize, DEFAULT_FUEL};
-use felm::eval_big::{compile, eval_code, to_runtime_value, Env};
+use felm::eval_big::{compile, eval_code, Env};
 use felm::parser::parse_expr;
 use felm::translate::{apply_compiled, apply_function_small_step, expr_to_value};
 use proptest::prelude::*;
@@ -138,7 +138,7 @@ proptest! {
         let code = compile(&e);
         let got = eval_code(&Env::empty(), &code, &mut Meter::unlimited())
             .expect("total term");
-        prop_assert_eq!(to_runtime_value(&got), spec, "{}", src);
+        prop_assert_eq!(Some(got), spec, "{}", src);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use felm::budget::{Budget, Meter, Trap};
 use felm::env::InputEnv;
 use felm::eval::{normalize, normalize_metered, EvalError, DEFAULT_FUEL};
 use felm::eval_big::{
-    apply_metered, apply_node, apply_node_boxed, compile, eval, eval_metered, Code, Env, RtValue,
+    apply_metered, apply_node, apply_node_boxed, compile, eval, eval_metered, Code, Env,
 };
 use felm::parser::parse_expr;
 use felm::pipeline::compile_source;
@@ -64,7 +64,7 @@ fn int_expr() -> BoxedStrategy<String> {
     BoxedStrategy::from_fn(|rng| gen(rng, 4))
 }
 
-fn big(src: &str, meter: &mut Meter) -> Result<RtValue, EvalError> {
+fn big(src: &str, meter: &mut Meter) -> Result<Value, EvalError> {
     let e = parse_expr(src).expect("generated expression parses");
     eval_metered(&Env::empty(), &e, meter)
 }
@@ -350,10 +350,10 @@ fn pinned_expr(data: &str, src: &str) -> felm::ast::Expr {
 }
 
 /// Evaluates `e` and applies the result to `args`, all under one meter.
-fn apply_all(e: &felm::ast::Expr, args: &[i64], meter: &mut Meter) -> Result<RtValue, EvalError> {
+fn apply_all(e: &felm::ast::Expr, args: &[i64], meter: &mut Meter) -> Result<Value, EvalError> {
     let mut cur = eval_metered(&Env::empty(), e, meter)?;
     for a in args {
-        cur = apply_metered(cur, RtValue::Int(*a), meter)?;
+        cur = apply_metered(cur, Value::Int(*a), meter)?;
     }
     Ok(cur)
 }
@@ -364,7 +364,7 @@ fn run_under(
     e: &felm::ast::Expr,
     args: &[i64],
     budget: Budget,
-) -> (Result<RtValue, EvalError>, Meter) {
+) -> (Result<Value, EvalError>, Meter) {
     let mut m = Meter::new(budget);
     let r = apply_all(e, args, &mut m);
     (r, m)

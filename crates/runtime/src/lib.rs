@@ -79,4 +79,4 @@ pub use tracing::{
     NodeSpan, NodeTimingSnapshot, PlainSpan, PlainSpanTree, SpanKind, SpanRing, SpanTree, TraceId,
     Tracer,
 };
-pub use value::Value;
+pub use value::{FnCode, Value};

@@ -6,8 +6,8 @@
 //! drive any graph exposing those inputs, on any scheduler.
 //!
 //! [`PlainValue`] is the serializable subset of [`Value`] — everything
-//! except opaque `Ext` payloads, which by construction never originate from
-//! the external environment.
+//! except opaque `Ext` payloads and function closures, which by
+//! construction never originate from the external environment.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -45,7 +45,8 @@ pub enum PlainValue {
 impl PlainValue {
     /// Converts a runtime [`Value`] into its serializable form.
     ///
-    /// Returns `None` if the value contains an opaque `Ext` payload.
+    /// Returns `None` if the value contains an opaque `Ext` payload or a
+    /// function closure.
     pub fn from_value(v: &Value) -> Option<Self> {
         Some(match v {
             Value::Unit => PlainValue::Unit,
@@ -75,7 +76,7 @@ impl PlainValue {
                     .map(Self::from_value)
                     .collect::<Option<Vec<_>>>()?,
             ),
-            Value::Ext(_) => return None,
+            Value::Ext(_) | Value::Closure(..) => return None,
         })
     }
 

@@ -12,6 +12,10 @@
 //!
 //! [`Value::Ext`] carries arbitrary `Send + Sync` Rust payloads (graphical
 //! elements, user structs) without the runtime knowing their type.
+//! [`Value::Closure`] is an FElm function value: the `felm` evaluator builds
+//! and applies it, and the runtime only carries it, so a signal may carry
+//! functions (Fig. 4 allows `signal τ` for any simple τ, `τ → τ′`
+//! included). Neither has a wire form.
 
 use std::any::Any;
 use std::cmp::Ordering;
@@ -48,6 +52,43 @@ pub enum Value {
     Tagged(Arc<str>, Arc<Vec<Value>>),
     /// An opaque host value (graphical `Element`s, user types, …).
     Ext(Arc<dyn Any + Send + Sync>),
+    /// A function closure: its code, and the values of its free variables
+    /// followed by the arguments a partial application has collected
+    /// (`None` when both are empty, so a closure that captures nothing
+    /// allocates nothing). Opaque to the runtime: a closure equals no
+    /// value, itself included.
+    Closure(FnCode, Option<Arc<[Value]>>),
+}
+
+// Every edge, queue slot and frame slot holds a `Value`: a new variant
+// must not make all of them larger.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Value>() == 32);
+
+/// A compiled function's code, opaque to the runtime: an evaluator makes
+/// one per compiled lambda, puts it in every [`Value::Closure`] of that
+/// lambda, and gets it back with [`FnCode::downcast`] to apply one.
+/// Cloning shares the code. A thin pointer, so a closure fits in a
+/// [`Value`] without making it larger.
+#[derive(Clone)]
+pub struct FnCode(Arc<Box<dyn Any + Send + Sync>>);
+
+impl FnCode {
+    /// Wraps an evaluator's code for one function.
+    pub fn new<T: Any + Send + Sync>(code: T) -> FnCode {
+        FnCode(Arc::new(Box::new(code)))
+    }
+
+    /// The code, if it is a `T`.
+    pub fn downcast<T: Any>(&self) -> Option<&T> {
+        self.0.downcast_ref()
+    }
+}
+
+impl fmt::Debug for FnCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "<function>")
+    }
 }
 
 impl Value {
@@ -118,6 +159,13 @@ impl Value {
                 1 + tag.len() as u64 + args.iter().map(Value::approx_cells).sum::<u64>()
             }
             Value::Ext(_) => 1,
+            Value::Closure(_, values) => {
+                1 + values
+                    .iter()
+                    .flat_map(|v| v.iter())
+                    .map(Value::approx_cells)
+                    .sum::<u64>()
+            }
         }
     }
 
@@ -209,6 +257,7 @@ impl Value {
             Value::Record(_) => "record",
             Value::Tagged(..) => "tagged",
             Value::Ext(_) => "ext",
+            Value::Closure(..) => "function",
         }
     }
 }
@@ -228,6 +277,8 @@ impl PartialEq for Value {
             // Opaque payloads compare by identity: `dropRepeats` on host
             // values only suppresses literally-shared values.
             (Value::Ext(a), Value::Ext(b)) => Arc::ptr_eq(a, b),
+            // Functions have no decidable equality: a closure equals
+            // nothing, so `dropRepeats` never drops one.
             _ => false,
         }
     }
@@ -272,6 +323,7 @@ impl fmt::Debug for Value {
                 Ok(())
             }
             Value::Ext(_) => write!(f, "<ext>"),
+            Value::Closure(..) => write!(f, "<function>"),
         }
     }
 }
@@ -436,6 +488,7 @@ mod tests {
             (Value::record([]), "record"),
             (Value::tagged("T", []), "tagged"),
             (Value::ext(0u8), "ext"),
+            (Value::Closure(FnCode::new(()), None), "function"),
         ] {
             assert_eq!(v.kind(), k);
         }

@@ -8,7 +8,8 @@
 //! Clients can also `open` with ad-hoc FElm source, which goes through
 //! the same pipeline.
 
-use elm_runtime::{GraphBuilder, SignalGraph, Value};
+use elm_runtime::{GraphBuilder, NodeKind, SignalGraph, Value};
+use felm::ast::Type;
 use felm::env::InputEnv;
 use felm::pipeline::compile_source;
 
@@ -164,6 +165,24 @@ impl Registry {
     /// Builtin names, for discovery / error messages.
     pub fn names(&self) -> Vec<&'static str> {
         self.builtins.iter().map(|(n, _)| *n).collect()
+    }
+
+    /// The declared payload type of each input of `graph`, by node index
+    /// (`None` for other nodes and undeclared inputs): what a session
+    /// checks event values against ([`crate::Session::set_input_types`]).
+    pub fn input_types(&self, graph: &SignalGraph) -> Vec<Option<Type>> {
+        let payload = |name: &str| match &self.env.get(name)?.ty {
+            Type::Signal(t) => Some((**t).clone()),
+            _ => None,
+        };
+        graph
+            .nodes()
+            .iter()
+            .map(|n| match &n.kind {
+                NodeKind::Input { name } => payload(name),
+                _ => None,
+            })
+            .collect()
     }
 
     fn compile(&self, src: &str) -> Result<SignalGraph, String> {

@@ -18,6 +18,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver};
 use elm_runtime::{JournalEntry, PlainValue, SignalGraph, WireSnapshot};
+use felm::ast::Type;
 
 use crate::admission::{AdmissionConfig, MemoryGauge};
 use crate::cluster::{Cluster, ReplicationTap};
@@ -65,6 +66,9 @@ pub(crate) const SHARD_DOWN: &str = "shard is down";
 pub(crate) struct OpenPlan {
     pub(crate) name: String,
     pub(crate) graph: SignalGraph,
+    /// The payload type of each input, by node index: what the session
+    /// admits on it (see [`crate::Session::set_input_types`]).
+    pub(crate) input_types: Vec<Option<Type>>,
     pub(crate) source: Option<String>,
     pub(crate) config: SessionConfig,
 }
@@ -243,7 +247,6 @@ impl Server {
             !(matches!(spec, ProgramSpec::Source(_)) && shard::on_shard()),
             "a shard compiled a client's source"
         );
-        let (name, graph, source) = self.registry.resolve_with_source(spec)?;
         let mut config = self.config.session;
         if let Some(q) = queue {
             config.queue_capacity = q.max(1);
@@ -254,8 +257,16 @@ impl Server {
         if observe {
             config.observe = true;
         }
+        self.plan(spec, config)
+    }
+
+    /// Resolves (compiling if need be) `spec` into a plan to host with
+    /// `config`.
+    fn plan(&self, spec: ProgramSpec<'_>, config: SessionConfig) -> Result<OpenPlan, String> {
+        let (name, graph, source) = self.registry.resolve_with_source(spec)?;
         Ok(OpenPlan {
             name,
+            input_types: self.registry.input_types(&graph),
             graph,
             source,
             config,
@@ -322,16 +333,10 @@ impl Server {
             Some(src) => ProgramSpec::Source(src),
             None => ProgramSpec::Builtin(&meta.program),
         };
-        let (name, graph, source) = self.registry.resolve_with_source(spec)?;
         let mut config = self.config.session;
         config.queue_capacity = meta.queue.max(1);
         config.policy = meta.policy;
-        let plan = OpenPlan {
-            name,
-            graph,
-            source,
-            config,
-        };
+        let plan = self.plan(spec, config)?;
         self.reserve_key(session);
         self.ask(session, move |s| {
             s.adopt(session, plan, snapshot, entries, epoch)

@@ -36,6 +36,7 @@ use elm_runtime::{
     NodeTimingSnapshot, PlainValue, RuntimeSnapshot, SignalGraph, StatsSnapshot, Tracer, Value,
 };
 use elm_signals::{Engine, Program, Running};
+use felm::ast::Type;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -244,6 +245,9 @@ pub struct Session {
     // graphs); surfaced by the `describe` wire verb.
     source: Option<String>,
     graph: SignalGraph,
+    // The payload type each input admits, by node index (empty until
+    // `set_input_types`; an input with none admits every value).
+    input_types: Vec<Option<Type>>,
     running: Running<Value>,
     queue: VecDeque<Queued>,
     config: SessionConfig,
@@ -343,6 +347,7 @@ impl Session {
             program_name,
             source: None,
             graph,
+            input_types: Vec::new(),
             running,
             queue: VecDeque::new(),
             config,
@@ -547,6 +552,16 @@ impl Session {
         &self.program_name
     }
 
+    /// Declares the payload type of each input, by node index (see
+    /// [`crate::Registry::input_types`]). From then on an event whose
+    /// value its input's type does not admit is `ignored` at admission,
+    /// like an event on an undeclared input: it is never queued,
+    /// journaled, replicated or applied, so it cannot get a node stuck
+    /// and poison the session through every later recovery.
+    pub fn set_input_types(&mut self, types: Vec<Option<Type>>) {
+        self.input_types = types;
+    }
+
     /// Records the FElm source this session's graph was compiled from.
     pub fn set_source(&mut self, source: Option<String>) {
         self.source = source;
@@ -643,7 +658,7 @@ impl Session {
     pub fn enqueue_traced(&mut self, input: &str, value: Value, trace: u64) -> EnqueueOutcome {
         self.last_activity = Instant::now();
         let node = match self.graph.input_named(input) {
-            Some(node) if !self.recovery_failed => node,
+            Some(node) if !self.recovery_failed && self.admits(node, &value) => node,
             _ => {
                 self.ignored += 1;
                 return EnqueueOutcome::Ignored;
@@ -707,6 +722,14 @@ impl Session {
         });
         self.enqueued += 1;
         outcome
+    }
+
+    /// Whether input `node`'s declared type admits `value`.
+    fn admits(&self, node: NodeId, value: &Value) -> bool {
+        match self.input_types.get(node.index()) {
+            Some(Some(ty)) => ty.admits(value),
+            _ => true,
+        }
     }
 
     /// Applies every queued event in order — journaling each immediately
@@ -1247,6 +1270,43 @@ mod tests {
         assert_eq!(s.query().value, PlainValue::Int(1));
         assert_eq!(s.ingress_stats().ignored, 1);
         assert!(!s.is_poisoned());
+    }
+
+    #[test]
+    fn ill_typed_values_are_ignored_not_fatal() {
+        let registry = Registry::standard();
+        let src = "main = lift2 (\\x p -> x + 1 + fst p) Mouse.x Mouse.position";
+        let (name, graph) = registry.resolve(ProgramSpec::Source(src)).unwrap();
+        let types = registry.input_types(&graph);
+        let mut s = Session::new(1, name, graph, SessionConfig::default());
+        s.set_input_types(types);
+        let pair = |a, b| Value::pair(Value::Int(a), b);
+        for (input, value) in [
+            ("Mouse.x", Value::str("a")),
+            ("Mouse.x", Value::Bool(true)),
+            ("Mouse.x", pair(1, Value::Int(2))),
+            ("Mouse.position", Value::Int(7)),
+        ] {
+            assert_eq!(s.enqueue(input, value), EnqueueOutcome::Ignored, "{input}");
+        }
+        // One batch mixing good and ill-typed events: only the good apply.
+        let batch = [
+            ("Mouse.x", Value::Int(5)),
+            ("Mouse.x", Value::str("a")),
+            ("Mouse.position", pair(1, Value::Int(2))),
+            ("Mouse.position", pair(1, Value::str("b"))),
+        ];
+        let outcomes = batch.map(|(input, value)| s.enqueue(input, value));
+        use EnqueueOutcome::{Accepted, Ignored};
+        assert_eq!(outcomes, [Accepted, Ignored, Accepted, Ignored]);
+        s.pump();
+        assert_eq!(s.query().value, PlainValue::Int(5 + 1 + 1));
+        s.enqueue("Mouse.x", Value::Int(7));
+        s.pump();
+        assert_eq!(s.query().value, PlainValue::Int(7 + 1 + 1));
+        assert!(!s.is_poisoned());
+        let ing = s.ingress_stats();
+        assert_eq!((ing.enqueued, ing.ignored), (3, 6));
     }
 
     #[test]

@@ -501,6 +501,7 @@ impl Shard {
             return Err(format!("session {id} already exists"));
         }
         let mut session = Session::new(id, plan.name, plan.graph, plan.config);
+        session.set_input_types(plan.input_types);
         session.set_source(plan.source);
         session.set_memory_gauge(self.memory.clone());
         Ok(session)
@@ -813,6 +814,7 @@ mod tests {
                 let plan = OpenPlan {
                     name,
                     graph,
+                    input_types: Vec::new(),
                     source,
                     config,
                 };
@@ -870,6 +872,7 @@ mod tests {
                 let plan = OpenPlan {
                     name,
                     graph,
+                    input_types: Vec::new(),
                     source,
                     config: SessionConfig::default(),
                 };
@@ -897,6 +900,7 @@ mod tests {
                 let plan = OpenPlan {
                     name,
                     graph,
+                    input_types: Vec::new(),
                     source,
                     config: SessionConfig::default(),
                 };
@@ -1007,6 +1011,7 @@ mod tests {
             OpenPlan {
                 name,
                 graph,
+                input_types: Vec::new(),
                 source,
                 config: SessionConfig::default(),
             }

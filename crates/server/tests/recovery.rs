@@ -9,11 +9,11 @@ use std::thread;
 use std::time::Duration;
 
 use elm_environment::{FaultPlan, Simulator};
-use elm_runtime::PlainValue;
+use elm_runtime::{PlainValue, RuntimeSnapshot, Value, WireSnapshot};
 use elm_server::{
     BackpressurePolicy, ProgramSpec, RestartPolicy, Server, ServerConfig, SessionConfig, Update,
 };
-use elm_signals::{Engine, Program};
+use elm_signals::{Engine, Program, Running};
 
 #[test]
 fn crashy_session_recovers_in_place_with_subscribers_intact() {
@@ -69,9 +69,61 @@ fn crashy_session_recovers_in_place_with_subscribers_intact() {
     server.shutdown();
 }
 
+/// The programs recovered under injected crashes, each with the inputs it
+/// reads: the native `chaos` graph, then FElm programs whose state is a
+/// bounded list, a string, a pair, a record, a data type, and (the last)
+/// a function, which has no wire form.
+const RECOVERED: [(ProgramSpec<'static>, &[&str]); 7] = [
+    (ProgramSpec::Builtin("chaos"), &["Mouse.clicks", "Mouse.x"]),
+    (
+        ProgramSpec::Source("main = foldp (\\x l -> if length l > 4 then [x] else x :: l) [] Mouse.x"),
+        &["Mouse.x"],
+    ),
+    (
+        ProgramSpec::Source("main = foldp (\\w s -> s ++ w) \"\" Words.input"),
+        &["Words.input"],
+    ),
+    (
+        ProgramSpec::Source("main = foldp (\\p a -> (fst a + fst p, snd p)) (0, 0) Mouse.position"),
+        &["Mouse.position"],
+    ),
+    (
+        ProgramSpec::Source(
+            "main = foldp (\\x r -> {last = x, sum = r.sum + x}) {last = 0, sum = 0} Mouse.x",
+        ),
+        &["Mouse.x"],
+    ),
+    (
+        ProgramSpec::Source(
+            "data Acc = Even Int | Odd Int\n\
+             main = foldp (\\x a -> case a of | Even n -> Odd (n + x) | Odd n -> Even (n - 2 * x)) (Even 0) Mouse.x",
+        ),
+        &["Mouse.x"],
+    ),
+    (
+        ProgramSpec::Source(
+            "main = lift2 (\\f x -> f x) (lift (\\a -> \\b -> a + b) Mouse.x) Mouse.y",
+        ),
+        &["Mouse.x", "Mouse.y"],
+    ),
+];
+
+/// Event `n` on `input`, of the input's type.
+fn event(input: &str, n: i64) -> (String, PlainValue) {
+    let value = match input {
+        "Mouse.clicks" => PlainValue::Unit,
+        "Mouse.position" => {
+            PlainValue::Pair(Box::new(PlainValue::Int(n)), Box::new(PlainValue::Int(-n)))
+        }
+        "Words.input" => PlainValue::Str(format!("w{n},")),
+        _ => PlainValue::Int(n),
+    };
+    (input.to_string(), value)
+}
+
 #[test]
 fn injected_crashes_match_uninterrupted_synchronous_replay() {
-    // Feed the chaos program a deterministic trace while the fault plan
+    // Feed each program a deterministic trace while the fault plan
     // crashes the runtime roughly every fifty events, then demand the
     // final output equal a crash-free single-session replay.
     let faults = FaultPlan {
@@ -99,47 +151,67 @@ fn injected_crashes_match_uninterrupted_synchronous_replay() {
         idle_timeout: None,
         admission: Default::default(),
     });
-    let s = server
-        .open(ProgramSpec::Builtin("chaos"), None, None, false)
-        .unwrap()
-        .session;
+    for (i, (spec, inputs)) in RECOVERED.into_iter().enumerate() {
+        let s = server.open(spec, None, None, false).unwrap().session;
 
-    let events: Vec<(String, PlainValue)> = (1..=400)
-        .flat_map(|n| {
-            [
-                ("Mouse.clicks".to_string(), PlainValue::Unit),
-                ("Mouse.x".to_string(), PlainValue::Int(n)),
-            ]
-        })
-        .collect();
-    for chunk in events.chunks(32) {
-        server.batch(s, chunk).unwrap();
+        let events: Vec<(String, PlainValue)> = (1..=400)
+            .flat_map(|n| inputs.iter().map(move |input| event(input, n)))
+            .collect();
+        for chunk in events.chunks(32) {
+            server.batch(s, chunk).unwrap();
+        }
+        while server.query(s).unwrap().queue_len > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+
+        let stats = server.session_stats(s).unwrap();
+        assert!(
+            stats.recovery.restarts > 0,
+            "{spec:?}: faults must actually fire"
+        );
+        assert!(
+            stats.recovery.max_replay <= 16,
+            "{spec:?}: snapshots bound replay, saw {}",
+            stats.recovery.max_replay
+        );
+
+        // Uninterrupted oracle, snapshotted half way.
+        let (_, graph) = server.registry().resolve(spec).unwrap();
+        let start = || Program::from_dynamic_graph(graph.clone()).start(Engine::Synchronous);
+        let feed = |run: &mut Running<Value>, events: &[(String, PlainValue)]| {
+            for (input, value) in events {
+                run.send_named(input, value.to_value()).unwrap();
+            }
+            run.drain_raw().unwrap();
+        };
+        let (prefix, suffix) = events.split_at(events.len() / 2);
+        let mut oracle = start();
+        feed(&mut oracle, prefix);
+        let half = oracle.snapshot().expect("a synchronous runtime snapshots");
+        feed(&mut oracle, suffix);
+        let expected = PlainValue::from_value(oracle.current()).unwrap();
+
+        assert_eq!(server.query(s).unwrap().value, expected, "{spec:?}");
+
+        // A replica restores the shipped snapshot from its JSON wire form
+        // and replays the suffix. A function has no wire form: a session
+        // holding one falls back to its journal.
+        let wire = half.to_wire();
+        if i == RECOVERED.len() - 1 {
+            assert!(wire.is_none(), "{spec:?}: a closure has no wire form");
+            continue;
+        }
+        let json = serde_json::to_string(&wire.expect("data has a wire form")).unwrap();
+        let wire: WireSnapshot = serde_json::from_str(&json).unwrap();
+        let mut resumed = start();
+        resumed.restore(&RuntimeSnapshot::from_wire(&wire)).unwrap();
+        feed(&mut resumed, suffix);
+        assert_eq!(
+            PlainValue::from_value(resumed.current()),
+            Some(expected),
+            "{spec:?}"
+        );
     }
-    while server.query(s).unwrap().queue_len > 0 {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-
-    let stats = server.session_stats(s).unwrap();
-    assert!(stats.recovery.restarts > 0, "faults must actually fire");
-    assert!(
-        stats.recovery.max_replay <= 16,
-        "snapshots bound replay, saw {}",
-        stats.recovery.max_replay
-    );
-
-    // Uninterrupted oracle.
-    let (_, graph) = server
-        .registry()
-        .resolve(ProgramSpec::Builtin("chaos"))
-        .unwrap();
-    let mut oracle = Program::from_dynamic_graph(graph).start(Engine::Synchronous);
-    for (input, value) in &events {
-        oracle.send_named(input, value.to_value()).unwrap();
-    }
-    oracle.drain_raw().unwrap();
-    let expected = PlainValue::from_value(oracle.current()).unwrap();
-
-    assert_eq!(server.query(s).unwrap().value, expected);
     server.shutdown();
 }
 

@@ -216,6 +216,28 @@ fn ad_hoc_source_and_stats_over_tcp() {
 
     let garbage = c.round_trip("this is not json");
     assert_eq!(field(&garbage, "ok"), &Json::Bool(false));
+
+    // Function-valued signals may feed others, but `main` must carry data:
+    // a refused program gets a compile error, not a lost compile thread.
+    for (src, ok) in [
+        ("main = lift (\\\\x -> \\\\y -> x) Mouse.x", false),
+        ("main = foldp (\\\\x f -> f) (\\\\y -> y) Mouse.x", false),
+        (
+            "main = lift2 (\\\\f x -> f x) (lift (\\\\a -> \\\\b -> a + b) Mouse.x) Mouse.y",
+            true,
+        ),
+    ] {
+        let r = c.round_trip(&format!(r#"{{"cmd":"open","source":"{src}"}}"#));
+        assert_eq!(field(&r, "ok"), &Json::Bool(ok), "{src}: {r:?}");
+        if !ok {
+            let error = field(&r, "error");
+            assert!(
+                matches!(error, Json::Str(e) if e.contains("compile error")),
+                "{r:?}"
+            );
+        }
+    }
+    assert_ok(&c.round_trip(r#"{"cmd":"open","program":"counter"}"#));
 }
 
 #[test]
